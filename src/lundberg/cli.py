@@ -41,7 +41,6 @@ from .optimize import (
     optimize_joint_ruin,
     profit_optimal_loading,
     ruin_optimal_loading,
-    sweep_common_loading,
     sweep_separate_loadings,
     sweep_single_loading,
     weighted_average_loading,
@@ -207,13 +206,8 @@ def cmd_optimize(args) -> int:
             market, demands, cfg.acquisition, reserve, mode=args.mode, solver=cfg.solver,
             sweep_step=args.sweep_step, refine=not args.no_refine, decomposition=decomposition,
         )
-        thetas = np.arange(0.05, 1.0 + args.sweep_step / 2, args.sweep_step)
-        sweep = sweep_common_loading(
-            market, demands, cfg.acquisition, reserve, thetas, cfg.solver.grid_step, decomposition
-        )
-        write_csv(out / f"{stem}_sweep.csv", ["theta", "ruin", "profit", "feasible"],
-                  zip(sweep["theta"].tolist(), sweep["ruin"].tolist(),
-                      sweep["profit"].tolist(), (int(f) for f in sweep["feasible"])))
+        sweep = dict(res.sweep, feasible=res.sweep["feasible"].astype(int))
+        write_csv(out / f"{stem}_sweep.csv", list(sweep), zip(*(c.tolist() for c in sweep.values())))
     payload.update({
         "loading": res.loading, "value": res.value, "grid_loading": res.grid_loading,
         "expected_profit": res.expected_profit, "diagnostics": res.diagnostics,

@@ -466,17 +466,6 @@ class JointGridded:
             raise ValidationError(f"joint cell masses must be nonnegative, min {rows.min()!r}")
         return np.maximum(rows, 0.0)
 
-    def cell_matrix(self, max_cells: int = 16_000_000) -> np.ndarray:
-        if self.ncells * self.ncells > max_cells:
-            raise ValidationError("joint grid too large to materialize; use row_masses")
-        return self.row_masses(0, self.ncells)
-
-    def total_mass(self, chunk: int = 256) -> float:
-        total = 0.0
-        for a in range(0, self.ncells, chunk):
-            total += float(self.row_masses(a, min(a + chunk, self.ncells)).sum())
-        return total
-
     def marginal_masses(self, chunk: int = 256):
         """Row and column sums: the two single-coordinate atom masses."""
         m1 = np.zeros(self.ncells)

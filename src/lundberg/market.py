@@ -345,11 +345,6 @@ class CompanyExposure:
         return self.intensity * self.severity.mean
 
     @property
-    def margin(self) -> float:
-        """Premium rate in excess of the expected claim rate."""
-        return self.premium_rate - self.mean_claim_rate
-
-    @property
     def expected_profit(self) -> float:
         """Expected profit per unit time, net of fixed costs."""
         return self.premium_rate - self.mean_claim_rate
@@ -360,39 +355,45 @@ class CompanyExposure:
         return simulate_ruin(self.intensity, self.severity, self.premium_rate, self.reserve, config)
 
 
+def _company_streams(decomp: Decomposition, p1, p2, only1, only2, both):
+    """The company's claim streams as (severity, intensity) pairs.
+
+    Independent markets give one stream per risk; coupled markets give
+    the five-part split into exclusive, one-sided simultaneous and
+    summed simultaneous claims.  Shares may be scalars or arrays (one
+    entry per loading of a sweep).
+    """
+    if decomp.lambda_both == 0.0:
+        return [
+            (decomp.market.risk1.severity, p1 * decomp.lambda1),
+            (decomp.market.risk2.severity, p2 * decomp.lambda2),
+        ]
+    lam_b = decomp.lambda_both
+    return [
+        (decomp.sev1_only, p1 * decomp.lambda1_only),
+        (decomp.sev2_only, p2 * decomp.lambda2_only),
+        (decomp.sev1_both, only1 * lam_b),
+        (decomp.sev2_both, only2 * lam_b),
+        (decomp.sev_sum_both, both * lam_b),
+    ]
+
+
 def _company_claim_model(decomp: Decomposition, shares: AcquisitionShares):
     """Thinned intensity and severity mixtures for a share profile.
 
     Returns (intensity, severity, intensity_indep, severity_indep).
     """
     lam1, lam2 = decomp.lambda1, decomp.lambda2
-    lam_b = decomp.lambda_both
     p1, p2, both = shares.p1, shares.p2, shares.both
-    lam_tilde = p1 * lam1 + p2 * lam2 - both * lam_b
+    lam_tilde = p1 * lam1 + p2 * lam2 - both * decomp.lambda_both
     if lam_tilde <= 0:
         raise ValidationError("company claim intensity must be positive; increase shares")
     lam_hat = p1 * lam1 + p2 * lam2
-    if lam_b == 0.0:
-        sev_hat = mixture(
-            [p1 * lam1 / lam_hat, p2 * lam2 / lam_hat],
-            [decomp.market.risk1.severity, decomp.market.risk2.severity],
-        )
+    severities, rates = zip(*_company_streams(decomp, p1, p2, shares.only1, shares.only2, both))
+    if decomp.lambda_both == 0.0:
+        sev_hat = mixture([r / lam_hat for r in rates], severities)
         return lam_tilde, sev_hat, lam_hat, sev_hat
-    weights = np.array([
-        p1 * decomp.lambda1_only,
-        p2 * decomp.lambda2_only,
-        shares.only1 * lam_b,
-        shares.only2 * lam_b,
-        both * lam_b,
-    ]) / lam_tilde
-    components = [
-        decomp.sev1_only,
-        decomp.sev2_only,
-        decomp.sev1_both,
-        decomp.sev2_both,
-        decomp.sev_sum_both,
-    ]
-    sev_tilde = mixture(weights, components)
+    sev_tilde = mixture(np.array(rates) / lam_tilde, severities)
     sev_hat = mixture(
         [p1 * lam1 / lam_hat, p2 * lam2 / lam_hat],
         [decomp.sev1_gridded, decomp.sev2_gridded],

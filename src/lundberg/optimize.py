@@ -8,10 +8,11 @@ closed form; they are found by sweeping the company ruin probability on
 a loading grid and polishing the grid argmin with a quasi-Newton
 refinement driven by finite differences.
 
-The sweep exploits the structure of the company claim model: the grid
+The sweeps exploit the structure of the company claim model: the grid
 recursion coefficients are linear in the per-component exposure weights,
 so one set of component tail integrals serves every loading pair, and
-whole batches of loadings advance through the recursion together.
+whole batches of loadings advance together through the same survival
+kernel (:func:`lundberg.ruin.survival_batch`) that solves single curves.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ from scipy import optimize as sciopt
 from .copulas import OrdinaryCopula
 from .demand import DemandSpec, shares_from_take_rates
 from .distributions import integrated_tails
-from .errors import AccuracyError, InstabilityError, ValidationError
-from .market import Decomposition, MarketSpec, _company_claim_model, company_exposure, decompose
-from .ruin import SolverConfig, independence_gap_bound, solve_survival
+from .errors import AccuracyError, ValidationError
+from .market import (
+    Decomposition, MarketSpec, _company_claim_model, _company_streams, company_exposure, decompose,
+)
+from .ruin import (
+    SolverConfig, _recursion_coefficients, independence_gap_bound, solve_survival, survival_batch,
+)
 
 __all__ = [
     "LoadingResult",
@@ -52,7 +57,8 @@ class LoadingResult:
     a pair for separate loadings.  ``value`` is the criterion value at
     the optimum (ruin probability at the reference reserve, or expected
     profit per unit time).  ``grid_loading`` keeps the pre-refinement
-    sweep argmin for grid-step comparisons.
+    sweep argmin for grid-step comparisons, and ``sweep`` the columns of
+    that sweep (empty where no sweep ran).
     """
 
     criterion: str
@@ -63,6 +69,7 @@ class LoadingResult:
     expected_profit: float | None = None
     grid_loading: float | tuple | None = None
     diagnostics: dict = field(default_factory=dict)
+    sweep: dict = field(default_factory=dict)
 
 
 def ruin_optimal_loading(demand: DemandSpec, intensity: float, mean_severity: float) -> LoadingResult:
@@ -148,39 +155,6 @@ def weighted_average_loading(theta1: float, theta2: float, p1_ref: float, p2_ref
     return (theta1 * p1_ref + theta2 * p2_ref) / (p1_ref + p2_ref)
 
 
-def _component_model(decomp: Decomposition):
-    """Severity components and exposure-weight builder of a company model.
-
-    Returns (components, coefficients(theta_pairs, shares_list)) where the
-    recursion inputs of every loading are linear combinations of the
-    component tail integrals with these coefficients.
-    """
-    if decomp.lambda_both == 0.0:
-        comps = [decomp.market.risk1.severity, decomp.market.risk2.severity]
-
-        def coefs(shares):
-            return np.column_stack([
-                shares[:, 0] * decomp.lambda1,
-                shares[:, 1] * decomp.lambda2,
-            ])
-    else:
-        comps = [
-            decomp.sev1_only, decomp.sev2_only,
-            decomp.sev1_both, decomp.sev2_both, decomp.sev_sum_both,
-        ]
-
-        def coefs(shares):
-            p1, p2, only1, only2, both = shares.T
-            return np.column_stack([
-                p1 * decomp.lambda1_only,
-                p2 * decomp.lambda2_only,
-                only1 * decomp.lambda_both,
-                only2 * decomp.lambda_both,
-                both * decomp.lambda_both,
-            ])
-    return comps, coefs
-
-
 def _share_matrix(acquisition: OrdinaryCopula, demands, theta_pairs: np.ndarray) -> np.ndarray:
     d1, d2 = demands
     p1 = np.asarray(d1.take_rate(theta_pairs[:, 0]), dtype=float)
@@ -191,20 +165,27 @@ def _share_matrix(acquisition: OrdinaryCopula, demands, theta_pairs: np.ndarray)
     return np.column_stack([p1, p2, p1 - both, p2 - both, both])
 
 
-def _batched_recursion(aw, d, av1, v0, n):
-    """Advance a batch of loading points through the grid recursion."""
-    m = v0.size
-    vbar = np.empty((m, n + 1))
-    vbar[:, 0] = v0
-    denom = 1.0 - av1
-    if np.any(denom <= 0):
-        raise InstabilityError("recursion denominator <= 0 in sweep; reduce the grid step")
-    for i in range(1, n + 1):
-        acc = v0 * (1.0 + aw[:, i - 1])
-        if i > 1:
-            acc += np.einsum("pm,pm->p", d[:, : i - 1], vbar[:, i - 1 : 0 : -1])
-        vbar[:, i] = acc / denom
-    return vbar
+def _sweep_ruin(tails, coef, premium, feasible, reserves, grid_step):
+    """Ruin at each reserve for a batch of loadings, one row per loading.
+
+    ``coef`` holds each loading's per-component claim intensities and
+    ``tails`` the components' integrated tails.  Infeasible rows carry
+    ruin 1.0; rows that leave the recursion's valid range carry NaN.
+    Loadings advance through the survival kernel in chunks.
+    """
+    n = max(int(np.ceil(max(reserves) / grid_step - 1e-9)), 1)
+    coefficients = _recursion_coefficients(tails, grid_step * np.arange(n + 1), grid_step)
+    node_idx = [int(round(r / grid_step)) for r in reserves]
+    ruin = np.ones((coef.shape[0], len(reserves)))
+    for start in range(0, coef.shape[0], _SWEEP_CHUNK):
+        live = np.nonzero(feasible[start : start + _SWEEP_CHUNK])[0] + start
+        if live.size == 0:
+            continue
+        vbar, ok = survival_batch(coef[live] / premium[live, None], coefficients, n)
+        vals = 1.0 - np.clip(vbar[:, node_idx], 0.0, 1.0)
+        vals[~ok] = np.nan
+        ruin[live] = vals
+    return ruin
 
 
 def company_ruin_at(
@@ -229,49 +210,19 @@ def company_ruin_at(
     reserves = [float(reserve)] if scalar_reserve else [float(r) for r in reserve]
     if decomposition is None:
         decomposition = decompose(market, grid_step)
-    comps, coefs = _component_model(decomposition)
     d1, d2 = demands
-    n = max(int(np.ceil(max(reserves) / grid_step - 1e-9)), 1)
-    nodes = grid_step * np.arange(n + 1)
-    tails = [integrated_tails(c) for c in comps]
-    sb = np.stack([t.sbar(nodes) for t in tails])
-    ssb = np.stack([t.ssbar(nodes) for t in tails])
-    means = np.array([t.mean for t in tails])
-    c1 = np.diff(sb, axis=1)
-    c2 = np.diff(ssb, axis=1) - grid_step * sb[:, :-1]
-    w_comp = c1 - c2 / grid_step
-    v_comp = c2 / grid_step
-    d_comp = w_comp[:, :-1] + v_comp[:, 1:]
-    v1_comp = v_comp[:, 0]
-
     shares = _share_matrix(acquisition, demands, theta_pairs)
-    coef = coefs(shares)
+    severities, rates = zip(*_company_streams(decomposition, *shares.T))
+    tails = [integrated_tails(s) for s in severities]
+    coef = np.column_stack(rates)
     premium = np.asarray(
         d1.premium_rate(market.risk1.intensity, market.risk1.severity.mean, theta_pairs[:, 0])
         + d2.premium_rate(market.risk2.intensity, market.risk2.severity.mean, theta_pairs[:, 1]),
         dtype=float,
     )
-    claim_rate = coef @ means
-    profit = premium - claim_rate
+    profit = premium - coef @ np.array([t.mean for t in tails])
     feasible = profit > 0
-
-    node_idx = [int(round(r / grid_step)) for r in reserves]
-    ruin = np.ones((theta_pairs.shape[0], len(reserves)))
-    for start in range(0, theta_pairs.shape[0], _SWEEP_CHUNK):
-        stop = min(start + _SWEEP_CHUNK, theta_pairs.shape[0])
-        live = np.nonzero(feasible[start:stop])[0] + start
-        if live.size == 0:
-            continue
-        a = coef[live] / premium[live, None]
-        aw = a @ w_comp
-        dmat = a @ d_comp
-        av1 = a @ v1_comp
-        v0 = 1.0 - a @ means
-        vbar = _batched_recursion(aw, dmat, av1, v0, n)
-        bad = ~((vbar.min(axis=1) > -1e-9) & (vbar.max(axis=1) < 1.0 + 1e-9))
-        vals = 1.0 - np.clip(vbar[:, node_idx], 0.0, 1.0)
-        vals[bad] = np.nan
-        ruin[live] = vals
+    ruin = _sweep_ruin(tails, coef, premium, feasible, reserves, grid_step)
     if scalar_reserve:
         ruin = ruin[:, 0]
     return ruin, profit, feasible
@@ -282,39 +233,20 @@ def sweep_single_loading(demand, intensity, severity, reserves, thetas, grid_ste
 
     Returns a dict with ``theta``, ``profit``, ``feasible``, and one ruin
     array per reserve under ``ruin`` (keyed by reserve).  The same
-    batched recursion as the two-risk sweeps runs with a single severity
-    component weighted by the demand-thinned intensity.
+    survival kernel as the two-risk sweeps runs with a single severity
+    component weighted by the demand-thinned intensity; points that
+    leave the recursion's valid range carry NaN.
     """
     thetas = np.asarray(thetas, dtype=float)
     reserves = sorted(float(r) for r in np.atleast_1d(reserves))
-    n = max(int(np.ceil(reserves[-1] / grid_step - 1e-9)), 1)
-    nodes = grid_step * np.arange(n + 1)
     tails = integrated_tails(severity)
-    sb, ssb = tails.sbar(nodes), tails.ssbar(nodes)
-    c1 = np.diff(sb)
-    c2 = np.diff(ssb) - grid_step * sb[:-1]
-    w_comp = (c1 - c2 / grid_step)[None, :]
-    d_comp = (w_comp[0, :-1] + (c2 / grid_step)[1:])[None, :]
-    v1_comp = np.array([c2[0] / grid_step])
-    means = np.array([tails.mean])
-
-    take = np.asarray(demand.take_rate(thetas), dtype=float)
-    coef = (take * intensity)[:, None]
+    coef = (np.asarray(demand.take_rate(thetas), dtype=float) * intensity)[:, None]
     premium = np.asarray(demand.premium_rate(intensity, tails.mean, thetas), dtype=float)
     profit = premium - coef[:, 0] * tails.mean
     feasible = profit > 0
-    idx = [int(round(r / grid_step)) for r in reserves]
-    ruin = {r: np.ones(thetas.size) for r in reserves}
-    for start in range(0, thetas.size, _SWEEP_CHUNK):
-        stop = min(start + _SWEEP_CHUNK, thetas.size)
-        live = np.nonzero(feasible[start:stop])[0] + start
-        if live.size == 0:
-            continue
-        a = coef[live] / premium[live, None]
-        vbar = _batched_recursion(a @ w_comp, a @ d_comp, a @ v1_comp, 1.0 - a @ means, n)
-        for r, j in zip(reserves, idx):
-            ruin[r][live] = 1.0 - np.clip(vbar[:, j], 0.0, 1.0)
-    return {"theta": thetas, "profit": profit, "feasible": feasible, "ruin": ruin}
+    ruin = _sweep_ruin([tails], coef, premium, feasible, reserves, grid_step)
+    return {"theta": thetas, "profit": profit, "feasible": feasible,
+            "ruin": {r: ruin[:, j] for j, r in enumerate(reserves)}}
 
 
 def sweep_common_loading(
@@ -438,6 +370,7 @@ def optimize_joint_ruin(
             "feasible_points": int(np.count_nonzero(usable)),
             "grid_value": grid_value,
         },
+        sweep=sweep,
     )
 
 

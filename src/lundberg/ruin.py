@@ -10,7 +10,11 @@ Poisson surplus process ``u + c*t - S_t``:
   on a uniform grid with a piecewise-linear ansatz for ``Vbar``.  Every
   segment integral is evaluated exactly through the integrated tails
   ``sbar``/``ssbar``, so the only approximation is the interpolation of
-  ``Vbar`` itself.
+  ``Vbar`` itself.  One kernel runs this recursion:
+  :func:`_recursion_coefficients` builds its per-component rows and
+  :func:`survival_batch` advances any number of curves together.  A
+  single curve is a batch of one; the loading sweeps of
+  :mod:`lundberg.optimize` are batches of hundreds.
 
 * :func:`solve_series` sums the Picard series of the equivalent fixed
   point equation V = alpha*(g + L V), where ``L`` is the tail
@@ -111,21 +115,60 @@ def _model_fingerprint(intensity, severity, premium_rate, config) -> str:
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
-def _segment_coefficients(sbar_nodes: np.ndarray, ssbar_nodes: np.ndarray, h: float):
-    """Exact segment integrals of the linear-interpolant quadrature.
+def _recursion_coefficients(tails, nodes: np.ndarray, h: float):
+    """Per-component coefficient rows of the grid recursion.
 
-    For segment j (between nodes j-1 and j) the integral of
-    ``Vbar(x_i - y) F̄(y)`` contributes ``c1_j`` against the left value
-    and ``c2_j / h`` against the forward difference, where
+    For segment j (between nodes j-1 and j) the exact integral of
+    ``Vbar(x_i - y) F̄(y)`` for a piecewise-linear ``Vbar`` contributes
 
         c1_j = sbar(x_j) - sbar(x_j-1)
         c2_j = ssbar(x_j) - ssbar(x_j-1) - h * sbar(x_j-1)
 
-    These are exact whenever ``Vbar`` is linear on the segment.
+    against the left value (``c1_j``) and the forward difference
+    (``c2_j / h``).  Collecting the two neighbours of every node gives,
+    per severity component (one row each), the weight ``w`` of the
+    boundary value, the convolution kernel ``d``, the self weight ``v1``
+    of the new node, and the component mean.  A company of several
+    claim streams scales each row by its stream's intensity over the
+    premium rate, so these rows serve every loading of a sweep.
     """
-    c1 = np.diff(sbar_nodes)
-    c2 = np.diff(ssbar_nodes) - h * sbar_nodes[:-1]
-    return c1, c2
+    sb = np.stack([t.sbar(nodes) for t in tails])
+    ssb = np.stack([t.ssbar(nodes) for t in tails])
+    c1 = np.diff(sb, axis=1)
+    v = (np.diff(ssb, axis=1) - h * sb[:, :-1]) / h
+    w = c1 - v
+    return w, w[:, :-1] + v[:, 1:], v[:, 0], np.array([t.mean for t in tails])
+
+
+def survival_batch(a: np.ndarray, coefficients, n: int):
+    """Run the grid recursion for a batch of component weightings.
+
+    ``a`` holds one row per curve: each component's claim intensity over
+    the premium rate.  Returns the unclipped survival curves on nodes
+    0..n, shape (rows, n + 1), and a per-row flag that is True when the
+    whole curve lies within (-1e-9, 1 + 1e-9).  A row whose recursion
+    denominator is not positive, or whose values leave that range,
+    indicates a grid step too coarse for the claim frequency.
+
+    Rows are stored reversed while they are built, so each step reads a
+    contiguous slice of the values already found.
+    """
+    w, d, v1, means = coefficients
+    v0 = 1.0 - a @ means
+    base = v0[:, None] * (1.0 + a @ w)  # boundary-value term of every node
+    ad = a @ d
+    denom = 1.0 - a @ v1
+    denom[denom <= 0] = np.nan  # fails the row at its first node
+    rev = np.empty((a.shape[0], n + 1))
+    rev[:, n] = v0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(1, n + 1):
+            # row-wise dot products of the kernel with the values found so far
+            conv = (ad[:, None, : i - 1] @ rev[:, n - i + 1 : n, None])[:, 0, 0]
+            rev[:, n - i] = (base[:, i - 1] + conv) / denom
+    vbar = rev[:, ::-1]
+    ok = (vbar.min(axis=1) > -_NEGATIVE_TOL) & (vbar.max(axis=1) < 1.0 + _NEGATIVE_TOL)
+    return vbar, ok
 
 
 def solve_survival(
@@ -137,11 +180,12 @@ def solve_survival(
     """Grid recursion for the survival probability.
 
     Starting from the exact boundary value, each node value is isolated
-    from the quadrature of the integral equation.  Negative intermediate
-    values below -1e-9 (or values above 1 + 1e-9) abort with
-    :class:`InstabilityError` rather than being clipped: they indicate a
-    grid step too coarse for the claim frequency.  Remaining float dust
-    is clipped to [0, 1] at the end.
+    from the quadrature of the integral equation; this is the batch of
+    one of :func:`survival_batch`, the kernel the loading sweeps run.
+    Values below -1e-9 or above 1 + 1e-9 abort with
+    :class:`InstabilityError`, naming the first such node, rather than
+    being clipped: they indicate a grid step too coarse for the claim
+    frequency.  Remaining float dust is clipped to [0, 1] at the end.
 
     Raises:
         NetProfitError: if ``premium_rate <= intensity * E[Y]``.
@@ -161,33 +205,15 @@ def solve_survival(
     if margin <= 0:
         raise NetProfitError(margin)
 
-    h = config.grid_step
-    n = config.n_cells
-    alpha = intensity / premium_rate
-    c1, c2 = _segment_coefficients(tails.sbar(nodes), tails.ssbar(nodes), h)
-    w = c1 - c2 / h
-    v = c2 / h
-    d = alpha * (w[:-1] + v[1:])
-    aw = alpha * w
-    denom = 1.0 - alpha * v[0]
-    if denom <= 0:
+    coefficients = _recursion_coefficients([tails], nodes, config.grid_step)
+    curves, ok = survival_batch(np.array([[intensity / premium_rate]]), coefficients, config.n_cells)
+    vbar = curves[0]
+    if not ok[0]:
+        i = int(np.argmin((vbar > -_NEGATIVE_TOL) & (vbar < 1.0 + _NEGATIVE_TOL)))
         raise InstabilityError(
-            f"recursion denominator {denom:g} <= 0; reduce the grid step below {premium_rate / intensity:g}"
+            f"survival value {float(vbar[i])!r} at node {i} outside [0, 1]; reduce the grid step"
         )
-
-    vbar = np.empty(n + 1)
-    vbar[0] = 1.0 - intensity * tails.mean / premium_rate
-    for i in range(1, n + 1):
-        acc = vbar[0] * (1.0 + aw[i - 1])
-        if i > 1:
-            acc += float(np.dot(d[: i - 1], vbar[i - 1 : 0 : -1]))
-        vi = acc / denom
-        if not (-_NEGATIVE_TOL < vi < 1.0 + _NEGATIVE_TOL):
-            raise InstabilityError(
-                f"survival value {vi!r} at node {i} outside [0, 1]; reduce the grid step"
-            )
-        vbar[i] = vi
-    np.clip(vbar, 0.0, 1.0, out=vbar)
+    vbar = np.clip(vbar, 0.0, 1.0)
     return RuinCurve(
         x=nodes, survival=vbar, intensity=intensity, premium_rate=premium_rate,
         config=config, solver="grid", fingerprint=fp,
@@ -266,15 +292,15 @@ def solve_series(
     n_terms = _series_length(alpha, x_last, config.series_terms)
     sf_nodes = np.asarray(severity.sf(nodes), dtype=float)
 
-    g = tails.mean - tails.sbar(nodes)
-    term = g.copy()
-    ruin = alpha * g.copy()
-    scale = alpha
+    # Each term carries its power of alpha: the terms are nonnegative and
+    # sum to the ruin probability, so none can overflow (or underflow to
+    # 0 * inf, as separate alpha^k and L^k g factors do on long grids).
+    term = alpha * (tails.mean - tails.sbar(nodes))
+    ruin = term.copy()
     for _ in range(n_terms):
-        term = _tail_convolution(term, sf_nodes, h)
-        scale *= alpha
-        ruin += scale * term
-        if scale * float(np.max(np.abs(term))) < 1e-15:
+        term = alpha * _tail_convolution(term, sf_nodes, h)
+        ruin += term
+        if float(np.max(np.abs(term))) < 1e-15:
             break
     survival = np.clip(1.0 - ruin, 0.0, 1.0)
     return RuinCurve(

@@ -115,6 +115,22 @@ def test_optimize_common_mode_writes_sweep(two_risk_config, tmp_path):
     assert sweep[0] == "theta,ruin,profit,feasible"
 
 
+def test_optimize_separate_mode_writes_its_own_sweep(two_risk_config, tmp_path):
+    out = tmp_path / "out"
+    rc = main([
+        "optimize", str(two_risk_config), "--criterion", "ruin", "--mode", "separate",
+        "--reserve", "2000", "--sweep-step", "0.05", "--no-refine", "--out-dir", str(out),
+    ])
+    assert rc == 0
+    payload = json.loads((out / "optimize_ruin_separate.json").read_text())
+    lines = (out / "optimize_ruin_separate_sweep.csv").read_text().splitlines()
+    assert lines[0] == "theta1,theta2,ruin,profit,feasible"
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) == 20 * 20 == payload["diagnostics"]["sweep_points"]
+    best = min(r[2] for r in rows if r[4] == 1)
+    assert best == pytest.approx(payload["diagnostics"]["grid_value"], rel=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ from numpy.testing import assert_allclose
 import lundberg as lb
 from lundberg.distributions import integrated_tails
 from lundberg.errors import AccuracyError, InstabilityError, NetProfitError, ValidationError
-from lundberg.ruin import SolverConfig, independence_gap_bound, solve_series, solve_survival, tail_convolution
+from lundberg.ruin import (
+    SolverConfig, _recursion_coefficients, independence_gap_bound, solve_series, solve_survival,
+    survival_batch, tail_convolution,
+)
 
 
 def exponential_ruin(x, mean, intensity, premium_rate):
@@ -18,6 +21,27 @@ def exponential_ruin(x, mean, intensity, premium_rate):
     """
     eta = premium_rate / (intensity * mean) - 1.0
     return np.exp(-eta * x / ((1.0 + eta) * mean)) / (1.0 + eta)
+
+
+def direct_recursion(intensity, severity, premium_rate, config):
+    """Node-by-node grid recursion, the reference for the batched kernel.
+
+    Each survival value is isolated from the exact segment integrals of
+    the piecewise-linear ansatz, one scalar dot product per node.
+    """
+    tails = integrated_tails(severity)
+    h, n, nodes = config.grid_step, config.n_cells, config.nodes()
+    sb, ssb = tails.sbar(nodes), tails.ssbar(nodes)
+    c2 = np.diff(ssb) - h * sb[:-1]
+    w, v = np.diff(sb) - c2 / h, c2 / h
+    alpha = intensity / premium_rate
+    vbar = np.empty(n + 1)
+    vbar[0] = 1.0 - alpha * tails.mean
+    for i in range(1, n + 1):
+        acc = vbar[0] * (1.0 + alpha * w[i - 1])
+        acc += alpha * float(np.dot(w[: i - 1] + v[1:i], vbar[i - 1 : 0 : -1]))
+        vbar[i] = acc / (1.0 - alpha * v[0])
+    return vbar
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +99,47 @@ class _BrokenTails(lb.SeverityModel):
 
 def test_instability_guard_catches_corrupt_quadrature():
     cfg = SolverConfig(grid_step=5.0, x_max=1000.0)
-    with pytest.raises(InstabilityError):
+    reference = direct_recursion(800.0, _BrokenTails(), 900_000.0, cfg)
+    first_bad = int(np.nonzero((reference < -1e-9) | (reference > 1.0 + 1e-9))[0][0])
+    with pytest.raises(InstabilityError, match=rf"at node {first_bad} outside"):
         solve_survival(800.0, _BrokenTails(), 900_000.0, cfg)
+
+
+def test_single_sweep_gives_nan_for_unstable_point(demand1, gamma_severity):
+    from lundberg.optimize import sweep_single_loading
+
+    broken = sweep_single_loading(demand1, 800.0, _BrokenTails(), [1000.0], [0.435], 5.0)
+    assert broken["feasible"][0] and np.isnan(broken["ruin"][1000.0][0])
+    sound = sweep_single_loading(demand1, 800.0, gamma_severity, [1000.0], [0.435], 5.0)
+    assert 0.0 < sound["ruin"][1000.0][0] < 1.0
+
+
+def test_kernel_matches_direct_recursion(gamma_severity, dep_market, decomposition, demands,
+                                        shares_at_04):
+    exposure = lb.company_exposure(
+        dep_market, shares_at_04, (0.4, 0.4), demands, (0.0,), decomposition=decomposition,
+    )
+    cases = [
+        (200.0, gamma_severity, 230_000.0, SolverConfig(grid_step=2.0, x_max=20_000.0)),
+        (exposure.intensity, exposure.severity, exposure.premium_rate,
+         SolverConfig(grid_step=2.0, x_max=5000.0)),
+    ]
+    assert cases[0][3].n_cells == 10_000
+    for args in cases:
+        assert np.max(np.abs(solve_survival(*args).survival - direct_recursion(*args))) <= 1e-12
+
+
+def test_kernel_batch_rows_match_batches_of_one(gamma_severity):
+    tails = [integrated_tails(gamma_severity), integrated_tails(lb.Exponential(400.0))]
+    n, h = 1500, 2.0
+    coefficients = _recursion_coefficients(tails, h * np.arange(n + 1), h)
+    a = np.array([[4e-4, 8e-4], [8e-4, 0.0], [0.0, 2e-3], [1e-4, 1e-4]])
+    batch, ok = survival_batch(a, coefficients, n)
+    assert batch.shape == (4, n + 1) and ok.all()
+    for row, curve in zip(a, batch):
+        single, single_ok = survival_batch(row[None, :], coefficients, n)
+        assert single_ok[0]
+        assert np.max(np.abs(single[0] - curve)) <= 1e-12
 
 
 def test_curve_is_monotone_and_bounded(gamma_severity):
@@ -202,6 +265,16 @@ def test_series_term_budget_enforced(gamma_severity):
     cfg = SolverConfig(grid_step=2.0, x_max=20_000.0, series_terms=3)
     with pytest.raises(AccuracyError):
         solve_series(800.0, gamma_severity, 1_000_000.0, cfg)
+
+
+def test_series_is_finite_on_long_grids(gamma_severity):
+    # alpha^k alone underflows to 0 near 300 terms while L^k g overflows;
+    # each term must carry its own power of alpha
+    cfg = SolverConfig(grid_step=20.0, x_max=60_000.0)
+    series = solve_series(200.0, gamma_severity, 230_000.0, cfg)
+    grid = solve_survival(200.0, gamma_severity, 230_000.0, cfg)
+    assert np.all(np.isfinite(series.survival))
+    assert np.max(np.abs(series.survival - grid.survival)) < 5e-3
 
 
 def test_series_boundary_value(gamma_severity):
