@@ -72,6 +72,5 @@ from .simulate import (
     SimConfig,
     simulate_bivariate_market,
     simulate_ruin,
-    stream_claim_counts,
     wilson_interval,
 )

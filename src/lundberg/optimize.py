@@ -46,7 +46,7 @@ __all__ = [
     "size_scaling_experiment",
 ]
 
-_SWEEP_CHUNK = 512
+_SWEEP_CELLS = 1 << 18  # rows x nodes per kernel call; bounds the FFT temporaries
 
 
 @dataclass
@@ -171,14 +171,16 @@ def _sweep_ruin(tails, coef, premium, feasible, reserves, grid_step):
     ``coef`` holds each loading's per-component claim intensities and
     ``tails`` the components' integrated tails.  Infeasible rows carry
     ruin 1.0; rows that leave the recursion's valid range carry NaN.
-    Loadings advance through the survival kernel in chunks.
+    Loadings advance through the survival kernel in chunks of at most
+    ``_SWEEP_CELLS`` curve values (and at least one row).
     """
     n = max(int(np.ceil(max(reserves) / grid_step - 1e-9)), 1)
     coefficients = _recursion_coefficients(tails, grid_step * np.arange(n + 1), grid_step)
     node_idx = [int(round(r / grid_step)) for r in reserves]
     ruin = np.ones((coef.shape[0], len(reserves)))
-    for start in range(0, coef.shape[0], _SWEEP_CHUNK):
-        live = np.nonzero(feasible[start : start + _SWEEP_CHUNK])[0] + start
+    chunk = max(_SWEEP_CELLS // (n + 1), 1)
+    for start in range(0, coef.shape[0], chunk):
+        live = np.nonzero(feasible[start : start + chunk])[0] + start
         if live.size == 0:
             continue
         vbar, ok = survival_batch(coef[live] / premium[live, None], coefficients, n)

@@ -10,11 +10,13 @@ Poisson surplus process ``u + c*t - S_t``:
   on a uniform grid with a piecewise-linear ansatz for ``Vbar``.  Every
   segment integral is evaluated exactly through the integrated tails
   ``sbar``/``ssbar``, so the only approximation is the interpolation of
-  ``Vbar`` itself.  One kernel runs this recursion:
-  :func:`_recursion_coefficients` builds its per-component rows and
-  :func:`survival_batch` advances any number of curves together.  A
-  single curve is a batch of one; the loading sweeps of
-  :mod:`lundberg.optimize` are batches of hundreds.
+  ``Vbar`` itself.  The node equations form a lower-triangular Toeplitz
+  system, i.e. a quotient of power series, which one kernel solves in
+  O(n log n) per curve by Newton iteration for the series inverse
+  (Brent & Kung 1978): :func:`_recursion_coefficients` builds its
+  per-component rows and :func:`survival_batch` solves any number of
+  curves together.  A single curve is a batch of one; the loading
+  sweeps of :mod:`lundberg.optimize` are batches of hundreds.
 
 * :func:`solve_series` sums the Picard series of the equivalent fixed
   point equation V = alpha*(g + L V), where ``L`` is the tail
@@ -34,6 +36,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 
 from .distributions import SeverityModel, integrated_tails
@@ -141,7 +144,7 @@ def _recursion_coefficients(tails, nodes: np.ndarray, h: float):
 
 
 def survival_batch(a: np.ndarray, coefficients, n: int):
-    """Run the grid recursion for a batch of component weightings.
+    """Solve the grid recursion for a batch of component weightings.
 
     ``a`` holds one row per curve: each component's claim intensity over
     the premium rate.  Returns the unclipped survival curves on nodes
@@ -150,25 +153,38 @@ def survival_batch(a: np.ndarray, coefficients, n: int):
     denominator is not positive, or whose values leave that range,
     indicates a grid step too coarse for the claim frequency.
 
-    Rows are stored reversed while they are built, so each step reads a
-    contiguous slice of the values already found.
+    With ``u[m] = Vbar(x_{m+1})`` the recursion is the lower-triangular
+    Toeplitz system ``D(z) U(z) = B(z) mod z^n`` with ``D = denom - z AD(z)``
+    and ``B`` the boundary-value term, so ``U = B / D`` as power series.
+    ``1 / D`` comes from Newton doubling ``G <- G - G (D G - 1)`` (Brent &
+    Kung 1978), each step a pair of FFT products along the rows, which
+    costs O(n log n) per row instead of the O(n^2) of node-by-node
+    elimination.  Rows never mix, so a failed row leaves the others
+    untouched.
     """
     w, d, v1, means = coefficients
     v0 = 1.0 - a @ means
     base = v0[:, None] * (1.0 + a @ w)  # boundary-value term of every node
-    ad = a @ d
-    denom = 1.0 - a @ v1
-    denom[denom <= 0] = np.nan  # fails the row at its first node
-    rev = np.empty((a.shape[0], n + 1))
-    rev[:, n] = v0
+    dz = np.concatenate([1.0 - a @ v1[:, None], -(a @ d)], axis=1)
+    dz[dz[:, 0] <= 0] = np.nan  # fails the row from node 1 on
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(1, n + 1):
-            # row-wise dot products of the kernel with the values found so far
-            conv = (ad[:, None, : i - 1] @ rev[:, n - i + 1 : n, None])[:, 0, 0]
-            rev[:, n - i] = (base[:, i - 1] + conv) / denom
-    vbar = rev[:, ::-1]
+        g = 1.0 / dz[:, :1]
+        k = 1
+        while k < n:
+            m = min(2 * k, n)
+            # D G = 1 mod z^k, so only its coefficients k..m-1 correct G
+            err = _series_product(dz[:, :m], g, m)[:, k:]
+            g = np.concatenate([g, -_series_product(g[:, : m - k], err, m - k)], axis=1)
+            k = m
+        vbar = np.concatenate([v0[:, None], _series_product(base, g, n)], axis=1)
     ok = (vbar.min(axis=1) > -_NEGATIVE_TOL) & (vbar.max(axis=1) < 1.0 + _NEGATIVE_TOL)
     return vbar, ok
+
+
+def _series_product(p: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
+    """Row-wise product of two power series, truncated to m terms."""
+    size = next_fast_len(p.shape[1] + q.shape[1] - 1, real=True)
+    return irfft(rfft(p, size, axis=1) * rfft(q, size, axis=1), size, axis=1)[:, :m]
 
 
 def solve_survival(
@@ -179,9 +195,9 @@ def solve_survival(
 ) -> RuinCurve:
     """Grid recursion for the survival probability.
 
-    Starting from the exact boundary value, each node value is isolated
-    from the quadrature of the integral equation; this is the batch of
-    one of :func:`survival_batch`, the kernel the loading sweeps run.
+    Starting from the exact boundary value, the node values solve the
+    quadrature of the integral equation; this is the batch of one of
+    :func:`survival_batch`, the kernel the loading sweeps run.
     Values below -1e-9 or above 1 + 1e-9 abort with
     :class:`InstabilityError`, naming the first such node, rather than
     being clipped: they indicate a grid step too coarse for the claim

@@ -34,7 +34,6 @@ __all__ = [
     "wilson_interval",
     "simulate_ruin",
     "simulate_bivariate_market",
-    "stream_claim_counts",
 ]
 
 _BLOCK = 8192
@@ -312,38 +311,3 @@ def simulate_bivariate_market(
     if return_times:
         diags["ruin_times"] = times
     return _estimate(ruined, config.paths, horizon, config.seed, diags)
-
-
-def stream_claim_counts(
-    decomposition: Decomposition,
-    shares: AcquisitionShares,
-    horizon: float,
-    paths: int,
-    seed: int = 0,
-) -> dict:
-    """Count claims per stream over a fixed horizon, ignoring ruin.
-
-    Exercises the superposition and thinning logic end to end: the
-    returned counts should be Poisson with means rate * horizon * paths,
-    and the claims touching each risk should reproduce the share-thinned
-    marginal frequencies.
-    """
-    sampler = _StreamSampler(decomposition, shares)
-    rng = _block_rng(seed, 0)
-    counts = np.zeros(3, dtype=np.int64)
-    for _ in range(paths):
-        t = 0.0
-        while True:
-            block_w = rng.exponential(1.0 / sampler.total_rate, _CHUNK)
-            tt = t + np.cumsum(block_w)
-            within = int(np.searchsorted(tt, horizon, side="right"))
-            kinds = np.searchsorted(sampler.type_cum, rng.random(within))
-            counts += np.bincount(kinds, minlength=3)
-            if within < _CHUNK:
-                break
-            t = tt[-1]
-    return {
-        "counts": counts.tolist(),
-        "expected": (sampler.rates * horizon * paths).tolist(),
-        "exposure": horizon * paths,
-    }

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+
 import lundberg as lb
 from lundberg.copulas import make_ordinary
 from lundberg.errors import ValidationError
@@ -14,6 +16,7 @@ from lundberg.optimize import (
     sweep_single_loading,
     weighted_average_loading,
 )
+from lundberg.ruin import survival_batch
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,29 @@ def test_single_ruin_argmin_reserve_invariant(demand1, gamma_severity):
     for a in argmins:
         assert abs(a - closed) <= 0.005 + 1e-12
     assert max(argmins) - min(argmins) <= 0.005 + 1e-12
+
+
+def test_single_sweep_is_independent_of_chunking(demand1, gamma_severity, monkeypatch):
+    from lundberg import optimize
+
+    thetas = np.arange(0.05, 1.0 + 0.0025, 0.025)  # fig1's range: starts infeasible
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return survival_batch(*args)
+
+    monkeypatch.setattr(optimize, "survival_batch", counted)
+    runs = []
+    for cells in (1, 1 << 40):  # one row per chunk, then one chunk
+        monkeypatch.setattr(optimize, "_SWEEP_CELLS", cells)
+        runs.append(sweep_single_loading(demand1, 800.0, gamma_severity, [1000.0, 5000.0], thetas, 5.0))
+    feasible = int(runs[0]["feasible"].sum())
+    assert 0 < feasible < thetas.size
+    assert calls == [1] * feasible + [feasible]
+    for r in (1000.0, 5000.0):
+        assert_allclose(runs[0]["ruin"][r], runs[1]["ruin"][r], rtol=0.0, atol=1e-12)
+        assert np.array_equal(np.isnan(runs[0]["ruin"][r]), np.isnan(runs[1]["ruin"][r]))
 
 
 # ---------------------------------------------------------------------------

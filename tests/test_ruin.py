@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lundberg as lb
@@ -140,6 +142,44 @@ def test_kernel_batch_rows_match_batches_of_one(gamma_severity):
         single, single_ok = survival_batch(row[None, :], coefficients, n)
         assert single_ok[0]
         assert np.max(np.abs(single[0] - curve)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.booleans(),
+    shape=st.floats(0.5, 5.0),
+    mean=st.floats(10.0, 1e4),
+    loading=st.floats(0.01, 2.0),
+    step=st.floats(0.005, 1.0),
+    n=st.one_of(st.sampled_from([1, 2, 3, 1000, 1024, 1025]), st.integers(1, 3000)),
+)
+def test_kernel_matches_direct_recursion_for_any_model(gamma, shape, mean, loading, step, n):
+    severity = lb.Gamma(shape, mean / shape) if gamma else lb.Exponential(mean)
+    intensity = 1.0
+    premium = (1.0 + loading) * intensity * mean
+    cfg = SolverConfig(grid_step=step * mean, x_max=n * step * mean)
+    assert cfg.n_cells == n
+    tails = integrated_tails(severity)
+    coefficients = _recursion_coefficients([tails], cfg.nodes(), cfg.grid_step)
+    curves, ok = survival_batch(np.array([[intensity / premium]]), coefficients, n)
+    reference = direct_recursion(intensity, severity, premium, cfg)
+    assert curves.shape == (1, n + 1) and ok[0]
+    assert curves[0, 0] == reference[0]
+    assert np.max(np.abs(curves[0] - reference)) <= 1e-12
+
+
+def test_kernel_fails_a_row_without_touching_the_others(gamma_severity):
+    tails = [integrated_tails(gamma_severity)]
+    n, h = 777, 2.0
+    coefficients = _recursion_coefficients(tails, h * np.arange(n + 1), h)
+    v1 = coefficients[2][0]
+    a = np.array([[2e-4], [2.0 / v1], [8e-4]])  # middle row: denominator 1 - a*v1 < 0
+    batch, ok = survival_batch(a, coefficients, n)
+    assert list(ok) == [True, False, True]
+    assert np.all(np.isnan(batch[1, 1:]))
+    for i in (0, 2):
+        single, _ = survival_batch(a[i : i + 1], coefficients, n)
+        assert np.max(np.abs(single[0] - batch[i])) <= 1e-12
 
 
 def test_curve_is_monotone_and_bounded(gamma_severity):
