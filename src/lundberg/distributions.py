@@ -41,6 +41,7 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _MASS_TOL = 1e-9
+_ROW_BLOCK = 8  # lattice rows per row_masses call in sum_distribution
 
 
 class SeverityModel(abc.ABC):
@@ -93,8 +94,11 @@ class SeverityModel(abc.ABC):
         """JSON-serializable description, used by configs and sidecars."""
 
     def fingerprint(self) -> str:
-        payload = json.dumps(self.describe(), sort_keys=True, default=float)
-        return hashlib.sha1(payload.encode()).hexdigest()[:12]
+        return hashlib.sha1(self._fingerprint_payload()).hexdigest()[:12]
+
+    def _fingerprint_payload(self) -> bytes:
+        """Bytes that identify the model: its JSON description by default."""
+        return json.dumps(self.describe(), sort_keys=True, default=float).encode()
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
@@ -289,6 +293,15 @@ class Mixture(SeverityModel):
             "components": [c.describe() for c in self._components],
         }
 
+    def _fingerprint_payload(self) -> bytes:
+        # Mixtures of closed-form kinds keep their JSON strings; gridded
+        # (or nested) parts are identified by their own fingerprints, so
+        # no atom is ever JSON-encoded.
+        if not any(isinstance(c, (Gridded, Mixture)) for c in self._components):
+            return super()._fingerprint_payload()
+        parts = "|".join(c.fingerprint() for c in self._components)
+        return b"mixture|" + self._w.tobytes() + parts.encode()
+
     def _integrated_tails(self) -> IntegratedTails:
         parts = [
             (w, integrated_tails(c)) for w, c in zip(self._w, self._components) if w > 0.0
@@ -408,6 +421,9 @@ class Gridded(SeverityModel):
             "masses": [float(m) for m in self._masses],
         }
 
+    def _fingerprint_payload(self) -> bytes:
+        return b"gridded|" + self._atoms.tobytes() + self._masses.tobytes()
+
     def _segment(self, x):
         idx = np.searchsorted(self._breaks, x, side="right") - 1
         return np.clip(idx, 0, self._breaks.size - 1)
@@ -462,9 +478,11 @@ class JointGridded:
 
     def row_masses(self, a: int, b: int) -> np.ndarray:
         rows = np.asarray(self._row_masses(a, b), dtype=float)
-        if np.any(rows < -1e-12):
-            raise ValidationError(f"joint cell masses must be nonnegative, min {rows.min()!r}")
-        return np.maximum(rows, 0.0)
+        low = rows.min(initial=0.0)
+        if low < -1e-12:
+            raise ValidationError(f"joint cell masses must be nonnegative, min {low!r}")
+        # A fresh clamped copy: the source may be a caller's matrix.
+        return np.maximum(rows, 0.0) if low < 0.0 else rows
 
     def marginal_masses(self, chunk: int = 256):
         """Row and column sums: the two single-coordinate atom masses."""
@@ -532,18 +550,24 @@ def sum_distribution(joint: JointGridded, chunk: int = 256) -> Gridded:
     column j add to lattice point i + j + 2), so no resampling error is
     introduced and the mean of the result equals the sum of the marginal
     means exactly.
+
+    The lattice is walked in blocks of ``_ROW_BLOCK`` rows, small enough
+    to stay in cache.  Row i is one shifted slice-add into a buffer for
+    its ``chunk`` of rows (its anti-diagonals start at offset i), and
+    each buffer is added into the result once: every lattice point is
+    summed row by row within a chunk, then chunk by chunk.
     """
     n = joint.ncells
     h = joint.step
     out = np.zeros(2 * n - 1)
-    cols = np.arange(n)
-    total = 0.0
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
-        rows = joint.row_masses(a, b)
-        idx = (np.arange(a, b)[:, None] + cols[None, :]).ravel()
-        out += np.bincount(idx, weights=rows.ravel(), minlength=2 * n - 1)
-        total += float(rows.sum())
+        acc = np.zeros(b - a + n - 1)
+        for r in range(a, b, _ROW_BLOCK):
+            for i, row in enumerate(joint.row_masses(r, min(r + _ROW_BLOCK, b)), r - a):
+                acc[i : i + n] += row
+        out[a : a + acc.size] += acc
+    total = float(out.sum())
     if abs(total - 1.0) > _MASS_TOL:
         raise ValidationError(f"joint cell masses must sum to 1 within {_MASS_TOL}, got {total!r}")
     atoms = h * np.arange(2, 2 * n + 1)

@@ -163,7 +163,6 @@ class Decomposition:
         n = max(int(np.ceil(extent / grid_step - 1e-9)), 2)
         nodes = grid_step * np.arange(n + 1)
         self.nodes = nodes
-        self._chunk = chunk
 
         u1 = np.asarray(market.risk1.tail_integral(nodes), dtype=float)
         u2 = np.asarray(market.risk2.tail_integral(nodes), dtype=float)
@@ -204,16 +203,21 @@ class Decomposition:
         e1[-1] = 0.0
         e2[-1] = 0.0
         harmonic = levy.omega == 1.0
+        zero2 = np.flatnonzero(e2 == 0.0)
 
         def row_masses(a: int, b: int) -> np.ndarray:
             rows = e1[a : b + 1][:, None]
             if harmonic:
+                # rows*e2/(rows+e2) in place; 0 where both tails are 0.
+                block = rows * e2
                 with np.errstate(invalid="ignore", divide="ignore"):
-                    block = np.where(rows + e2 > 0.0, rows * e2 / (rows + e2), 0.0)
+                    block /= rows + e2
+                block[np.ix_(np.flatnonzero(rows[:, 0] == 0.0), zero2)] = 0.0
             else:
                 block = np.asarray(levy.cdf(rows, e2[None, :]), dtype=float)
-            rect = np.diff(np.diff(block, axis=0), axis=1) / lam_both
-            return np.maximum(rect, 0.0)
+            rect = np.diff(np.diff(block, axis=0), axis=1)
+            rect /= lam_both
+            return np.maximum(rect, 0.0, out=rect)
 
         self.joint_both = JointGridded(jnodes, row_masses)
         self.sev_sum_both = sum_distribution(self.joint_both, chunk=chunk)

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import fftconvolve
 
 from .distributions import SeverityModel, integrated_tails
 from .errors import AccuracyError, InstabilityError, NetProfitError, ValidationError
@@ -239,7 +238,7 @@ def solve_survival(
 def _tail_convolution(values: np.ndarray, sf_nodes: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid quadrature of integral of values(z) * F̄(x - z) dz on the grid."""
     n = values.size
-    conv = fftconvolve(values, sf_nodes)[:n]
+    conv = _series_product(values[None], sf_nodes[None], n)[0]
     return h * (conv - 0.5 * values[0] * sf_nodes - 0.5 * sf_nodes[0] * values)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .demand import AcquisitionShares
 from .distributions import SeverityModel
@@ -94,7 +94,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99):
     """Wilson score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValidationError("wilson interval needs 0 <= successes <= trials, trials >= 1")
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = float(ndtri(0.5 + confidence / 2.0))
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +249,15 @@ def test_load_config_reports_json_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "line" in str(err.value)
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats and scipy.signal each add about half a second to start-up
+    import lundberg
+
+    env = dict(os.environ, PYTHONPATH=str(Path(lundberg.__file__).parents[1]))
+    code = ("import sys, lundberg; "
+            "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

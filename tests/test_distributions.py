@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -284,6 +284,92 @@ def test_sum_distribution_against_pair_sampling_oracle(decomposition):
         assert abs(p_emp - p_grid) < tol, (x, p_emp, p_grid)
 
 
+def reference_sum_distribution(joint, chunk=256):
+    """The bincount walk over the lattice that the shifted slice-adds replace."""
+    n = joint.ncells
+    out = np.zeros(2 * n - 1)
+    cols = np.arange(n)
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
+        rows = joint.row_masses(a, b)
+        idx = (np.arange(a, b)[:, None] + cols[None, :]).ravel()
+        out += np.bincount(idx, weights=rows.ravel(), minlength=2 * n - 1)
+    return lb.Gridded(joint.step * np.arange(2, 2 * n + 1), out)
+
+
+def _random_lattice(n, seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    matrix[rng.integers(n), rng.integers(n)] += 1.0  # never all zero
+    return JointGridded.from_matrix(0.5 * np.arange(n + 1), matrix / matrix.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    chunk=st.sampled_from([1, 3, 8, 256]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=1, chunk=1, seed=0)
+@example(n=13, chunk=3, seed=1)
+@example(n=257, chunk=256, seed=2)
+@example(n=300, chunk=8, seed=3)
+def test_sum_distribution_matches_bincount_reference_bit_for_bit(n, chunk, seed):
+    joint = _random_lattice(n, seed)
+    new = sum_distribution(joint, chunk=chunk)
+    ref = reference_sum_distribution(joint, chunk=chunk)
+    assert np.array_equal(new.masses, ref.masses)
+    assert np.array_equal(new.atoms, ref.atoms)
+
+
+def test_sum_distribution_rejects_negative_cell():
+    joint = _random_lattice(20, 5)
+    matrix = joint.row_masses(0, 20).copy()
+    matrix[7, 11] = -1e-9
+    with pytest.raises(ValidationError, match="nonnegative"):
+        sum_distribution(JointGridded.from_matrix(joint.nodes, matrix))
+
+
+def test_sum_distribution_clamps_float_dust_without_touching_the_input():
+    joint = _random_lattice(20, 6)
+    matrix = joint.row_masses(0, 20).copy()
+    i, j = np.argwhere(matrix == 0.0)[0]
+    matrix[i, j] = -1e-13
+    total = sum_distribution(JointGridded.from_matrix(joint.nodes, matrix))
+    assert matrix[i, j] == -1e-13
+    clamped = np.maximum(matrix, 0.0)
+    expected = reference_sum_distribution(JointGridded.from_matrix(joint.nodes, clamped))
+    assert np.array_equal(total.masses, expected.masses)
+
+
 def test_joint_grid_requires_uniform_nodes():
     with pytest.raises(ValidationError):
         JointGridded.from_matrix(np.array([0.0, 1.0, 3.0]), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# fingerprints
+# ---------------------------------------------------------------------------
+
+def test_closed_form_fingerprints_are_stable():
+    # recorded before gridded models stopped going through JSON
+    assert lb.Exponential(1000.0).fingerprint() == "b8f5c9a5333e"
+    assert lb.Gamma(2.0, 500.0).fingerprint() == "4d30112dba12"
+    mixed = mixture([0.3, 0.7], [lb.Gamma(2.0, 500.0), lb.Exponential(400.0)])
+    assert mixed.fingerprint() == "29e0eedb8b14"
+
+
+def test_gridded_fingerprint_tracks_every_mass():
+    atoms = np.arange(1.0, 101.0)
+    masses = np.full(100, 0.01)
+    base = lb.Gridded(atoms, masses)
+    assert lb.Gridded(atoms, masses.copy()).fingerprint() == base.fingerprint()
+    moved = masses.copy()
+    moved[41] += 1e-12
+    moved[42] -= 1e-12
+    assert lb.Gridded(atoms, moved).fingerprint() != base.fingerprint()
+    exp = lb.Exponential(400.0)
+    mixed = mixture([0.5, 0.5], [base, exp])
+    assert mixture([0.5, 0.5], [lb.Gridded(atoms, masses), exp]).fingerprint() == mixed.fingerprint()
+    assert mixture([0.5, 0.5], [lb.Gridded(atoms, moved), exp]).fingerprint() != mixed.fingerprint()
+    assert mixture([0.4, 0.6], [base, exp]).fingerprint() != mixed.fingerprint()

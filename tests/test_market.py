@@ -7,6 +7,7 @@ from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
 from lundberg.market import _company_claim_model
 from lundberg.simulate import _CHUNK, _StreamSampler, _block_rng
+from test_distributions import reference_sum_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,36 @@ def test_joint_marginals_match_component_masses(decomposition):
     m1, m2 = decomposition.joint_both.marginal_masses()
     assert_allclose(m1, decomposition.sev1_both.masses, atol=1e-12)
     assert_allclose(m2, decomposition.sev2_both.masses, atol=1e-12)
+
+
+def _reference_joint(dec):
+    """The whole joint lattice, from the where-guarded corner formula."""
+    market, levy = dec.market, dec.market.levy
+    jnodes = dec.joint_both.nodes
+    e1 = np.asarray(market.risk1.tail_integral(jnodes), dtype=float)
+    e2 = np.asarray(market.risk2.tail_integral(jnodes), dtype=float)
+    e1[-1] = 0.0
+    e2[-1] = 0.0
+    rows = e1[:, None]
+    if levy.omega == 1.0:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            block = np.where(rows + e2 > 0.0, rows * e2 / (rows + e2), 0.0)
+    else:
+        block = np.asarray(levy.cdf(rows, e2[None, :]), dtype=float)
+    rect = np.diff(np.diff(block, axis=0), axis=1) / dec.lambda_both
+    return lb.JointGridded.from_matrix(jnodes, np.maximum(rect, 0.0))
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.5])
+def test_summed_simultaneous_claim_is_bit_identical_to_reference(omega):
+    risk1 = lb.CompoundPoissonSpec(800.0, lb.Gamma(2.0, 500.0))
+    risk2 = lb.CompoundPoissonSpec(500.0, lb.Exponential(700.0))
+    market = lb.MarketSpec(risk1, risk2, lb.ClaytonLevyCopula(omega))
+    dec = lb.decompose(market, grid_step=40.0)
+    assert dec.joint_both.ncells % 8 != 0
+    expected = reference_sum_distribution(_reference_joint(dec))
+    assert np.array_equal(dec.sev_sum_both.masses, expected.masses)
+    assert np.array_equal(dec.sev_sum_both.atoms, expected.atoms)
 
 
 def test_degenerate_complete_dependence(gamma_severity):
