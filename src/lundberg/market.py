@@ -102,13 +102,28 @@ class MarketSpec:
             raise ValidationError("coupled risks need strictly positive intensities")
 
 
+def _ordered_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp)`` for 1-D float64 x, looked up in ascending order of x.
+
+    np.interp searches from the previous value's cell, so sorted queries walk the
+    table in step; any order gives the same bits.  Sort key: top bits of x, then index.
+    """
+    bits = max((x.size - 1).bit_length(), 1)
+    order = x.view(np.int64) >> bits << bits | np.arange(x.size)
+    order.sort()
+    order &= (1 << bits) - 1
+    vals = x[order]
+    vals[order] = np.interp(vals, xp, fp)
+    return vals
+
+
 class Decomposition:
     """Split of a coupled claim pair into independent component streams.
 
     Component severities are discretized on a uniform node grid (cells
     carry their mass at the right endpoint).  Exact continuous samplers,
     driven by the copula identities rather than the grid, back the Monte
-    Carlo cross-checks.
+    Carlo cross-checks; ``grid_step`` None builds only them (grids None).
 
     Attributes:
         lambda1_only, lambda2_only, lambda_both: component intensities.
@@ -124,23 +139,22 @@ class Decomposition:
 
     _TABLE_SIZE = 1 << 18
 
-    def __init__(self, market: MarketSpec, grid_step: float, tail_mass: float = 1e-12,
+    def __init__(self, market: MarketSpec, grid_step: float | None, tail_mass: float = 1e-12,
                  extent: float | None = None, chunk: int = 256,
                  joint_step: float | None = None, joint_tail_mass: float | None = None):
         self.market = market
         lam1, lam2 = market.risk1.intensity, market.risk2.intensity
         self.lambda1, self.lambda2 = lam1, lam2
+        self._tables = None
+        self.nodes = self.joint_both = None
+        self.sev1_both = self.sev2_both = self.sev_sum_both = None
         levy = market.levy
         if levy is None:
             self.lambda_both = 0.0
             self.lambda1_only, self.lambda2_only = lam1, lam2
             self.degenerate1 = self.degenerate2 = False
-            self.nodes = None
             self.sev1_only, self.sev2_only = market.risk1.severity, market.risk2.severity
-            self.sev1_both = self.sev2_both = self.sev_sum_both = None
-            self.joint_both = None
             self.sev1_gridded, self.sev2_gridded = market.risk1.severity, market.risk2.severity
-            self._tables = None
             return
 
         lam_both = float(levy.cdf(lam1, lam2))
@@ -154,6 +168,9 @@ class Decomposition:
         self.degenerate2 = only2 <= _INTENSITY_TOL * lam2
         self.lambda1_only = 0.0 if self.degenerate1 else only1
         self.lambda2_only = 0.0 if self.degenerate2 else only2
+        if grid_step is None:
+            self.sev1_only = self.sev2_only = self.sev1_gridded = self.sev2_gridded = None
+            return
 
         if extent is None:
             extent = max(
@@ -221,7 +238,6 @@ class Decomposition:
 
         self.joint_both = JointGridded(jnodes, row_masses)
         self.sev_sum_both = sum_distribution(self.joint_both, chunk=chunk)
-        self._tables = None
 
     # ------------------------------------------------------------------
     # Exact continuous samplers (independent of the grid discretization)
@@ -246,21 +262,23 @@ class Decomposition:
         c1 = np.asarray(levy.cdf(u1, np.full_like(u1, lam2)), dtype=float)
         c2 = np.asarray(levy.cdf(np.full_like(u2, lam1), u2), dtype=float)
         tables = {
-            "xs": xs,
+            "xs": xs[::-1].copy(),
             "u1": u1[::-1].copy(), "u2": u2[::-1].copy(),
             "both1": (c1 / lam_both)[::-1].copy(),
             "both2": (c2 / lam_both)[::-1].copy(),
         }
+        # u - C(u, lam) cancels to noise far out (below 1e-23 on the reference
+        # market); a running maximum keeps lookups independent of their order
         if not self.degenerate1:
-            tables["only1"] = ((u1 - c1) / self.lambda1_only)[::-1].copy()
+            tables["only1"] = np.maximum.accumulate(((u1 - c1) / self.lambda1_only)[::-1])
         if not self.degenerate2:
-            tables["only2"] = ((u2 - c2) / self.lambda2_only)[::-1].copy()
+            tables["only2"] = np.maximum.accumulate(((u2 - c2) / self.lambda2_only)[::-1])
         self._tables = tables
         return tables
 
     def _interp_inverse(self, key: str, w: np.ndarray) -> np.ndarray:
         t = self._inverse_tables()
-        return np.interp(w, t[key], t["xs"][::-1])
+        return _ordered_interp(w, t[key], t["xs"])
 
     def sample_only1(self, rng, size):
         """Severities of claims hitting only risk 1."""

@@ -5,7 +5,8 @@ claims, so checking ruin when a claim lands is exact and needs no time
 discretization.  Claims are drawn in fixed-size blocks of paths with one
 generator per block, seeded as ``SeedSequence((seed, block_index))``;
 identical seeds therefore reproduce estimates bit for bit, and blocks
-could run concurrently without changing the result.
+could run concurrently without changing the result.  The copula samplers
+look their tables up in sorted order, which leaves the stream unchanged.
 
 The default horizon is chosen in the claim-count clock: (80 + 8u/E[Y])
 divided by eta expected claims per path, where eta is the relative
@@ -26,7 +27,7 @@ from scipy.special import ndtri
 from .demand import AcquisitionShares
 from .distributions import SeverityModel
 from .errors import ValidationError
-from .market import Decomposition, MarketSpec, decompose
+from .market import Decomposition, MarketSpec
 
 __all__ = [
     "SimConfig",
@@ -226,7 +227,10 @@ class _StreamSampler:
             shares.both * lam_b,
         ])
         self.total_rate = float(self.rates.sum())
-        self.type_cum = np.cumsum(self.rates / self.total_rate) if self.total_rate > 0 else None
+        self.type_cum = None
+        if self.total_rate > 0:  # the last positive-rate stream takes all above its cut
+            self.type_cum = np.cumsum(self.rates / self.total_rate)
+            self.type_cum[np.flatnonzero(self.rates)[-1]:] = np.inf
         self.w_excl1 = shares.p1 * d.lambda1_only / self.rates[0] if self.rates[0] > 0 else 0.0
         self.w_excl2 = shares.p2 * d.lambda2_only / self.rates[1] if self.rates[1] > 0 else 0.0
         # share-weighted marginal cost rates: exact for any dependence
@@ -239,37 +243,34 @@ class _StreamSampler:
         if d.lambda_both == 0.0:
             sev = d.market.risk1.severity if which == 1 else d.market.risk2.severity
             return sev.sample(rng, m)
-        w_excl = self.w_excl1 if which == 1 else self.w_excl2
+        w_excl, only, both = ((self.w_excl1, d.sample_only1, d.sample_both1) if which == 1
+                              else (self.w_excl2, d.sample_only2, d.sample_both2))
         excl = rng.random(m) < w_excl
         vals = np.empty(m)
-        n_excl = int(excl.sum())
-        if n_excl:
-            vals[excl] = d.sample_only1(rng, n_excl) if which == 1 else d.sample_only2(rng, n_excl)
-        if m - n_excl:
-            vals[~excl] = (
-                d.sample_both1(rng, m - n_excl) if which == 1 else d.sample_both2(rng, m - n_excl)
-            )
+        for picked, sample in ((excl, only), (~excl, both)):
+            idx = np.flatnonzero(picked)
+            if idx.size:
+                vals[idx] = sample(rng, idx.size)
         return vals
 
     def draw(self, rng, shape, mirror):
         uw = rng.random(shape)
-        ut = rng.random(shape)
+        ut = rng.random(shape).ravel()
         if mirror:
             uw, ut = 1.0 - uw, 1.0 - ut
         waits = -np.log1p(-uw) / self.total_rate
-        kinds = np.searchsorted(self.type_cum, ut)
-        sizes = np.empty(shape)
-        for kind in (0, 1):
-            mask = kinds == kind
-            m = int(mask.sum())
-            if m:
-                sizes[mask] = self._one_sided(rng, m, kind + 1)
-        mask = kinds == 2
-        m = int(mask.sum())
-        if m:
-            y1, y2 = self.decomp.sample_pair_both(rng, m)
-            sizes[mask] = y1 + y2
-        return waits, sizes
+        past0, past1 = ut > self.type_cum[0], ut > self.type_cum[1]
+        del uw, ut  # freed before the severity draws
+        sizes = np.empty(past0.size)
+        for which, picked in ((1, ~past0), (2, past0 ^ past1)):
+            idx = np.flatnonzero(picked)
+            if idx.size:
+                sizes[idx] = self._one_sided(rng, idx.size, which)
+        idx = np.flatnonzero(past1)
+        if idx.size:
+            y1, y2 = self.decomp.sample_pair_both(rng, idx.size)
+            sizes[idx] = y1 + y2
+        return waits, sizes.reshape(shape)
 
 
 def simulate_bivariate_market(
@@ -288,13 +289,13 @@ def simulate_bivariate_market(
     coordinates added).  Severities come from the continuous copula
     inversion, not from the gridded mixtures, so this estimator is a
     route independent of the grid solvers.  ``shares`` of None means the
-    whole market (a monopoly company).
+    whole market (a monopoly company).  Without a ``decomposition`` only
+    the stream intensities and the samplers are built, no grids.
     """
     if shares is None:
         shares = AcquisitionShares.monopoly()
     if decomposition is None:
-        step = max(market.risk1.severity.mean, market.risk2.severity.mean) / 500.0
-        decomposition = decompose(market, grid_step=step)
+        decomposition = Decomposition(market, grid_step=None)
     sampler = _StreamSampler(decomposition, shares)
     if sampler.total_rate <= 0:
         diags = {"ruin_times": np.full(config.paths, np.nan)} if return_times else {}

@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import lundberg as lb
 from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
-from lundberg.simulate import wilson_interval
+from lundberg.market import _ordered_interp
+from lundberg.simulate import _StreamSampler, wilson_interval
 
 
 # ---------------------------------------------------------------------------
@@ -170,3 +175,96 @@ def test_bivariate_zero_rates_yield_zero(dep_market, decomposition):
         decomposition=decomposition,
     )
     assert est.probability == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the random stream of the bivariate simulator
+# ---------------------------------------------------------------------------
+
+# (ruined, SHA-256 of the ruin_times bytes) of the dependent company at the
+# 0.4/0.4 shares, reserve 2000, 9000 paths; recorded before the samplers
+# looked their tables up in sorted order, which must not move a draw.
+_GOLDEN = {
+    (0, False): (7008, "e80b3bd87a952ab064bf9b21198fda3a7569fbafb648bcb272c01a4111e25edd"),
+    (0, True): (7052, "66502418bc4e5ea28d71f0c84d33dcd7b1ec59f07b4b64ecf6f7afac7967ef5c"),
+    (3, False): (7038, "ec2a1d3f60c8e213a7461bc6b8c8acc0a15dff9af6cfeaa2416c83f7b53dee37"),
+    (3, True): (6978, "47407ad54f595c0936d7a0676010a781a60ea566388d7189090a2ac1516e98d9"),
+}
+
+
+def _company_premium(demands):
+    return float(sum(d.premium_rate(800.0, 1000.0, 0.4) for d in demands))
+
+
+@pytest.mark.parametrize("seed,antithetic", sorted(_GOLDEN))
+def test_bivariate_stream_is_pinned(dep_market, demands, shares_at_04, seed, antithetic):
+    est = lb.simulate_bivariate_market(
+        dep_market, shares_at_04, _company_premium(demands), 2000.0,
+        lb.SimConfig(paths=9000, seed=seed, antithetic=antithetic), return_times=True,
+    )
+    digest = hashlib.sha256(est.diagnostics["ruin_times"].tobytes()).hexdigest()
+    assert (est.ruined, digest) == _GOLDEN[seed, antithetic]
+
+
+def test_bivariate_own_decomposition_matches_gridded(dep_market, decomposition, demands,
+                                                     shares_at_04):
+    cfg = lb.SimConfig(paths=3000, seed=2, antithetic=True)
+    args = (dep_market, shares_at_04, _company_premium(demands), 2000.0, cfg)
+    own = lb.simulate_bivariate_market(*args, return_times=True)
+    given_ = lb.simulate_bivariate_market(*args, decomposition=decomposition, return_times=True)
+    assert own.ruined == given_.ruined
+    assert np.array_equal(own.diagnostics["ruin_times"], given_.diagnostics["ruin_times"],
+                          equal_nan=True)
+    samplers_only = lb.Decomposition(dep_market, grid_step=None)
+    assert samplers_only.joint_both is None and samplers_only.sev_sum_both is None
+
+
+class _QueueRng:
+    """Stands in for a generator: each random() call fills its shape with the next value."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, size):
+        return np.full(size, self.values.pop(0))
+
+
+def test_mirrored_top_uniform_draws_a_simultaneous_claim(decomposition, shares_at_04):
+    sampler = _StreamSampler(decomposition, shares_at_04)
+    # on this market the stream probabilities sum to 1 - 2**-53, so the
+    # mirrored uniform 1.0 lies above the last cumulative cut
+    rates = sampler.rates / sampler.total_rate
+    assert rates[0] + rates[1] + rates[2] == 1.0 - 2.0**-53
+    _, sizes = sampler.draw(_QueueRng(0.5, 0.0, 0.3, 0.6), (1, 2), mirror=True)
+    y1, y2 = decomposition.sample_pair_both(_QueueRng(0.3, 0.6), 2)
+    assert np.array_equal(sizes, (y1 + y2).reshape(1, 2))
+
+
+def test_mirrored_top_uniform_without_joint_clients_stays_one_sided(decomposition):
+    # no joint clients: the simultaneous stream has rate 0, and at these
+    # shares the two one-sided probabilities sum to 1 - 2**-53
+    shares = AcquisitionShares(p1=0.04, p2=0.29, only1=0.04, only2=0.29, both=0.0)
+    sampler = _StreamSampler(decomposition, shares)
+    assert sampler.rates[2] == 0.0
+    _, sizes = sampler.draw(_QueueRng(0.5, 0.0, 0.3, 0.6), (1, 2), mirror=True)
+    expected = sampler._one_sided(_QueueRng(0.3, 0.6), 2, 2)
+    assert np.array_equal(sizes, expected.reshape(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(["u1", "both1", "only2"]),
+    size=st.sampled_from([0, 1, 2, 3, 255, 4096, 70_000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    nodes=st.integers(min_value=0, max_value=16),
+)
+def test_ordered_lookup_matches_plain_interp(decomposition, key, size, seed, nodes):
+    tables = decomposition._inverse_tables()
+    xp, fp = tables[key], tables["xs"]
+    rng = np.random.default_rng(seed)
+    x = rng.random(size) * xp[-1]
+    # exact uniforms at 0, at table nodes and at the largest double below 1
+    specials = np.concatenate(([0.0, 1.0 - 2.0**-53], xp[rng.integers(0, xp.size, nodes)]))
+    x[: min(size, specials.size)] = specials[:size]
+    rng.shuffle(x)
+    assert np.array_equal(_ordered_interp(x, xp, fp), np.interp(x, xp, fp))
