@@ -10,7 +10,6 @@ from .copulas import (
     IndependenceCopula,
     OrdinaryCopula,
     make_ordinary,
-    parameter_to_tau,
     tau_to_parameter,
 )
 from .demand import AcquisitionShares, DemandSpec, acquisition_shares, shares_from_take_rates
@@ -39,7 +38,6 @@ from .market import (
     CompoundPoissonSpec,
     Decomposition,
     MarketSpec,
-    aggregate_independent,
     company_exposure,
     decompose,
 )
@@ -63,7 +61,6 @@ from .ruin import (
     independence_gap_bound,
     solve_series,
     solve_survival,
-    tail_convolution,
 )
 from .config import ModelConfig, config_to_dict, load_config, parse_config
 from .presets import figure_config, preset_names

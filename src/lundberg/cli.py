@@ -248,49 +248,50 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _write_sweep(path, thetas, profit, ruin, feasible, reserves):
+    """Write a theta,profit,ruin_at_* CSV; return (theta, ruin) at each reserve's minimum.
+
+    ``ruin`` holds one column per sorted reserve.  The minimum is taken over
+    feasible, finite points, and the first one wins a tie.
+    """
+    header = ["theta", "profit"] + [f"ruin_at_{_FLOAT_FMT % r}" for r in reserves]
+    write_csv(path, header, zip(thetas.tolist(), profit.tolist(), *ruin.T.tolist()))
+    best = np.where(feasible[:, None] & np.isfinite(ruin), ruin, np.inf).argmin(axis=0)
+    return {_FLOAT_FMT % r: (float(thetas[k]), float(ruin[k, j]))
+            for j, (r, k) in enumerate(zip(reserves, best))}
+
+
 def _reproduce_single(name, cfg, out, sweep_step, grid_step):
     risk, demand = cfg.risks[0], cfg.demands[0]
+    reserves = sorted(cfg.reserves)
     thetas = np.arange(0.05, 1.0 + sweep_step / 2, sweep_step)
     sweep = sweep_single_loading(demand, risk.intensity, risk.severity, cfg.reserves, thetas, grid_step)
-    header = ["theta", "profit"] + [f"ruin_at_{_FLOAT_FMT % r}" for r in sorted(cfg.reserves)]
-    cols = [sweep["theta"], sweep["profit"]] + [sweep["ruin"][r] for r in sorted(cfg.reserves)]
-    write_csv(out / f"{name}_sweep.csv", header, zip(*[c.tolist() for c in cols]))
+    ruin = np.column_stack([sweep["ruin"][r] for r in reserves])
+    best = _write_sweep(out / f"{name}_sweep.csv", sweep["theta"], sweep["profit"], ruin,
+                        sweep["feasible"], reserves)
     ruin_res = ruin_optimal_loading(demand, risk.intensity, risk.severity.mean)
     profit_res = profit_optimal_loading(demand, risk.intensity, risk.severity.mean)
-    argmins = {
-        _FLOAT_FMT % r: float(sweep["theta"][int(np.nanargmin(np.where(sweep["feasible"], sweep["ruin"][r], np.nan)))])
-        for r in sorted(cfg.reserves)
-    }
     return {
         "theta_ruin": ruin_res.loading,
         "theta_profit": profit_res.loading,
         "max_expected_profit": profit_res.value,
-        "sweep_argmin_by_reserve": argmins,
+        "sweep_argmin_by_reserve": {r: theta for r, (theta, _) in best.items()},
     }
 
 
 def _reproduce_common(name, cfg, out, sweep_step, grid_step, acquisition=None, label="",
                       decomposition=None):
     market = cfg.market()
-    demands = tuple(cfg.demands)
-    acquisition = acquisition or cfg.acquisition
     if decomposition is None:
         decomposition = decompose(market, grid_step)
     thetas = np.arange(0.05, 1.0 + sweep_step / 2, sweep_step)
     reserves = sorted(cfg.reserves)
-    pairs = np.column_stack([thetas, thetas])
     ruin, profit, feasible = company_ruin_at(
-        market, demands, acquisition, reserves, pairs, grid_step, decomposition
+        market, tuple(cfg.demands), acquisition or cfg.acquisition, reserves,
+        np.column_stack([thetas, thetas]), grid_step, decomposition,
     )
-    header = ["theta", "profit"] + [f"ruin_at_{_FLOAT_FMT % r}" for r in reserves]
-    rows = zip(thetas.tolist(), profit.tolist(), *[ruin[:, j].tolist() for j in range(len(reserves))])
-    write_csv(out / f"{name}_sweep{label}.csv", header, rows)
-    summary = {}
-    for j, r in enumerate(reserves):
-        vals = np.where(feasible & np.isfinite(ruin[:, j]), ruin[:, j], np.inf)
-        k = int(np.argmin(vals))
-        summary[_FLOAT_FMT % r] = {"argmin": float(thetas[k]), "min_ruin": float(ruin[k, j])}
-    return summary
+    best = _write_sweep(out / f"{name}_sweep{label}.csv", thetas, profit, ruin, feasible, reserves)
+    return {r: {"argmin": theta, "min_ruin": value} for r, (theta, value) in best.items()}
 
 
 def cmd_reproduce(args) -> int:
@@ -351,24 +352,16 @@ def cmd_reproduce(args) -> int:
             "profit_optimum": list(profit_res.loading),
         }
     elif name == "fig6":
-        market = cfg.market()
-        demands = tuple(cfg.demands)
-        decomposition = decompose(market, grid_step)
-        taus = [0.05, 0.25, 0.5]
-        results = {}
-        base = _reproduce_common(name, cfg, out, sweep_step, grid_step,
-                                 acquisition=make_ordinary("independence"),
-                                 label="_independent", decomposition=decomposition)
-        results["independent"] = base
+        decomposition = decompose(cfg.market(), grid_step)
+        acquisitions = {"independent": ("_independent", make_ordinary("independence"))}
         for family in ("clayton", "gumbel"):
-            for tau in taus:
-                acq = make_ordinary(family, tau=tau)
-                label = f"_{family}_tau{tau}"
-                results[f"{family}_tau_{tau}"] = _reproduce_common(
-                    name, cfg, out, sweep_step, grid_step, acquisition=acq, label=label,
-                    decomposition=decomposition,
-                )
-        summary["results"] = results
+            for tau in (0.05, 0.25, 0.5):
+                acquisitions[f"{family}_tau_{tau}"] = (f"_{family}_tau{tau}", make_ordinary(family, tau=tau))
+        summary["results"] = {
+            key: _reproduce_common(name, cfg, out, sweep_step, grid_step, acquisition=acq,
+                                   label=label, decomposition=decomposition)
+            for key, (label, acq) in acquisitions.items()
+        }
     else:
         raise ConfigError(f"unknown figure {name!r}", field="figure")
 

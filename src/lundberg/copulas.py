@@ -25,11 +25,8 @@ __all__ = [
     "FrankCopula",
     "ClaytonLevyCopula",
     "tau_to_parameter",
-    "parameter_to_tau",
     "make_ordinary",
 ]
-
-_UEPS = 1e-15
 
 
 def _as_unit(name, x):
@@ -55,23 +52,6 @@ class OrdinaryCopula(abc.ABC):
     def _cdf(self, u, v):
         ...
 
-    @abc.abstractmethod
-    def conditional_cdf(self, u, v):
-        """P(V <= v | U = u), the partial derivative of C in u."""
-
-    def sample(self, rng: np.random.Generator, n: int):
-        """Draw n pairs by conditional inversion (bisection in v)."""
-        u = rng.random(n)
-        w = rng.random(n)
-        lo = np.full(n, _UEPS)
-        hi = np.full(n, 1.0 - _UEPS)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = self.conditional_cdf(u, mid) < w
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return u, 0.5 * (lo + hi)
-
     def describe(self) -> dict:
         return {"family": self.family}
 
@@ -84,12 +64,6 @@ class IndependenceCopula(OrdinaryCopula):
 
     def _cdf(self, u, v):
         return u * v
-
-    def conditional_cdf(self, u, v):
-        return np.asarray(v, dtype=float) + 0.0 * np.asarray(u, dtype=float)
-
-    def sample(self, rng, n):
-        return rng.random(n), rng.random(n)
 
 
 class ClaytonCopula(OrdinaryCopula):
@@ -108,13 +82,6 @@ class ClaytonCopula(OrdinaryCopula):
             s = np.power(u, -w) + np.power(v, -w) - 1.0
             out = np.power(s, -1.0 / w)
         return np.where((u <= 0) | (v <= 0), 0.0, out)
-
-    def conditional_cdf(self, u, v):
-        w = self.omega
-        u = np.clip(np.asarray(u, dtype=float), _UEPS, 1.0)
-        v = np.clip(np.asarray(v, dtype=float), _UEPS, 1.0)
-        s = np.power(u, -w) + np.power(v, -w) - 1.0
-        return np.power(u, -w - 1.0) * np.power(s, -1.0 / w - 1.0)
 
     def describe(self):
         return {"family": self.family, "omega": self.omega}
@@ -138,16 +105,6 @@ class GumbelCopula(OrdinaryCopula):
             out = np.exp(-np.power(a + b, 1.0 / w))
         return np.where((u <= 0) | (v <= 0), 0.0, np.where((u >= 1), v, np.where(v >= 1, u, out)))
 
-    def conditional_cdf(self, u, v):
-        w = self.omega
-        u = np.clip(np.asarray(u, dtype=float), _UEPS, 1.0 - _UEPS)
-        v = np.clip(np.asarray(v, dtype=float), _UEPS, 1.0 - _UEPS)
-        a = np.power(-np.log(u), w)
-        b = np.power(-np.log(v), w)
-        t = a + b
-        c = np.exp(-np.power(t, 1.0 / w))
-        return c / u * np.power(-np.log(u), w - 1.0) * np.power(t, 1.0 / w - 1.0)
-
     def describe(self):
         return {"family": self.family, "omega": self.omega}
 
@@ -166,14 +123,6 @@ class FrankCopula(OrdinaryCopula):
         w = self.omega
         num = np.expm1(-w * u) * np.expm1(-w * v)
         return -np.log1p(num / np.expm1(-w)) / w
-
-    def conditional_cdf(self, u, v):
-        w = self.omega
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        eu = np.exp(-w * u)
-        gv = np.expm1(-w * v)
-        return eu * gv / (np.expm1(-w) + np.expm1(-w * u) * gv)
 
     def describe(self):
         return {"family": self.family, "omega": self.omega}
@@ -214,12 +163,6 @@ class ClaytonLevyCopula:
         # one argument at infinity: uniform margin
         out = np.where(np.isinf(hi) & np.isfinite(lo), lo, out)
         return out if out.shape else float(out)
-
-    def partial_u(self, u, v):
-        """d C(u, v) / du = (C(u, v) / u)^(1 + omega), for u, v > 0."""
-        u = np.asarray(u, dtype=float)
-        c = self.cdf(u, v)
-        return np.power(c / u, 1.0 + self.omega)
 
     def describe(self):
         return {"family": self.family, "omega": self.omega}
@@ -270,19 +213,6 @@ def tau_to_parameter(family: str, tau: float) -> float:
     if family == "independence":
         if tau != 0.0:
             raise ValidationError("independence copula admits only tau = 0")
-        return 0.0
-    raise ValidationError(f"unknown copula family {family!r}")
-
-
-def parameter_to_tau(family: str, omega: float) -> float:
-    """Inverse of :func:`tau_to_parameter`."""
-    if family == "clayton":
-        return omega / (omega + 2.0)
-    if family == "gumbel":
-        return 1.0 - 1.0 / omega
-    if family == "frank":
-        return frank_tau(omega)
-    if family == "independence":
         return 0.0
     raise ValidationError(f"unknown copula family {family!r}")
 

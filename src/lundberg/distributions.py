@@ -484,17 +484,6 @@ class JointGridded:
         # A fresh clamped copy: the source may be a caller's matrix.
         return np.maximum(rows, 0.0) if low < 0.0 else rows
 
-    def marginal_masses(self, chunk: int = 256):
-        """Row and column sums: the two single-coordinate atom masses."""
-        m1 = np.zeros(self.ncells)
-        m2 = np.zeros(self.ncells)
-        for a in range(0, self.ncells, chunk):
-            b = min(a + chunk, self.ncells)
-            rows = self.row_masses(a, b)
-            m1[a:b] = rows.sum(axis=1)
-            m2 += rows.sum(axis=0)
-        return m1, m2
-
 
 def integrated_tails(model: SeverityModel) -> IntegratedTails:
     """Return exact or quadrature-backed integrated tails for a model.

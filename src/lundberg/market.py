@@ -24,7 +24,6 @@ A company holding market shares (p1, p2) with joint-policy share
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "MarketSpec",
     "Decomposition",
     "CompanyExposure",
-    "aggregate_independent",
     "decompose",
     "company_exposure",
 ]
@@ -65,24 +63,6 @@ class CompoundPoissonSpec:
     def mean_claim_rate(self) -> float:
         """Expected claim cost per unit time (the pure premium)."""
         return self.intensity * self.severity.mean
-
-
-def aggregate_independent(specs: Sequence[CompoundPoissonSpec]) -> CompoundPoissonSpec:
-    """Superpose independent compound Poisson risks into one.
-
-    The total intensity is the sum and the severity is the
-    intensity-weighted mixture of the component severities.
-    """
-    specs = list(specs)
-    if not specs:
-        raise ValidationError("nothing to aggregate")
-    total = sum(s.intensity for s in specs)
-    if total <= 0:
-        raise ValidationError("aggregate intensity must be positive")
-    if len(specs) == 1:
-        return specs[0]
-    weights = [s.intensity / total for s in specs]
-    return CompoundPoissonSpec(total, mixture(weights, [s.severity for s in specs]))
 
 
 @dataclass(frozen=True)
@@ -370,11 +350,6 @@ class CompanyExposure:
     def expected_profit(self) -> float:
         """Expected profit per unit time, net of fixed costs."""
         return self.premium_rate - self.mean_claim_rate
-
-    def simulate(self, config):
-        from .simulate import simulate_ruin
-
-        return simulate_ruin(self.intensity, self.severity, self.premium_rate, self.reserve, config)
 
 
 def _company_streams(decomp: Decomposition, p1, p2, only1, only2, both):

@@ -46,7 +46,6 @@ __all__ = [
     "RuinCurve",
     "solve_survival",
     "solve_series",
-    "tail_convolution",
     "independence_gap_bound",
 ]
 
@@ -240,24 +239,6 @@ def _tail_convolution(values: np.ndarray, sf_nodes: np.ndarray, h: float) -> np.
     n = values.size
     conv = _series_product(values[None], sf_nodes[None], n)[0]
     return h * (conv - 0.5 * values[0] * sf_nodes - 0.5 * sf_nodes[0] * values)
-
-
-def tail_convolution(values: np.ndarray, severity: SeverityModel, nodes: np.ndarray) -> np.ndarray:
-    """Apply the claim-surplus integral operator to a grid function.
-
-    Computes ``integral of values(z) dz - integral of values(x-y) F(y) dy``
-    over [0, x], which collapses to a convolution of ``values`` with the
-    claim-size survival function.  Strictly positive inputs map to
-    strictly positive outputs on (0, x_max].
-    """
-    values = np.asarray(values, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    if values.shape != nodes.shape:
-        raise ValidationError("grid function and nodes must have matching shapes")
-    steps = np.diff(nodes)
-    if nodes.size < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValidationError("tail convolution requires a uniform grid")
-    return _tail_convolution(values, np.asarray(severity.sf(nodes), dtype=float), float(steps[0]))
 
 
 def _series_length(alpha: float, x_max: float, cap: int) -> int:

@@ -115,6 +115,11 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(block))))
 
 
+def _mirror(u):
+    """Antithetic partner 1 - u, capped below 1 so that u = 0 gives no infinite wait or claim."""
+    return np.minimum(1.0 - u, 1.0 - 2.0**-53)
+
+
 def _estimate(ruined, paths, horizon, seed, diagnostics) -> RuinEstimate:
     lo, hi = wilson_interval(ruined, paths)
     return RuinEstimate(
@@ -205,7 +210,7 @@ def simulate_ruin(
         uw = rng.random(shape)
         uy = rng.random(shape)
         if mirror:
-            uw, uy = 1.0 - uw, 1.0 - uy
+            uw, uy = _mirror(uw), _mirror(uy)
         waits = -np.log1p(-uw) / intensity
         return waits, np.asarray(severity.isf(1.0 - uy))
 
@@ -257,7 +262,7 @@ class _StreamSampler:
         uw = rng.random(shape)
         ut = rng.random(shape).ravel()
         if mirror:
-            uw, ut = 1.0 - uw, 1.0 - ut
+            uw, ut = _mirror(uw), 1.0 - ut
         waits = -np.log1p(-uw) / self.total_rate
         past0, past1 = ut > self.type_cum[0], ut > self.type_cum[1]
         del uw, ut  # freed before the severity draws

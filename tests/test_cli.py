@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lundberg.cli import main
+from lundberg.cli import _write_sweep, main
 from lundberg.config import config_to_dict, load_config, parse_config
 from lundberg.errors import ConfigError
 from lundberg.presets import figure_config, preset_names
@@ -179,6 +181,102 @@ def test_reproduce_fig1_summary(tmp_path):
     for argmin in res["sweep_argmin_by_reserve"].values():
         assert argmin == pytest.approx(res["theta_ruin"], abs=0.02 + 1e-12)
     assert (out / "fig1" / "fig1_sweep.csv").exists()
+
+
+# SHA-256 of every file `reproduce` writes for each preset at --grid-step 25
+# --sweep-step 0.05; a change to the sweeps or to the summaries must
+# leave these bytes alone.
+_REPRODUCE_SHA256 = {
+    "fig1": {
+        "fig1_sweep.csv":
+            "48c9fb211d4cc81d10e56e1a4bbd39401ba967ddb4835da508da6e19a1b72ad1",
+        "summary.json":
+            "764a898f76bd7704a76df663cbf0fd69d7552d36600b407997076d5f0c5b6511",
+    },
+    "fig1-alt": {
+        "fig1-alt_sweep.csv":
+            "d312838ee41b397dc6485557015c2cbf55eab10d41f90c1a98256a2b5da23540",
+        "summary.json":
+            "bdc4822ecd829a074a977c2c2a18dfeda2ada4af1e238873ca3643cc90b1c6e5",
+    },
+    "fig2": {
+        "fig2_sweep.csv":
+            "80273e28ef9999c5ac03936e30238e595ca357da0d1eb75e732b2730f88abe7d",
+        "summary.json":
+            "db1f057dc3790bf3ff7f31e910b9f6643feaa49f7686e6104d0decd8c7a0a287",
+    },
+    "fig2-alt": {
+        "fig2-alt_sweep.csv":
+            "983d79969a816094ef3217b444df45a73560c716e22b7033940e3396a24d4104",
+        "summary.json":
+            "ca3e6b6a9deeda47d37df7f29dba92c92a81973ee30312d877d971ae33512934",
+    },
+    "fig3": {
+        "fig3_sweep_dependent.csv":
+            "510b8a774b6dbf90797f7f6313df5990d0e2d91fb382a8d0885ca057aad8d784",
+        "fig3_sweep_independent.csv":
+            "03e4d5c6c2644a1f47f6c1884de7677f5270ebc40d9b6c61e4eca8fa753bf769",
+        "summary.json":
+            "a79f05ca3ff1009a41cbd607cf73c25eb0bd40c57e6b302ae98d44f51807cfea",
+    },
+    "fig3-omega05": {
+        "fig3-omega05_sweep_dependent.csv":
+            "1d2523dee3f8879cfbe342139ea1e5fbcf8382d024beb2c755af2aab0c4aee12",
+        "fig3-omega05_sweep_independent.csv":
+            "03e4d5c6c2644a1f47f6c1884de7677f5270ebc40d9b6c61e4eca8fa753bf769",
+        "summary.json":
+            "480b98146562bcc8b036f681409bb5af3c134407d186d202b8b11441895ab024",
+    },
+    "fig4": {
+        "fig4_grid.csv":
+            "076902eb39fb744a56dc5837cfd35b135f44b7be67233abeccb8ef4688fea132",
+        "summary.json":
+            "0e5354a3a2778fc4c36f5c6a548a3fc099e23a3f76e556334daf8f26f4926f7a",
+    },
+    "fig5": {
+        "fig5_grid.csv":
+            "a2f7a4c65f75ada76f9fb6a28347d64923444e8c7fac49699b9c0d83dc1d3157",
+        "summary.json":
+            "14ca1a96b3b8a67955474e73231e953481e3772a42a75ac1bf60e232106f35c6",
+    },
+    "fig6": {
+        "fig6_sweep_clayton_tau0.05.csv":
+            "592cc9358ea1507fc46d1cfe3a1144d9c3d5785898bc2f9667158943b4058abb",
+        "fig6_sweep_clayton_tau0.25.csv":
+            "30859ba8620594f999ab619b9d4617c499372481150f5d63c4374c2eb63b8f96",
+        "fig6_sweep_clayton_tau0.5.csv":
+            "dd8823eccf92d2f535d522662eb2b3d6d0834f0dfb84f85f71713d02f6bbf868",
+        "fig6_sweep_gumbel_tau0.05.csv":
+            "5b885b089560079988deda4481485d80107cc7fdcb9b6eba98abbc04b89c8069",
+        "fig6_sweep_gumbel_tau0.25.csv":
+            "1e95f5fb0124e52f15570e206f199dcaade91a9938c994f3b4913b071b059de4",
+        "fig6_sweep_gumbel_tau0.5.csv":
+            "5bccb9d742fa0b3247fdad59ecb6fa7fc626fb28e0dbd4369f1ddff0e7e555e5",
+        "fig6_sweep_independent.csv":
+            "475b47242f0c2575992158064c6f4a8991d593e5d4b55bd148043cb8b203113d",
+        "summary.json":
+            "a22cba4a9fd3df5a65f5febc2db23be6700f422d4adc97d848416d6f5b36f073",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPRODUCE_SHA256))
+def test_reproduce_bytes_are_pinned(name, tmp_path):
+    assert main(["reproduce", name, "--out-dir", str(tmp_path), "--grid-step", "25",
+                 "--sweep-step", "0.05"]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / name).iterdir()}
+    assert written == _REPRODUCE_SHA256[name]
+
+
+def test_sweep_minimum_skips_infeasible_and_nan_points_and_keeps_the_first_tie(tmp_path):
+    thetas = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    ruin = np.array([[0.01, 0.5], [np.nan, 0.25], [0.2, 0.3], [0.2, 0.3], [0.3, 0.6]])
+    feasible = np.array([False, True, True, True, True])
+    best = _write_sweep(tmp_path / "s.csv", thetas, thetas, ruin, feasible, [100.0, 2000.0])
+    assert best == {"100": (0.3, 0.2), "2000": (0.2, 0.25)}
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    assert lines[:3] == ["theta,profit,ruin_at_100,ruin_at_2000", "0.1,0.1,0.01,0.5", "0.2,0.2,nan,0.25"]
 
 
 def test_series_accuracy_failure_exits_4(fig1_config, tmp_path):

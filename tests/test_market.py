@@ -7,38 +7,48 @@ from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
 from lundberg.market import _company_claim_model
 from lundberg.simulate import _CHUNK, _StreamSampler, _block_rng
-from test_distributions import reference_sum_distribution
+from test_distributions import marginal_masses, reference_sum_distribution
 
 
 # ---------------------------------------------------------------------------
-# aggregation of independent risks
+# aggregation of independent risks: a monopoly company on an independent market
 # ---------------------------------------------------------------------------
 
-def test_aggregate_single_is_identity(gamma_severity):
-    spec = lb.CompoundPoissonSpec(800.0, gamma_severity)
-    assert lb.aggregate_independent([spec]) is spec
+def _aggregate(risk1, risk2, demands):
+    market = lb.MarketSpec(risk1, risk2, None)
+    return lb.company_exposure(market, AcquisitionShares.monopoly(), (0.4, 0.4), demands,
+                               (0.0,), grid_step=2.0)
 
 
-def test_aggregate_identical_pair_doubles_intensity(gamma_severity):
+def test_aggregate_single_is_identity(gamma_severity, demands):
     spec = lb.CompoundPoissonSpec(800.0, gamma_severity)
-    agg = lb.aggregate_independent([spec, spec])
+    agg = _aggregate(spec, lb.CompoundPoissonSpec(0.0, lb.Exponential(2000.0)), demands)
+    assert agg.intensity == 800.0
+    xs = np.linspace(0.0, 4000.0, 9)
+    assert_allclose(agg.severity.cdf(xs), gamma_severity.cdf(xs), rtol=1e-14)
+
+
+def test_aggregate_identical_pair_doubles_intensity(gamma_severity, demands):
+    spec = lb.CompoundPoissonSpec(800.0, gamma_severity)
+    agg = _aggregate(spec, spec, demands)
     assert agg.intensity == 1600.0
     xs = np.linspace(0.0, 4000.0, 9)
     assert_allclose(agg.severity.cdf(xs), gamma_severity.cdf(xs), rtol=1e-14)
 
 
-def test_aggregate_weights_by_intensity(gamma_severity):
+def test_aggregate_weights_by_intensity(gamma_severity, demands):
     a = lb.CompoundPoissonSpec(800.0, gamma_severity)
     b = lb.CompoundPoissonSpec(400.0, lb.Exponential(2000.0))
-    agg = lb.aggregate_independent([a, b])
+    agg = _aggregate(a, b, demands)
     assert agg.intensity == 1200.0
     assert_allclose(agg.severity.weights, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
     assert_allclose(agg.severity.mean, (2.0 / 3.0) * 1000.0 + (1.0 / 3.0) * 2000.0, rtol=1e-12)
 
 
-def test_aggregate_rejects_zero_total(gamma_severity):
+def test_aggregate_rejects_zero_total(gamma_severity, demands):
+    spec = lb.CompoundPoissonSpec(0.0, gamma_severity)
     with pytest.raises(ValidationError):
-        lb.aggregate_independent([lb.CompoundPoissonSpec(0.0, gamma_severity)])
+        _aggregate(spec, spec, demands)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +85,7 @@ def test_recomposition_matches_marginal_tail_integral(decomposition, dep_market)
 
 
 def test_joint_marginals_match_component_masses(decomposition):
-    m1, m2 = decomposition.joint_both.marginal_masses()
+    m1, m2 = marginal_masses(decomposition.joint_both)
     assert_allclose(m1, decomposition.sev1_both.masses, atol=1e-12)
     assert_allclose(m2, decomposition.sev2_both.masses, atol=1e-12)
 

@@ -8,8 +8,8 @@ import lundberg as lb
 from lundberg.distributions import integrated_tails
 from lundberg.errors import AccuracyError, InstabilityError, NetProfitError, ValidationError
 from lundberg.ruin import (
-    SolverConfig, _recursion_coefficients, independence_gap_bound, solve_series, solve_survival,
-    survival_batch, tail_convolution,
+    SolverConfig, _recursion_coefficients, _tail_convolution, independence_gap_bound, solve_series,
+    solve_survival, survival_batch,
 )
 
 
@@ -241,14 +241,14 @@ def test_grid_refinement_converges_second_order():
 
 def test_tail_convolution_of_zero_is_zero(gamma_severity):
     nodes = 2.0 * np.arange(101)
-    out = tail_convolution(np.zeros(101), gamma_severity, nodes)
+    out = _tail_convolution(np.zeros(101), gamma_severity.sf(nodes), 2.0)
     assert_allclose(out, 0.0, atol=0.0)
 
 
 def test_tail_convolution_of_one_is_integrated_tail(gamma_severity):
     h = 1.0
     nodes = h * np.arange(4001)
-    out = tail_convolution(np.ones(nodes.size), gamma_severity, nodes)
+    out = _tail_convolution(np.ones(nodes.size), gamma_severity.sf(nodes), h)
     sb = integrated_tails(gamma_severity).sbar(nodes)
     # trapezoid error bound: h^2/12 * total variation of the density
     assert np.max(np.abs(out - sb)) < 5e-4
@@ -257,15 +257,9 @@ def test_tail_convolution_of_one_is_integrated_tail(gamma_severity):
 def test_tail_convolution_preserves_positivity(gamma_severity, rng):
     nodes = 2.0 * np.arange(501)
     values = rng.uniform(0.1, 1.0, nodes.size)
-    out = tail_convolution(values, gamma_severity, nodes)
+    out = _tail_convolution(values, gamma_severity.sf(nodes), 2.0)
     assert np.all(out[1:] > 0.0)
     assert abs(out[0]) < 1e-12
-
-
-def test_tail_convolution_rejects_nonuniform_grid(gamma_severity):
-    with pytest.raises(ValidationError):
-        tail_convolution(np.ones(3), gamma_severity, np.array([0.0, 1.0, 3.0]))
-
 
 # ---------------------------------------------------------------------------
 # series solver

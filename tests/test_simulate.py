@@ -10,6 +10,7 @@ import lundberg as lb
 from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
 from lundberg.market import _ordered_interp
+from lundberg import simulate
 from lundberg.simulate import _StreamSampler, wilson_interval
 
 
@@ -125,7 +126,8 @@ def test_company_exposure_simulate_shortcut(dep_market, decomposition, demands, 
     exposure = lb.company_exposure(
         dep_market, shares_at_04, (0.4, 0.4), demands, (2000.0,), decomposition=decomposition,
     )
-    est = exposure.simulate(lb.SimConfig(paths=5000, seed=8))
+    est = lb.simulate_ruin(exposure.intensity, exposure.severity, exposure.premium_rate,
+                           exposure.reserve, lb.SimConfig(paths=5000, seed=8))
     assert 0.5 < est.probability < 1.0
 
 
@@ -249,6 +251,48 @@ def test_mirrored_top_uniform_without_joint_clients_stays_one_sided(decompositio
     _, sizes = sampler.draw(_QueueRng(0.5, 0.0, 0.3, 0.6), (1, 2), mirror=True)
     expected = sampler._one_sided(_QueueRng(0.3, 0.6), 2, 2)
     assert np.array_equal(sizes, expected.reshape(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# antithetic partners of a zero uniform
+# ---------------------------------------------------------------------------
+
+_TOP_WAIT = -np.log(2.0**-53)  # the wait, in mean waits, of the mirrored uniform 0
+
+
+def _replay_in_every_block(monkeypatch, *values):
+    monkeypatch.setattr(simulate, "_block_rng", lambda seed, block: _QueueRng(*values))
+
+
+def test_mirrored_zero_wait_uniform_keeps_the_single_risk_path_drawing(monkeypatch,
+                                                                       gamma_severity):
+    # uw = 0, uy = 0.5 in both halves: with no premium to speak of, each first
+    # claim (the median) ruins the path, the plain one at once and the
+    # mirrored one after the largest finite wait rather than never
+    _replay_in_every_block(monkeypatch, 0.0, 0.5)
+    est = lb.simulate_ruin(1.0, gamma_severity, 1.0, 0.0,
+                           lb.SimConfig(paths=2, horizon=100.0, antithetic=True),
+                           return_times=True)
+    assert est.ruined == 2
+    assert est.diagnostics["ruin_times"] == pytest.approx([0.0, _TOP_WAIT], rel=1e-12)
+
+
+def test_mirrored_zero_claim_uniform_draws_a_finite_claim(monkeypatch, gamma_severity):
+    # uw = 0.5, uy = 0: the plain claim is isf(1) = 0 and the mirrored one
+    # isf(2**-53), about 20,000, which a reserve of 1e5 survives; an
+    # infinite claim would ruin the mirrored path
+    assert gamma_severity.isf(2.0**-53) < 1e5
+    _replay_in_every_block(monkeypatch, 0.5, 0.0)
+    est = lb.simulate_ruin(1.0, gamma_severity, 1.0, 1e5,
+                           lb.SimConfig(paths=2, horizon=1.0, antithetic=True))
+    assert est.ruined == 0
+
+
+def test_mirrored_zero_wait_uniform_gives_a_finite_company_wait(decomposition, shares_at_04):
+    sampler = _StreamSampler(decomposition, shares_at_04)
+    waits, sizes = sampler.draw(_QueueRng(0.0, 0.5, 0.3, 0.6, 0.3, 0.6), (1, 2), mirror=True)
+    assert waits == pytest.approx(np.full((1, 2), _TOP_WAIT / sampler.total_rate), rel=1e-12)
+    assert np.isfinite(sizes).all()
 
 
 @settings(max_examples=60, deadline=None)
