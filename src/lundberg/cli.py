@@ -33,9 +33,10 @@ from . import __version__
 from .config import ModelConfig, config_to_dict, load_config, parse_config
 from .demand import acquisition_shares
 from .errors import AccuracyError, ConfigError, InstabilityError, LundbergError, NetProfitError, ValidationError
-from .market import company_exposure, decompose
+from .market import _premium_rate, company_exposure, decompose
 from .copulas import make_ordinary
 from .optimize import (
+    _sweep_argmin,
     company_ruin_at,
     optimize_joint_profit,
     optimize_joint_ruin,
@@ -101,19 +102,11 @@ def _single_model(cfg: ModelConfig):
     return lam, risk.severity, c, theta
 
 
-def _company_model(cfg: ModelConfig):
+def _company_shares(cfg: ModelConfig):
+    """Acquisition shares of a two-risk config at its loadings."""
     if cfg.loadings is None:
         raise ConfigError("two-risk solve needs loadings", field="loadings")
-    market = cfg.market()
-    decomposition = decompose(market, cfg.solver.grid_step)
-    shares = acquisition_shares(
-        cfg.acquisition, cfg.demands[0], cfg.demands[1], cfg.loadings[0], cfg.loadings[1]
-    )
-    exposure = company_exposure(
-        market, shares, tuple(cfg.loadings), tuple(cfg.demands), tuple(cfg.reserves),
-        decomposition=decomposition,
-    )
-    return exposure, decomposition
+    return acquisition_shares(cfg.acquisition, *cfg.demands, *cfg.loadings)
 
 
 def _curve_rows(curve: RuinCurve):
@@ -136,7 +129,12 @@ def cmd_solve(args) -> int:
         curve = solve(lam, sev, c, solver)
         extra["loading"] = theta
     else:
-        exposure, decomposition = _company_model(cfg)
+        market = cfg.market()
+        decomposition = decompose(market, cfg.solver.grid_step)
+        exposure = company_exposure(
+            market, _company_shares(cfg), tuple(cfg.loadings), tuple(cfg.demands), tuple(cfg.reserves),
+            decomposition=decomposition,
+        )
         curve = solve(exposure.intensity, exposure.severity, exposure.premium_rate, solver)
         extra.update({
             "loadings": list(exposure.loadings),
@@ -232,10 +230,14 @@ def cmd_simulate(args) -> int:
         lam, sev, c, _ = _single_model(cfg)
         est = simulate_ruin(lam, sev, c, reserve, sim, return_times=args.dump_times)
     else:
-        exposure, decomposition = _company_model(cfg)
+        # the simulator builds its own copula samplers; no grid is needed
+        market = cfg.market()
+        shares = _company_shares(cfg)
+        if shares.p1 * market.risk1.intensity + shares.p2 * market.risk2.intensity <= 0:
+            raise ValidationError("company claim intensity must be positive; increase shares")
         est = simulate_bivariate_market(
-            cfg.market(), exposure.shares, exposure.premium_rate, reserve, sim,
-            decomposition=decomposition, return_times=args.dump_times,
+            market, shares, float(_premium_rate(market, cfg.demands, *cfg.loadings)), reserve, sim,
+            return_times=args.dump_times,
         )
     payload = {"estimate": est.to_dict(), "config": config_to_dict(cfg)}
     write_json(out / f"{stem}.json", payload)
@@ -251,12 +253,11 @@ def cmd_simulate(args) -> int:
 def _write_sweep(path, thetas, profit, ruin, feasible, reserves):
     """Write a theta,profit,ruin_at_* CSV; return (theta, ruin) at each reserve's minimum.
 
-    ``ruin`` holds one column per sorted reserve.  The minimum is taken over
-    feasible, finite points, and the first one wins a tie.
+    ``ruin`` holds one column per sorted reserve; ``_sweep_argmin`` picks the minima.
     """
     header = ["theta", "profit"] + [f"ruin_at_{_FLOAT_FMT % r}" for r in reserves]
     write_csv(path, header, zip(thetas.tolist(), profit.tolist(), *ruin.T.tolist()))
-    best = np.where(feasible[:, None] & np.isfinite(ruin), ruin, np.inf).argmin(axis=0)
+    best, _ = _sweep_argmin(ruin, feasible)
     return {_FLOAT_FMT % r: (float(thetas[k]), float(ruin[k, j]))
             for j, (r, k) in enumerate(zip(reserves, best))}
 

@@ -121,8 +121,14 @@ class FrankCopula(OrdinaryCopula):
 
     def _cdf(self, u, v):
         w = self.omega
-        num = np.expm1(-w * u) * np.expm1(-w * v)
-        return -np.log1p(num / np.expm1(-w)) / w
+        ratio = np.expm1(-w * u) * np.expm1(-w * v) / np.expm1(-w)
+        if w < 0:
+            return -np.log1p(ratio) / w
+        # For w > 0 the log argument 1 + ratio cancels towards 0 near (1, 1); there it
+        # is the sum of nonnegative terms (e^-wu (1 - e^-wv) + e^-wv - e^-w) / (1 - e^-w)
+        arg = (np.exp(-w * u) * np.expm1(-w * v) + np.exp(-w * v) * np.expm1(-w * (1.0 - v))) / np.expm1(-w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -np.where(ratio > -0.5, np.log1p(ratio), np.log(arg)) / w
 
     def describe(self):
         return {"family": self.family, "omega": self.omega}

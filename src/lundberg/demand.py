@@ -18,7 +18,7 @@ from scipy.special import expit
 from .copulas import OrdinaryCopula
 from .errors import ValidationError
 
-__all__ = ["DemandSpec", "AcquisitionShares", "acquisition_shares", "shares_from_take_rates"]
+__all__ = ["DemandSpec", "AcquisitionShares", "acquisition_shares", "joint_share", "shares_from_take_rates"]
 
 _MARGIN_TOL = 1e-12
 
@@ -102,20 +102,28 @@ class AcquisitionShares:
         return cls(p1=1.0, p2=1.0, only1=0.0, only2=0.0, both=1.0)
 
 
-def shares_from_take_rates(copula: OrdinaryCopula, p1: float, p2: float) -> AcquisitionShares:
-    """Joint acquisition shares from marginal take rates and a bid copula.
+def joint_share(copula: OrdinaryCopula, p1, p2):
+    """Share of clients holding both products, elementwise in the take rates.
 
     With bid-price distribution values F_i = 1 - p_i at the charged
     loadings, the joint share is the survival-copula identity
-    ``both = 1 - F_1 - F_2 + C(F_1, F_2)``; the single-product shares
-    follow from the margins.  Reduces to ``both = p1*p2`` under the
-    independence copula.
+    ``1 - F_1 - F_2 + C(F_1, F_2)``, clipped to its Frechet bounds.
+    Reduces to ``p1*p2`` under the independence copula.
+    """
+    f1, f2 = 1.0 - p1, 1.0 - p2
+    both = 1.0 - f1 - f2 + np.asarray(copula.cdf(f1, f2), dtype=float)
+    return np.clip(both, np.maximum(p1 + p2 - 1.0, 0.0), np.minimum(p1, p2))
+
+
+def shares_from_take_rates(copula: OrdinaryCopula, p1: float, p2: float) -> AcquisitionShares:
+    """Joint acquisition shares from marginal take rates and a bid copula.
+
+    The joint share is :func:`joint_share`; the single-product shares
+    follow from the margins.
     """
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
         raise ValidationError(f"take rates must lie in [0, 1], got {p1}, {p2}")
-    f1, f2 = 1.0 - p1, 1.0 - p2
-    both = 1.0 - f1 - f2 + float(copula.cdf(f1, f2))
-    both = min(max(both, max(p1 + p2 - 1.0, 0.0)), min(p1, p2))
+    both = float(joint_share(copula, p1, p2))
     return AcquisitionShares(p1=p1, p2=p2, only1=p1 - both, only2=p2 - both, both=both)
 
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _INTENSITY_TOL = 1e-9
+_TAIL_MASS = 1e-12  # marginal probability allowed beyond the component grid
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,7 @@ class Decomposition:
 
     _TABLE_SIZE = 1 << 18
 
-    def __init__(self, market: MarketSpec, grid_step: float | None, tail_mass: float = 1e-12,
-                 extent: float | None = None, chunk: int = 256,
+    def __init__(self, market: MarketSpec, grid_step: float | None, *,
                  joint_step: float | None = None, joint_tail_mass: float | None = None):
         self.market = market
         lam1, lam2 = market.risk1.intensity, market.risk2.intensity
@@ -152,19 +152,11 @@ class Decomposition:
             self.sev1_only = self.sev2_only = self.sev1_gridded = self.sev2_gridded = None
             return
 
-        if extent is None:
-            extent = max(
-                float(market.risk1.severity.isf(tail_mass)),
-                float(market.risk2.severity.isf(tail_mass)),
-            )
-        n = max(int(np.ceil(extent / grid_step - 1e-9)), 2)
-        nodes = grid_step * np.arange(n + 1)
-        self.nodes = nodes
+        n = max(int(np.ceil(self._extent(_TAIL_MASS) / grid_step - 1e-9)), 2)
+        self.nodes = nodes = grid_step * np.arange(n + 1)
 
-        u1 = np.asarray(market.risk1.tail_integral(nodes), dtype=float)
-        u2 = np.asarray(market.risk2.tail_integral(nodes), dtype=float)
-        c1 = np.asarray(levy.cdf(u1, np.full_like(u1, lam2)), dtype=float)
-        c2 = np.asarray(levy.cdf(np.full_like(u2, lam1), u2), dtype=float)
+        u1, u2 = self._tail_integrals(nodes)
+        c1, c2 = self._simultaneous_tails(u1, u2)
 
         self.sev1_both = Gridded.from_survival(nodes, c1 / lam_both)
         self.sev2_both = Gridded.from_survival(nodes, c2 / lam_both)
@@ -188,15 +180,10 @@ class Decomposition:
         # the defaults it shares the component grid and the consistency
         # identities are exact.
         joint_step = grid_step if joint_step is None else joint_step
-        jtm = tail_mass if joint_tail_mass is None else joint_tail_mass
-        j_extent = max(
-            float(market.risk1.severity.isf(jtm)),
-            float(market.risk2.severity.isf(jtm)),
-        )
-        nj = max(int(np.ceil(j_extent / joint_step - 1e-9)), 2)
+        jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
+        nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
         jnodes = joint_step * np.arange(nj + 1)
-        e1 = np.asarray(market.risk1.tail_integral(jnodes), dtype=float)
-        e2 = np.asarray(market.risk2.tail_integral(jnodes), dtype=float)
+        e1, e2 = self._tail_integrals(jnodes)
         e1[-1] = 0.0
         e2[-1] = 0.0
         harmonic = levy.omega == 1.0
@@ -217,7 +204,23 @@ class Decomposition:
             return np.maximum(rect, 0.0, out=rect)
 
         self.joint_both = JointGridded(jnodes, row_masses)
-        self.sev_sum_both = sum_distribution(self.joint_both, chunk=chunk)
+        self.sev_sum_both = sum_distribution(self.joint_both)
+
+    def _extent(self, tail_mass: float) -> float:
+        """Smallest abscissa beyond which both marginals keep at most ``tail_mass``."""
+        return max(float(self.market.risk1.severity.isf(tail_mass)),
+                   float(self.market.risk2.severity.isf(tail_mass)))
+
+    def _tail_integrals(self, xs: np.ndarray):
+        """U_1(xs) and U_2(xs)."""
+        return (np.asarray(self.market.risk1.tail_integral(xs), dtype=float),
+                np.asarray(self.market.risk2.tail_integral(xs), dtype=float))
+
+    def _simultaneous_tails(self, u1: np.ndarray, u2: np.ndarray):
+        """C(U_1, lambda_2) and C(lambda_1, U_2): the marginal tails of simultaneous claims."""
+        levy = self.market.levy
+        return (np.asarray(levy.cdf(u1, np.full_like(u1, self.lambda2)), dtype=float),
+                np.asarray(levy.cdf(np.full_like(u2, self.lambda1), u2), dtype=float))
 
     # ------------------------------------------------------------------
     # Exact continuous samplers (independent of the grid discretization)
@@ -229,18 +232,10 @@ class Decomposition:
             raise ValidationError("independent markets have no simultaneous-claim samplers")
         if self._tables is not None:
             return self._tables
-        market, levy = self.market, self.market.levy
-        lam1, lam2 = self.lambda1, self.lambda2
         lam_both = self.lambda_both
-        extent = max(
-            float(market.risk1.severity.isf(1e-14)),
-            float(market.risk2.severity.isf(1e-14)),
-        )
-        xs = np.linspace(0.0, extent, self._TABLE_SIZE)
-        u1 = np.asarray(market.risk1.tail_integral(xs), dtype=float)
-        u2 = np.asarray(market.risk2.tail_integral(xs), dtype=float)
-        c1 = np.asarray(levy.cdf(u1, np.full_like(u1, lam2)), dtype=float)
-        c2 = np.asarray(levy.cdf(np.full_like(u2, lam1), u2), dtype=float)
+        xs = np.linspace(0.0, self._extent(1e-14), self._TABLE_SIZE)
+        u1, u2 = self._tail_integrals(xs)
+        c1, c2 = self._simultaneous_tails(u1, u2)
         tables = {
             "xs": xs[::-1].copy(),
             "u1": u1[::-1].copy(), "u2": u2[::-1].copy(),
@@ -303,22 +298,20 @@ class Decomposition:
         return x1, x2
 
 
-def decompose(market: MarketSpec, grid_step: float, tail_mass: float = 1e-12,
-              extent: float | None = None, joint_step: float | None = None,
+def decompose(market: MarketSpec, grid_step: float, *, joint_step: float | None = None,
               joint_tail_mass: float | None = None) -> Decomposition:
     """Decompose a two-risk market into independent component streams.
 
     ``grid_step`` sets the severity discretization cell width (by default
-    solvers reuse their own reserve step here); ``tail_mass`` fixes how
-    much marginal probability may fall beyond the grid before folding.
-    ``joint_step``/``joint_tail_mass`` optionally coarsen the quadratic-
-    cost lattice of the simultaneous pair; with the defaults the lattice
-    shares the component grid and all cross-consistency identities are
-    exact.  Independent markets (no Lévy copula) decompose trivially with
-    a zero simultaneous intensity.
+    solvers reuse their own reserve step here); the grid ends where each
+    marginal keeps at most 1e-12 of its mass beyond, which folds into the
+    last cell.  ``joint_step``/``joint_tail_mass`` optionally coarsen the
+    quadratic-cost lattice of the simultaneous pair; with the defaults the
+    lattice shares the component grid and all cross-consistency identities
+    are exact.  Independent markets (no Lévy copula) decompose trivially
+    with a zero simultaneous intensity.
     """
-    return Decomposition(market, grid_step=grid_step, tail_mass=tail_mass, extent=extent,
-                         joint_step=joint_step, joint_tail_mass=joint_tail_mass)
+    return Decomposition(market, grid_step, joint_step=joint_step, joint_tail_mass=joint_tail_mass)
 
 
 @dataclass(frozen=True)
@@ -398,6 +391,13 @@ def _company_claim_model(decomp: Decomposition, shares: AcquisitionShares):
     return lam_tilde, sev_tilde, lam_hat, sev_hat
 
 
+def _premium_rate(market: MarketSpec, demands, theta1, theta2):
+    """Company premium rate: the two per-risk demand premiums at their loadings, summed."""
+    d1, d2 = demands
+    return (d1.premium_rate(market.risk1.intensity, market.risk1.severity.mean, theta1)
+            + d2.premium_rate(market.risk2.intensity, market.risk2.severity.mean, theta2))
+
+
 def company_exposure(
     market: MarketSpec,
     shares: AcquisitionShares,
@@ -422,12 +422,8 @@ def company_exposure(
             raise ValidationError("company_exposure needs a decomposition or a grid step")
         decomposition = decompose(market, grid_step)
     theta1, theta2 = loadings
-    d1, d2 = demands
     lam_tilde, sev_tilde, lam_hat, sev_hat = _company_claim_model(decomposition, shares)
-    premium = float(
-        d1.premium_rate(market.risk1.intensity, market.risk1.severity.mean, theta1)
-        + d2.premium_rate(market.risk2.intensity, market.risk2.severity.mean, theta2)
-    )
+    premium = float(_premium_rate(market, demands, theta1, theta2))
     reserve = float(np.sum(reserves))
     if reserve < 0:
         raise ValidationError(f"reserve must be nonnegative, got {reserve}")

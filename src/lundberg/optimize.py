@@ -23,11 +23,12 @@ import numpy as np
 from scipy import optimize as sciopt
 
 from .copulas import OrdinaryCopula
-from .demand import DemandSpec, shares_from_take_rates
+from .demand import DemandSpec, acquisition_shares, joint_share, shares_from_take_rates
 from .distributions import integrated_tails
 from .errors import AccuracyError, ValidationError
 from .market import (
-    Decomposition, MarketSpec, _company_claim_model, _company_streams, company_exposure, decompose,
+    Decomposition, MarketSpec, _company_claim_model, _company_streams, _premium_rate, company_exposure,
+    decompose,
 )
 from .ruin import (
     SolverConfig, _recursion_coefficients, independence_gap_bound, solve_survival, survival_batch,
@@ -58,7 +59,8 @@ class LoadingResult:
     the optimum (ruin probability at the reference reserve, or expected
     profit per unit time).  ``grid_loading`` keeps the pre-refinement
     sweep argmin for grid-step comparisons, and ``sweep`` the columns of
-    that sweep (empty where no sweep ran).
+    that sweep (empty where no sweep ran).  The joint ruin search reports
+    the gridded model's ``expected_profit`` (see :func:`company_ruin_at`).
     """
 
     criterion: str
@@ -155,14 +157,13 @@ def weighted_average_loading(theta1: float, theta2: float, p1_ref: float, p2_ref
     return (theta1 * p1_ref + theta2 * p2_ref) / (p1_ref + p2_ref)
 
 
-def _share_matrix(acquisition: OrdinaryCopula, demands, theta_pairs: np.ndarray) -> np.ndarray:
-    d1, d2 = demands
-    p1 = np.asarray(d1.take_rate(theta_pairs[:, 0]), dtype=float)
-    p2 = np.asarray(d2.take_rate(theta_pairs[:, 1]), dtype=float)
-    f1, f2 = 1.0 - p1, 1.0 - p2
-    both = 1.0 - f1 - f2 + np.asarray(acquisition.cdf(f1, f2), dtype=float)
-    both = np.clip(both, np.maximum(p1 + p2 - 1.0, 0.0), np.minimum(p1, p2))
-    return np.column_stack([p1, p2, p1 - both, p2 - both, both])
+def _sweep_argmin(ruin: np.ndarray, feasible: np.ndarray):
+    """Row of the smallest feasible, finite value in each column of ``ruin``; the first wins a tie.
+
+    Returns the rows and the mask of usable points.
+    """
+    usable = feasible[:, None] & np.isfinite(ruin)
+    return np.where(usable, ruin, np.inf).argmin(axis=0), usable
 
 
 def _sweep_ruin(tails, coef, premium, feasible, reserves, grid_step):
@@ -206,6 +207,11 @@ def company_ruin_at(
     the nearest grid node.  Infeasible pairs (premium at or below the
     expected claim rate) carry ruin 1.0, the mathematically certain
     value; pairs that destabilize the recursion return NaN.
+
+    ``profit`` is the premium rate less the gridded model's mean claim
+    rate.  Under claim dependence the cells carry their mass at the right
+    end, about h/2 per claim, so it sits below the closed form of
+    :func:`joint_expected_profit` less costs (1.25% at loading 0.4, h = 2).
     """
     theta_pairs = np.atleast_2d(np.asarray(theta_pairs, dtype=float))
     scalar_reserve = np.isscalar(reserve)
@@ -213,15 +219,13 @@ def company_ruin_at(
     if decomposition is None:
         decomposition = decompose(market, grid_step)
     d1, d2 = demands
-    shares = _share_matrix(acquisition, demands, theta_pairs)
-    severities, rates = zip(*_company_streams(decomposition, *shares.T))
+    p1 = np.asarray(d1.take_rate(theta_pairs[:, 0]), dtype=float)
+    p2 = np.asarray(d2.take_rate(theta_pairs[:, 1]), dtype=float)
+    both = joint_share(acquisition, p1, p2)
+    severities, rates = zip(*_company_streams(decomposition, p1, p2, p1 - both, p2 - both, both))
     tails = [integrated_tails(s) for s in severities]
     coef = np.column_stack(rates)
-    premium = np.asarray(
-        d1.premium_rate(market.risk1.intensity, market.risk1.severity.mean, theta_pairs[:, 0])
-        + d2.premium_rate(market.risk2.intensity, market.risk2.severity.mean, theta_pairs[:, 1]),
-        dtype=float,
-    )
+    premium = np.asarray(_premium_rate(market, demands, theta_pairs[:, 0], theta_pairs[:, 1]), dtype=float)
     profit = premium - coef @ np.array([t.mean for t in tails])
     feasible = profit > 0
     ruin = _sweep_ruin(tails, coef, premium, feasible, reserves, grid_step)
@@ -278,15 +282,6 @@ def sweep_separate_loadings(
     }
 
 
-def _refine_minimum(objective, x0, bounds, step=1e-3):
-    """Quasi-Newton polish with central finite differences."""
-    res = sciopt.minimize(
-        objective, x0=np.asarray(x0, dtype=float), method="L-BFGS-B", bounds=bounds,
-        options={"eps": step, "maxiter": 60, "ftol": 1e-12},
-    )
-    return res
-
-
 def optimize_joint_ruin(
     market: MarketSpec,
     demands,
@@ -305,6 +300,8 @@ def optimize_joint_ruin(
     break toward the smallest loading); a bounded quasi-Newton refinement
     with finite differences then polishes the argmin.  If the refinement
     fails to converge the grid argmin is returned with a diagnostic flag.
+    Both modes search a vector of free loadings, one in common mode and
+    two in separate mode, mapped to the loading pair (first, last).
 
     Raises:
         ValidationError: if every point of the box violates net profit.
@@ -316,59 +313,49 @@ def optimize_joint_ruin(
     if decomposition is None:
         decomposition = decompose(market, h)
     thetas = np.arange(box[0], box[1] + sweep_step / 2, sweep_step)
-
     if mode == "common":
         sweep = sweep_common_loading(market, demands, acquisition, reserve, thetas, h, decomposition)
-        pairs = np.column_stack([thetas, thetas])
+        free = thetas[:, None]
     else:
         sweep = sweep_separate_loadings(market, demands, acquisition, reserve, thetas, thetas, h, decomposition)
-        pairs = np.column_stack([sweep["theta1"], sweep["theta2"]])
-    ruin = sweep["ruin"]
-    usable = np.asarray(sweep["feasible"]) & np.isfinite(ruin)
-    if not usable.any():
-        raise ValidationError("net profit condition fails everywhere in the search box")
-    masked = np.where(usable, ruin, np.inf)
-    best = int(np.argmin(masked))
-    grid_pair = (float(pairs[best, 0]), float(pairs[best, 1]))
-    grid_value = float(ruin[best])
+        free = np.column_stack([sweep["theta1"], sweep["theta2"]])
 
-    def objective(t):
-        t1, t2 = (t[0], t[0]) if mode == "common" else (t[0], t[1])
+    def loading_of(x):
+        return float(x[0]) if mode == "common" else (float(x[0]), float(x[1]))
+
+    def objective(x):
         r, _, feas = company_ruin_at(
-            market, demands, acquisition, reserve, [[t1, t2]], h, decomposition
+            market, demands, acquisition, reserve, [[x[0], x[-1]]], h, decomposition
         )
         return float(r[0]) if feas[0] and np.isfinite(r[0]) else 2.0
 
-    loading = grid_pair[0] if mode == "common" else grid_pair
-    value = grid_value
+    (best,), usable = _sweep_argmin(sweep["ruin"][:, None], sweep["feasible"])
+    if not usable.any():
+        raise ValidationError("net profit condition fails everywhere in the search box")
+    x = free[best]
+    value = grid_value = float(sweep["ruin"][best])
     refined = False
     if refine:
         span = 2.0 * sweep_step
-        if mode == "common":
-            t0 = [grid_pair[0]]
-            bounds = [(max(box[0], t0[0] - span), min(box[1], t0[0] + span))]
-        else:
-            t0 = list(grid_pair)
-            bounds = [(max(box[0], v - span), min(box[1], v + span)) for v in t0]
-        res = _refine_minimum(objective, t0, bounds)
+        res = sciopt.minimize(
+            objective, x0=x, method="L-BFGS-B",
+            bounds=[(max(box[0], v - span), min(box[1], v + span)) for v in x],
+            options={"eps": 1e-3, "maxiter": 60, "ftol": 1e-12},
+        )
         if res.success and np.isfinite(res.fun) and res.fun <= grid_value + 1e-12:
-            refined = True
-            value = float(res.fun)
-            loading = float(res.x[0]) if mode == "common" else (float(res.x[0]), float(res.x[1]))
+            x, value, refined = res.x, float(res.fun), True
 
-    t1, t2 = (loading, loading) if mode == "common" else loading
+    t1, t2 = float(x[0]), float(x[-1])
     exposure = company_exposure(
-        market,
-        shares_from_take_rates(acquisition, float(demands[0].take_rate(t1)), float(demands[1].take_rate(t2))),
-        (t1, t2), demands, (reserve,), decomposition=decomposition,
+        market, acquisition_shares(acquisition, *demands, t1, t2), (t1, t2), demands, (reserve,),
+        decomposition=decomposition,
     )
     return LoadingResult(
-        criterion="ruin", mode=mode, loading=loading, value=value, reserve=reserve,
-        expected_profit=exposure.expected_profit,
-        grid_loading=grid_pair[0] if mode == "common" else grid_pair,
+        criterion="ruin", mode=mode, loading=loading_of(x), value=value, reserve=reserve,
+        expected_profit=exposure.expected_profit, grid_loading=loading_of(free[best]),
         diagnostics={
             "refined": refined,
-            "sweep_points": int(pairs.shape[0]),
+            "sweep_points": int(free.shape[0]),
             "feasible_points": int(np.count_nonzero(usable)),
             "grid_value": grid_value,
         },

@@ -111,9 +111,29 @@ class RuinCurve:
         return 1.0 - self.survival_at(x)
 
 
-def _model_fingerprint(intensity, severity, premium_rate, config) -> str:
+def _solve(solver, intensity, severity, premium_rate, config, curve) -> RuinCurve:
+    """The entry both solvers share.
+
+    Checks the intensity, returns the certain-survival curve without
+    claims and enforces the net profit condition; otherwise
+    ``curve(tails, nodes)`` returns the survival values and diagnostics.
+    """
+    if intensity < 0:
+        raise ValidationError(f"claim intensity must be nonnegative, got {intensity}")
+    nodes = config.nodes()
     payload = f"{intensity!r}|{severity.fingerprint()}|{premium_rate!r}|{config.grid_step!r}|{config.x_max!r}"
-    return hashlib.sha1(payload.encode()).hexdigest()[:12]
+    survival, diagnostics = np.ones_like(nodes), {}
+    if intensity != 0.0:
+        tails = integrated_tails(severity)
+        margin = premium_rate - intensity * tails.mean
+        if margin <= 0:
+            raise NetProfitError(margin)
+        survival, diagnostics = curve(tails, nodes)
+    return RuinCurve(
+        x=nodes, survival=survival, intensity=intensity, premium_rate=premium_rate, config=config,
+        solver=solver, fingerprint=hashlib.sha1(payload.encode()).hexdigest()[:12],
+        diagnostics=diagnostics,
+    )
 
 
 def _recursion_coefficients(tails, nodes: np.ndarray, h: float):
@@ -205,33 +225,18 @@ def solve_survival(
         NetProfitError: if ``premium_rate <= intensity * E[Y]``.
         InstabilityError: on numeric blow-up.
     """
-    if intensity < 0:
-        raise ValidationError(f"claim intensity must be nonnegative, got {intensity}")
-    nodes = config.nodes()
-    fp = _model_fingerprint(intensity, severity, premium_rate, config)
-    if intensity == 0.0:
-        return RuinCurve(
-            x=nodes, survival=np.ones_like(nodes), intensity=intensity,
-            premium_rate=premium_rate, config=config, solver="grid", fingerprint=fp,
-        )
-    tails = integrated_tails(severity)
-    margin = premium_rate - intensity * tails.mean
-    if margin <= 0:
-        raise NetProfitError(margin)
+    def curve(tails, nodes):
+        coefficients = _recursion_coefficients([tails], nodes, config.grid_step)
+        curves, ok = survival_batch(np.array([[intensity / premium_rate]]), coefficients, config.n_cells)
+        vbar = curves[0]
+        if not ok[0]:
+            i = int(np.argmin((vbar > -_NEGATIVE_TOL) & (vbar < 1.0 + _NEGATIVE_TOL)))
+            raise InstabilityError(
+                f"survival value {float(vbar[i])!r} at node {i} outside [0, 1]; reduce the grid step"
+            )
+        return np.clip(vbar, 0.0, 1.0), {}
 
-    coefficients = _recursion_coefficients([tails], nodes, config.grid_step)
-    curves, ok = survival_batch(np.array([[intensity / premium_rate]]), coefficients, config.n_cells)
-    vbar = curves[0]
-    if not ok[0]:
-        i = int(np.argmin((vbar > -_NEGATIVE_TOL) & (vbar < 1.0 + _NEGATIVE_TOL)))
-        raise InstabilityError(
-            f"survival value {float(vbar[i])!r} at node {i} outside [0, 1]; reduce the grid step"
-        )
-    vbar = np.clip(vbar, 0.0, 1.0)
-    return RuinCurve(
-        x=nodes, survival=vbar, intensity=intensity, premium_rate=premium_rate,
-        config=config, solver="grid", fingerprint=fp,
-    )
+    return _solve("grid", intensity, severity, premium_rate, config, curve)
 
 
 def _tail_convolution(values: np.ndarray, sf_nodes: np.ndarray, h: float) -> np.ndarray:
@@ -268,42 +273,23 @@ def solve_series(
     number of terms is chosen from the contraction bound so the neglected
     tail is below 1e-10.
     """
-    if intensity < 0:
-        raise ValidationError(f"claim intensity must be nonnegative, got {intensity}")
-    nodes = config.nodes()
-    fp = _model_fingerprint(intensity, severity, premium_rate, config)
-    if intensity == 0.0:
-        return RuinCurve(
-            x=nodes, survival=np.ones_like(nodes), intensity=intensity,
-            premium_rate=premium_rate, config=config, solver="series", fingerprint=fp,
-        )
-    tails = integrated_tails(severity)
-    margin = premium_rate - intensity * tails.mean
-    if margin <= 0:
-        raise NetProfitError(margin)
+    def curve(tails, nodes):
+        alpha = intensity / premium_rate
+        n_terms = _series_length(alpha, float(nodes[-1]), config.series_terms)
+        sf_nodes = np.asarray(severity.sf(nodes), dtype=float)
+        # Each term carries its power of alpha: the terms are nonnegative and
+        # sum to the ruin probability, so none can overflow (or underflow to
+        # 0 * inf, as separate alpha^k and L^k g factors do on long grids).
+        term = alpha * (tails.mean - tails.sbar(nodes))
+        ruin = term.copy()
+        for _ in range(n_terms):
+            term = alpha * _tail_convolution(term, sf_nodes, config.grid_step)
+            ruin += term
+            if float(np.max(np.abs(term))) < 1e-15:
+                break
+        return np.clip(1.0 - ruin, 0.0, 1.0), {"terms": n_terms}
 
-    h = config.grid_step
-    alpha = intensity / premium_rate
-    x_last = float(nodes[-1])
-    n_terms = _series_length(alpha, x_last, config.series_terms)
-    sf_nodes = np.asarray(severity.sf(nodes), dtype=float)
-
-    # Each term carries its power of alpha: the terms are nonnegative and
-    # sum to the ruin probability, so none can overflow (or underflow to
-    # 0 * inf, as separate alpha^k and L^k g factors do on long grids).
-    term = alpha * (tails.mean - tails.sbar(nodes))
-    ruin = term.copy()
-    for _ in range(n_terms):
-        term = alpha * _tail_convolution(term, sf_nodes, h)
-        ruin += term
-        if float(np.max(np.abs(term))) < 1e-15:
-            break
-    survival = np.clip(1.0 - ruin, 0.0, 1.0)
-    return RuinCurve(
-        x=nodes, survival=survival, intensity=intensity, premium_rate=premium_rate,
-        config=config, solver="series", fingerprint=fp,
-        diagnostics={"terms": n_terms},
-    )
+    return _solve("series", intensity, severity, premium_rate, config, curve)
 
 
 def independence_gap_bound(p_both, lambda_both, intensity, premium_rate, x):

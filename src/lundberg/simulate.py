@@ -120,14 +120,6 @@ def _mirror(u):
     return np.minimum(1.0 - u, 1.0 - 2.0**-53)
 
 
-def _estimate(ruined, paths, horizon, seed, diagnostics) -> RuinEstimate:
-    lo, hi = wilson_interval(ruined, paths)
-    return RuinEstimate(
-        probability=ruined / paths, ci_low=lo, ci_high=hi, paths=paths,
-        ruined=ruined, horizon=horizon, seed=seed, diagnostics=diagnostics,
-    )
-
-
 def _run_block(n, rng, horizon, premium_rate, reserve, draw, mirror):
     """Simulate one block of paths to ruin or horizon; returns ruin times."""
     t_cur = np.zeros(n)
@@ -153,31 +145,42 @@ def _run_block(n, rng, horizon, premium_rate, reserve, draw, mirror):
     return ruined, ruin_time
 
 
-def _run_paths(config, horizon, premium_rate, reserve, draw, return_times):
-    """Run all paths in seeded blocks; antithetic runs mirror the stream.
+def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_times, diagnostics):
+    """Run all paths in seeded blocks and return the estimate.
 
-    With antithetic on, the second half of the paths replays the same
-    per-block generators with mirrored uniforms, pairing paths row by
-    row until their lifetimes diverge.
+    ``rate`` is the total claim rate and ``mean_claim`` the mean claim
+    size, which set the default horizon; without claims no path is
+    ruined.  With antithetic on, the second half of the paths replays the
+    same per-block generators with mirrored uniforms, pairing paths row
+    by row until their lifetimes diverge.
     """
     total = config.paths
     parts = [(total, False)]
     if config.antithetic:
         first = (total + 1) // 2
         parts = [(first, False), (total - first, True)]
-    all_times = np.full(total, np.nan) if return_times else None
-    ruined_total = 0
-    offset = 0
+    horizon = config.horizon
+    if rate <= 0:  # no claims: nothing to run
+        parts, horizon = [], horizon or np.inf
+    elif horizon is None:
+        horizon = _default_horizon(rate, mean_claim, premium_rate, reserve)
+    all_times = np.full(total, np.nan)
+    ruined_total = offset = 0
     for count, mirrored in parts:
         for block_start in range(0, count, _BLOCK):
             nb = min(_BLOCK, count - block_start)
             rng = _block_rng(config.seed, block_start // _BLOCK)
             n_ruined, t_ruin = _run_block(nb, rng, horizon, premium_rate, reserve, draw, mirrored)
             ruined_total += n_ruined
-            if return_times:
-                all_times[offset + block_start : offset + block_start + nb] = t_ruin
+            all_times[offset + block_start : offset + block_start + nb] = t_ruin
         offset += count
-    return ruined_total, all_times
+    if return_times:
+        diagnostics["ruin_times"] = all_times
+    lo, hi = wilson_interval(ruined_total, total)
+    return RuinEstimate(
+        probability=ruined_total / total, ci_low=lo, ci_high=hi, paths=total,
+        ruined=ruined_total, horizon=horizon, seed=config.seed, diagnostics=diagnostics,
+    )
 
 
 def simulate_ruin(
@@ -197,12 +200,6 @@ def simulate_ruin(
         raise ValidationError(f"reserve must be nonnegative, got {reserve}")
     if intensity < 0:
         raise ValidationError(f"intensity must be nonnegative, got {intensity}")
-    if intensity == 0.0:
-        diags = {"ruin_times": np.full(config.paths, np.nan)} if return_times else {}
-        return _estimate(0, config.paths, config.horizon or np.inf, config.seed, diags)
-    horizon = config.horizon
-    if horizon is None:
-        horizon = _default_horizon(intensity, severity.mean, premium_rate, reserve)
 
     def draw(rng, shape, mirror):
         if not config.antithetic:
@@ -214,9 +211,7 @@ def simulate_ruin(
         waits = -np.log1p(-uw) / intensity
         return waits, np.asarray(severity.isf(1.0 - uy))
 
-    ruined, times = _run_paths(config, horizon, premium_rate, reserve, draw, return_times)
-    diags = {"ruin_times": times} if return_times else {}
-    return _estimate(ruined, config.paths, horizon, config.seed, diags)
+    return _run_paths(config, intensity, severity.mean, premium_rate, reserve, draw, return_times, {})
 
 
 class _StreamSampler:
@@ -232,16 +227,15 @@ class _StreamSampler:
             shares.both * lam_b,
         ])
         self.total_rate = float(self.rates.sum())
-        self.type_cum = None
+        self.type_cum = self.mean_claim = None
         if self.total_rate > 0:  # the last positive-rate stream takes all above its cut
             self.type_cum = np.cumsum(self.rates / self.total_rate)
             self.type_cum[np.flatnonzero(self.rates)[-1]:] = np.inf
+            # share-weighted marginal cost rates: exact for any dependence
+            cost_rate = shares.p1 * d.market.risk1.mean_claim_rate + shares.p2 * d.market.risk2.mean_claim_rate
+            self.mean_claim = cost_rate / self.total_rate
         self.w_excl1 = shares.p1 * d.lambda1_only / self.rates[0] if self.rates[0] > 0 else 0.0
         self.w_excl2 = shares.p2 * d.lambda2_only / self.rates[1] if self.rates[1] > 0 else 0.0
-        # share-weighted marginal cost rates: exact for any dependence
-        self.cost_rate = (
-            shares.p1 * d.market.risk1.mean_claim_rate + shares.p2 * d.market.risk2.mean_claim_rate
-        )
 
     def _one_sided(self, rng, m, which):
         d = self.decomp
@@ -302,18 +296,5 @@ def simulate_bivariate_market(
     if decomposition is None:
         decomposition = Decomposition(market, grid_step=None)
     sampler = _StreamSampler(decomposition, shares)
-    if sampler.total_rate <= 0:
-        diags = {"ruin_times": np.full(config.paths, np.nan)} if return_times else {}
-        return _estimate(0, config.paths, config.horizon or np.inf, config.seed, diags)
-    horizon = config.horizon
-    if horizon is None:
-        mean_claim = sampler.cost_rate / sampler.total_rate
-        horizon = _default_horizon(sampler.total_rate, mean_claim, premium_rate, reserve)
-
-    ruined, times = _run_paths(
-        config, horizon, premium_rate, reserve, sampler.draw, return_times
-    )
-    diags = {"stream_rates": sampler.rates.tolist()}
-    if return_times:
-        diags["ruin_times"] = times
-    return _estimate(ruined, config.paths, horizon, config.seed, diags)
+    return _run_paths(config, sampler.total_rate, sampler.mean_claim, premium_rate, reserve,
+                      sampler.draw, return_times, {"stream_rates": sampler.rates.tolist()})

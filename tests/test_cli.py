@@ -269,6 +269,29 @@ def test_reproduce_bytes_are_pinned(name, tmp_path):
     assert written == _REPRODUCE_SHA256[name]
 
 
+def test_two_risk_simulate_is_pinned_and_builds_no_grid(tmp_path, monkeypatch):
+    # simulate.json of fig5 at 20,000 paths and seed 3 (p = 0.601350), recorded while
+    # the command still built the grid decomposition that it never read
+    def no_grid(*args, **kwargs):
+        raise AssertionError("lundberg simulate built a grid decomposition")
+
+    monkeypatch.setattr("lundberg.cli.decompose", no_grid)
+    path = tmp_path / "fig5.json"
+    path.write_text(json.dumps(figure_config("fig5")))
+    assert main(["simulate", str(path), "--paths", "20000", "--seed", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "simulate.json").read_bytes()).hexdigest()
+    assert digest == "7464cea34f89175d1bc75f389427f62960770d8d6f0558f1ff8f2fc055ad76b6"
+
+
+def test_two_risk_simulate_without_claims_exits_2(tmp_path):
+    cfg = figure_config("fig5")
+    cfg["loadings"] = [200.0, 200.0]  # both take rates underflow to 0
+    path = tmp_path / "fig5.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", str(path), "--paths", "100", "--out-dir", str(tmp_path)]) == 2
+
+
 def test_sweep_minimum_skips_infeasible_and_nan_points_and_keeps_the_first_tie(tmp_path):
     thetas = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     ruin = np.array([[0.01, 0.5], [np.nan, 0.25], [0.2, 0.3], [0.2, 0.3], [0.3, 0.6]])

@@ -179,3 +179,23 @@ def test_make_ordinary_degrades_to_independence():
     assert isinstance(make_ordinary("clayton", tau=0.0), lb.IndependenceCopula)
     assert isinstance(make_ordinary("frank", omega=0.0), lb.IndependenceCopula)
     assert isinstance(make_ordinary("gumbel", omega=1.0), lb.IndependenceCopula)
+
+
+@pytest.mark.parametrize("omega", [-30.0, -3.0, 5.74, 18.2, 38.3, 50.0])
+def test_frank_keeps_its_digits_near_the_upper_corner(omega):
+    """Strong positive Frank dependence once lost every digit near (1, 1).
+
+    Frank is radially symmetric, C(u, v) = u + v - 1 + C(1 - u, 1 - v)
+    (Nelsen, An Introduction to Copulas, 2006), so the corner values are
+    checked against values far from it.
+    """
+    grid = np.array([1e-3, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999, 1.0])
+    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+    cop = lb.FrankCopula(omega)
+    c = cop.cdf(u, v)
+    assert np.all(np.isfinite(c))
+    assert np.all(c >= np.maximum(u + v - 1.0, 0.0) - 1e-15)
+    assert np.all(c <= np.minimum(u, v) + 1e-15)
+    assert_allclose(cop.cdf(grid, np.ones_like(grid)), grid, rtol=0, atol=1e-15)
+    assert_allclose(cop.cdf(np.ones_like(grid), grid), grid, rtol=0, atol=1e-15)
+    assert_allclose(c, u + v - 1.0 + cop.cdf(1.0 - u, 1.0 - v), rtol=0, atol=1e-12)

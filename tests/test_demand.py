@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import lundberg as lb
 from lundberg.copulas import make_ordinary
-from lundberg.demand import AcquisitionShares, acquisition_shares, shares_from_take_rates
+from lundberg.demand import AcquisitionShares, acquisition_shares, joint_share, shares_from_take_rates
 from lundberg.errors import ValidationError
 
 
@@ -133,3 +133,26 @@ def test_share_validation():
         AcquisitionShares(p1=0.2, p2=0.2, only1=-0.1, only2=0.0, both=0.3)
     mono = AcquisitionShares.monopoly()
     assert mono.both == 1.0 and mono.p1 == 1.0
+
+
+# omega is drawn from [0.01, 50]; Gumbel shifts it above 1, Frank folds (0, 10) onto negatives
+_COPULAS = {
+    "independence": lambda w: lb.IndependenceCopula(),
+    "clayton": lambda w: lb.ClaytonCopula(w),
+    "gumbel": lambda w: lb.GumbelCopula(1.0 + w),
+    "frank": lambda w: lb.FrankCopula(w - 10.0 if w < 10.0 else w),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_COPULAS)),
+    omega=st.floats(min_value=0.01, max_value=50.0),
+    rates=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+)
+def test_joint_share_is_the_scalar_share_elementwise(family, omega, rates):
+    """The array form that sweeps use gives the scalar form's joint share bit for bit."""
+    copula = _COPULAS[family](omega)
+    p1, p2 = (np.array(col) for col in zip(*rates))
+    scalar = [shares_from_take_rates(copula, a, b).both for a, b in rates]
+    assert np.array_equal(joint_share(copula, p1, p2), scalar)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -252,3 +254,38 @@ def test_size_scaling_rows(dep_market, decomposition):
     ratios = [r["gap_over_share_sum"] for r in rows]
     assert ratios[0] > ratios[-1]
     assert rows[0]["gap"] == max(r["gap"] for r in rows)
+
+
+# Recorded before the two modes were folded into one code path; the sweep
+# hash covers every column's name and bytes in order.
+_JOINT_RUIN_PINS = {
+    "common": (
+        0.40146521387258, 0.39999999999999997, 0.8171773947595442, 26993.306056505302,
+        {"refined": True, "sweep_points": 9, "feasible_points": 8,
+         "grid_value": 0.8171922808859157},
+        "ff291935d86186bbb82b002586ea0a4f79275ed2a27d3d858662527018d35325",
+    ),
+    "separate": (
+        (0.4214459821172037, 0.3822042582269814), (0.39999999999999997, 0.39999999999999997),
+        0.8153667583861697, 27344.200115876447,
+        {"refined": True, "sweep_points": 81, "feasible_points": 75,
+         "grid_value": 0.8171922808859157},
+        "e749b45cf7359147256daf2911b6ae2e617a50bc1bf3f49fcc9dcaa04efe5321",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_JOINT_RUIN_PINS))
+def test_joint_ruin_optimum_is_pinned(dep_market, demands, mode):
+    res = optimize_joint_ruin(
+        dep_market, demands, lb.ClaytonCopula(0.5), 2000.0, mode=mode,
+        solver=lb.SolverConfig(grid_step=25.0, x_max=2000.0), box=(0.2, 0.6), sweep_step=0.05,
+        decomposition=lb.decompose(dep_market, 25.0),
+    )
+    digest = hashlib.sha256()
+    for name, column in res.sweep.items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(column).tobytes())
+    got = (res.loading, res.grid_loading, res.value, res.expected_profit, res.diagnostics,
+           digest.hexdigest())
+    assert got == _JOINT_RUIN_PINS[mode]

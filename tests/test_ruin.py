@@ -57,17 +57,28 @@ def test_boundary_value_is_exact(gamma_severity):
         assert curve.survival[0] == pytest.approx(1.0 - intensity * 1000.0 / c, abs=1e-12)
 
 
-def test_no_claims_means_certain_survival(gamma_severity):
+_SOLVERS = pytest.mark.parametrize("solve", [solve_survival, solve_series], ids=["grid", "series"])
+
+
+@_SOLVERS
+def test_no_claims_means_certain_survival(gamma_severity, solve):
     cfg = SolverConfig(grid_step=10.0, x_max=500.0)
-    curve = solve_survival(0.0, gamma_severity, 100.0, cfg)
+    curve = solve(0.0, gamma_severity, 100.0, cfg)
     assert np.all(curve.survival == 1.0)
 
 
-def test_net_profit_precondition(gamma_severity):
+@_SOLVERS
+def test_net_profit_precondition(gamma_severity, solve):
     cfg = SolverConfig(grid_step=5.0, x_max=100.0)
     with pytest.raises(NetProfitError) as err:
-        solve_survival(800.0, gamma_severity, 700_000.0, cfg)
+        solve(800.0, gamma_severity, 700_000.0, cfg)
     assert err.value.margin == pytest.approx(700_000.0 - 800_000.0)
+
+
+@_SOLVERS
+def test_negative_intensity_is_rejected(gamma_severity, solve):
+    with pytest.raises(ValidationError):
+        solve(-1.0, gamma_severity, 1000.0, SolverConfig(grid_step=5.0, x_max=100.0))
 
 
 class _BrokenTails(lb.SeverityModel):
