@@ -2,11 +2,15 @@
 
 Paths are simulated at claim epochs only: the surplus increases between
 claims, so checking ruin when a claim lands is exact and needs no time
-discretization.  Claims are drawn in fixed-size blocks of paths with one
-generator per block, seeded as ``SeedSequence((seed, block_index))``;
-identical seeds therefore reproduce estimates bit for bit, and blocks
-could run concurrently without changing the result.  The copula samplers
-look their tables up in sorted order, which leaves the stream unchanged.
+discretization.  The premium rate must therefore be nonnegative.  Claims
+are drawn in fixed-size blocks of paths with one generator per block,
+seeded as ``SeedSequence((seed, block_index))``; identical seeds
+therefore reproduce estimates bit for bit.  With more than one block and
+more than one usable CPU the blocks run in forked worker processes, one
+per CPU, and are reassembled by path offset, so the result does not
+depend on the number of workers; without ``fork`` (or inside a daemonic
+process) they run in the calling process.  The copula samplers look
+their tables up in sorted order, which leaves the stream unchanged.
 
 The default horizon is chosen in the claim-count clock: (80 + 8u/E[Y])
 divided by eta expected claims per path, where eta is the relative
@@ -19,6 +23,7 @@ test in the suite verifies per model.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,6 +150,53 @@ def _run_block(n, rng, horizon, premium_rate, reserve, draw, mirror):
     return ruined, ruin_time
 
 
+_task = None  # (seed, horizon, premium_rate, reserve, draw), set in each worker at fork
+
+
+def _init_worker(*task):
+    global _task
+    _task = task
+
+
+def _run_job(job, task=None):
+    """Run one job (offset, size, block index, mirrored); returns (ruined, ruin times)."""
+    seed, horizon, premium_rate, reserve, draw = task or _task
+    _, size, block, mirrored = job
+    return _run_block(size, _block_rng(seed, block), horizon, premium_rate, reserve, draw, mirrored)
+
+
+def _worker_count(jobs: int) -> int:
+    """Worker processes for ``jobs`` blocks: one per usable CPU, at most one per block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, jobs)
+
+
+def _fork_context():
+    """The ``fork`` context to start workers from, or None where blocks must run in-process."""
+    import multiprocessing
+
+    if (multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _run_jobs(jobs, task):
+    """Results of ``_run_job`` over ``jobs``, in order, in forked workers where possible."""
+    workers = _worker_count(len(jobs))
+    context = _fork_context() if workers > 1 else None
+    if context is None:
+        return [_run_job(job, task) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # children inherit the task at fork: the draw closure is never pickled
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=task)
+    try:
+        return list(pool.map(_run_job, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_times, diagnostics):
     """Run all paths in seeded blocks and return the estimate.
 
@@ -154,26 +206,27 @@ def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_tim
     same per-block generators with mirrored uniforms, pairing paths row
     by row until their lifetimes diverge.
     """
+    if not premium_rate >= 0:  # ruin between claims would go unseen
+        raise ValidationError(f"premium rate must be nonnegative, got {premium_rate}")
+    if reserve < 0:
+        raise ValidationError(f"reserve must be nonnegative, got {reserve}")
     total = config.paths
-    parts = [(total, False)]
+    parts = [(0, total, False)]
     if config.antithetic:
         first = (total + 1) // 2
-        parts = [(first, False), (total - first, True)]
+        parts = [(0, first, False), (first, total - first, True)]
     horizon = config.horizon
     if rate <= 0:  # no claims: nothing to run
         parts, horizon = [], horizon or np.inf
     elif horizon is None:
         horizon = _default_horizon(rate, mean_claim, premium_rate, reserve)
+    jobs = [(offset + start, min(_BLOCK, count - start), start // _BLOCK, mirrored)
+            for offset, count, mirrored in parts for start in range(0, count, _BLOCK)]
+    results = _run_jobs(jobs, (config.seed, horizon, premium_rate, reserve, draw))
     all_times = np.full(total, np.nan)
-    ruined_total = offset = 0
-    for count, mirrored in parts:
-        for block_start in range(0, count, _BLOCK):
-            nb = min(_BLOCK, count - block_start)
-            rng = _block_rng(config.seed, block_start // _BLOCK)
-            n_ruined, t_ruin = _run_block(nb, rng, horizon, premium_rate, reserve, draw, mirrored)
-            ruined_total += n_ruined
-            all_times[offset + block_start : offset + block_start + nb] = t_ruin
-        offset += count
+    for (offset, size, _, _), (_, t_ruin) in zip(jobs, results):
+        all_times[offset : offset + size] = t_ruin
+    ruined_total = sum(n_ruined for n_ruined, _ in results)
     if return_times:
         diagnostics["ruin_times"] = all_times
     lo, hi = wilson_interval(ruined_total, total)
@@ -196,8 +249,6 @@ def simulate_ruin(
     ``return_times`` adds per-path ruin times (NaN for survivors) to the
     estimate diagnostics, for distributional tests and CSV dumps.
     """
-    if reserve < 0:
-        raise ValidationError(f"reserve must be nonnegative, got {reserve}")
     if intensity < 0:
         raise ValidationError(f"intensity must be nonnegative, got {intensity}")
 
@@ -295,6 +346,8 @@ def simulate_bivariate_market(
         shares = AcquisitionShares.monopoly()
     if decomposition is None:
         decomposition = Decomposition(market, grid_step=None)
+    if market.levy is not None:  # built once, before the workers fork, and kept by the caller
+        decomposition._inverse_tables()
     sampler = _StreamSampler(decomposition, shares)
     return _run_paths(config, sampler.total_rate, sampler.mean_claim, premium_rate, reserve,
                       sampler.draw, return_times, {"stream_rates": sampler.rates.tolist()})

@@ -1,4 +1,6 @@
 import hashlib
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
 from lundberg.market import _ordered_interp
 from lundberg import simulate
-from lundberg.simulate import _StreamSampler, wilson_interval
+from lundberg.simulate import _BLOCK, _StreamSampler, wilson_interval
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +69,34 @@ def test_no_claims_never_ruins(gamma_severity):
 
 def test_nonpositive_premium_ruins_almost_surely(gamma_severity):
     est = lb.simulate_ruin(
-        200.0, gamma_severity, -10.0, 2000.0, lb.SimConfig(paths=2000, seed=3, horizon=5.0)
+        200.0, gamma_severity, 0.0, 2000.0, lb.SimConfig(paths=2000, seed=3, horizon=5.0)
     )
     assert est.probability > 0.99
+
+
+# a surplus 10 - 100t would reach 0 between claims, which the claim-epoch
+# check cannot see; a negative reserve starts below the ruin level
+_REJECTED = pytest.mark.parametrize("premium,reserve,what", [(-100.0, 10.0, "premium rate"),
+                                                             (100.0, -10.0, "reserve")])
+
+
+@pytest.mark.parametrize("intensity", [0.0, 1.0])
+@_REJECTED
+def test_negative_premium_or_reserve_is_rejected_by_the_single_risk_simulator(
+        intensity, premium, reserve, what):
+    with pytest.raises(ValidationError, match=what):
+        lb.simulate_ruin(intensity, lb.Exponential(1.0), premium, reserve,
+                         lb.SimConfig(paths=10, horizon=0.5))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@_REJECTED
+def test_negative_premium_or_reserve_is_rejected_by_the_bivariate_simulator(
+        dep_market, decomposition, p, premium, reserve, what):
+    shares = AcquisitionShares(p1=p, p2=p, only1=p, only2=p, both=0.0)
+    with pytest.raises(ValidationError, match=what):
+        lb.simulate_bivariate_market(dep_market, shares, premium, reserve, lb.SimConfig(paths=10),
+                                     decomposition=decomposition)
 
 
 def test_horizon_doubling_is_negligible(demand1, gamma_severity):
@@ -219,6 +246,93 @@ def test_bivariate_own_decomposition_matches_gridded(dep_market, decomposition, 
                           equal_nan=True)
     samplers_only = lb.Decomposition(dep_market, grid_step=None)
     assert samplers_only.joint_both is None and samplers_only.sev_sum_both is None
+
+
+# ---------------------------------------------------------------------------
+# blocks in worker processes
+# ---------------------------------------------------------------------------
+
+_UNEVEN_PATHS = 2 * _BLOCK + 17  # three blocks plain, two per half antithetic
+
+
+def _fingerprint(est):
+    return est.ruined, hashlib.sha256(est.diagnostics["ruin_times"].tobytes()).hexdigest()
+
+
+@pytest.fixture
+def simulators(gamma_severity, dep_market, decomposition, shares_at_04, demands):
+    def single(cfg):
+        # a short horizon bounds the slow inverse-transform draws of the antithetic run
+        cfg = lb.SimConfig(cfg.paths, 0.5, cfg.seed, cfg.antithetic)
+        return lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg, return_times=True)
+
+    def company(cfg):
+        return lb.simulate_bivariate_market(dep_market, shares_at_04, _company_premium(demands),
+                                            2000.0, cfg, decomposition=decomposition,
+                                            return_times=True)
+
+    return {"single": single, "company": company}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("which", ["single", "company"])
+def test_result_does_not_depend_on_the_worker_count(monkeypatch, simulators, which, antithetic):
+    run = simulators[which]
+    cfg = lb.SimConfig(paths=_UNEVEN_PATHS, seed=5, antithetic=antithetic)
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_worker_count", lambda jobs, w=workers: min(w, jobs))
+        results.append(_fingerprint(run(cfg)))
+    assert results[0][0] > 0
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_sampler_tables_are_built_before_the_workers_fork(monkeypatch, dep_market, shares_at_04,
+                                                         demands):
+    # tables built lazily inside the workers would be lost with them
+    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: min(2, jobs))
+    own = lb.Decomposition(dep_market, grid_step=None)
+    lb.simulate_bivariate_market(dep_market, shares_at_04, _company_premium(demands), 2000.0,
+                                 lb.SimConfig(paths=2 * _BLOCK, horizon=1e-3), decomposition=own)
+    assert own._tables is not None
+
+
+class _FailingSeverity(lb.Exponential):
+    """Raises from sample(), naming the process it ran in."""
+
+    def sample(self, rng, size):
+        raise ValidationError(f"sample failed in process {os.getpid()}")
+
+
+def test_worker_error_surfaces_in_the_caller(monkeypatch):
+    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: min(2, jobs))
+    with pytest.raises(ValidationError, match="sample failed in process") as info:
+        lb.simulate_ruin(1.0, _FailingSeverity(1.0), 2.0, 10.0, lb.SimConfig(paths=2 * _BLOCK))
+    assert f"process {os.getpid()}" not in str(info.value)
+
+
+def test_call_from_a_daemonic_process_runs_serially(monkeypatch, simulators):
+    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: min(2, jobs))
+    run = simulators["company"]
+    cfg = lb.SimConfig(paths=_UNEVEN_PATHS, seed=7)
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+
+    def in_daemon():
+        try:
+            send.send(_fingerprint(run(cfg)))
+        except BaseException as exc:  # report, rather than leave the parent waiting
+            send.send(repr(exc))
+            raise
+
+    child = context.Process(target=in_daemon, daemon=True)
+    child.start()
+    assert receive.poll(300), "the daemonic process sent no result"
+    got = receive.recv()
+    child.join(timeout=60)
+    assert not child.is_alive()
+    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: 1)
+    assert got == _fingerprint(run(cfg))
 
 
 class _QueueRng:
