@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate, special
 
+from . import _pool
 from .errors import AccuracyError, ValidationError
 
 __all__ = [
@@ -543,18 +544,25 @@ def sum_distribution(joint: JointGridded, chunk: int = 256) -> Gridded:
     The lattice is walked in blocks of ``_ROW_BLOCK`` rows, small enough
     to stay in cache.  Row i is one shifted slice-add into a buffer for
     its ``chunk`` of rows (its anti-diagonals start at offset i), and
-    each buffer is added into the result once: every lattice point is
-    summed row by row within a chunk, then chunk by chunk.
+    each buffer is added into the result once, in chunk order: every
+    lattice point is summed row by row within a chunk, then chunk by
+    chunk.  The chunks are jobs of :func:`lundberg._pool.map`, in forked
+    workers from 10^7 cells on; each buffer is added as it arrives.
     """
     n = joint.ncells
     h = joint.step
-    out = np.zeros(2 * n - 1)
-    for a in range(0, n, chunk):
+
+    def chunk_sum(a):
         b = min(a + chunk, n)
         acc = np.zeros(b - a + n - 1)
         for r in range(a, b, _ROW_BLOCK):
             for i, row in enumerate(joint.row_masses(r, min(r + _ROW_BLOCK, b)), r - a):
                 acc[i : i + n] += row
+        return acc
+
+    out = np.zeros(2 * n - 1)
+    starts = range(0, n, chunk)
+    for a, acc in zip(starts, _pool.map(chunk_sum, starts, n * n)):
         out[a : a + acc.size] += acc
     total = float(out.sum())
     if abs(total - 1.0) > _MASS_TOL:

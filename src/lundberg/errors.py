@@ -45,6 +45,9 @@ class NetProfitError(LundbergError):
             f"net profit condition violated: premium margin c - lambda*E[Y] = {margin:g} <= 0"
         )
 
+    def __reduce__(self):  # pickled as the margin, not as the formatted message
+        return type(self), (self.margin,)
+
 
 class InstabilityError(LundbergError):
     """The grid recursion produced values outside the admissible range.

@@ -13,6 +13,9 @@ recursion coefficients are linear in the per-component exposure weights,
 so one set of component tail integrals serves every loading pair, and
 whole batches of loadings advance together through the same survival
 kernel (:func:`lundberg.ruin.survival_batch`) that solves single curves.
+Sweeps of at least 10^7 curve values times log2 of the node count
+(about three chunks) run their chunks in forked workers, one per CPU
+(:mod:`lundberg._pool`); every value is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as sciopt
 
+from . import _pool
 from .copulas import OrdinaryCopula
 from .demand import DemandSpec, acquisition_shares, joint_share, shares_from_take_rates
 from .distributions import integrated_tails
@@ -166,29 +170,57 @@ def _sweep_argmin(ruin: np.ndarray, feasible: np.ndarray):
     return np.where(usable, ruin, np.inf).argmin(axis=0), usable
 
 
-def _sweep_ruin(tails, coef, premium, feasible, reserves, grid_step):
-    """Ruin at each reserve for a batch of loadings, one row per loading.
+def _sweep(tails, reserves, grid_step):
+    """``sweep(coef, premium)``: loadings -> (ruin at ``reserves``, profit, feasible).
 
-    ``coef`` holds each loading's per-component claim intensities and
-    ``tails`` the components' integrated tails.  Infeasible rows carry
-    ruin 1.0; rows that leave the recursion's valid range carry NaN.
-    Loadings advance through the survival kernel in chunks of at most
-    ``_SWEEP_CELLS`` curve values (and at least one row).
+    A loading is a row of per-component claim intensities and a premium
+    rate; the coefficients of ``tails`` serve every batch.  Infeasible rows
+    carry ruin 1.0, rows outside the recursion's valid range NaN.  Chunks of
+    ``_SWEEP_CELLS`` curve values (at least a row) with a feasible row are
+    jobs of ``_pool.map``.
     """
     n = max(int(np.ceil(max(reserves) / grid_step - 1e-9)), 1)
     coefficients = _recursion_coefficients(tails, grid_step * np.arange(n + 1), grid_step)
     node_idx = [int(round(r / grid_step)) for r in reserves]
-    ruin = np.ones((coef.shape[0], len(reserves)))
-    chunk = max(_SWEEP_CELLS // (n + 1), 1)
-    for start in range(0, coef.shape[0], chunk):
-        live = np.nonzero(feasible[start : start + chunk])[0] + start
-        if live.size == 0:
-            continue
-        vbar, ok = survival_batch(coef[live] / premium[live, None], coefficients, n)
-        vals = 1.0 - np.clip(vbar[:, node_idx], 0.0, 1.0)
-        vals[~ok] = np.nan
-        ruin[live] = vals
-    return ruin
+    means = np.array([t.mean for t in tails])
+
+    def sweep(coef, premium):
+        profit = premium - coef @ means
+        feasible = profit > 0
+        chunk = max(_SWEEP_CELLS // (n + 1), 1)
+        jobs = [live for start in range(0, coef.shape[0], chunk)
+                if (live := np.nonzero(feasible[start : start + chunk])[0] + start).size]
+
+        def chunk_ruin(live):
+            vbar, ok = survival_batch(coef[live] / premium[live, None], coefficients, n)
+            vals = 1.0 - np.clip(vbar[:, node_idx], 0.0, 1.0)
+            vals[~ok] = np.nan
+            return vals
+
+        out = np.ones((coef.shape[0], len(node_idx)))
+        work = np.count_nonzero(feasible) * (n + 1) * (n + 1).bit_length()  # O(n log n) a row
+        for live, vals in zip(jobs, _pool.map(chunk_ruin, jobs, work)):
+            out[live] = vals
+        return out, profit, feasible
+
+    return sweep
+
+
+def _company_sweep(market, demands, acquisition, reserves, grid_step, decomposition):
+    """Loading pairs -> (ruin at ``reserves``, profit, feasible); no loading moves a severity."""
+    tails = [integrated_tails(s) for s, _ in _company_streams(decomposition, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    sweep = _sweep(tails, reserves, grid_step)
+
+    def ruin_at(theta_pairs):
+        t1, t2 = np.atleast_2d(np.asarray(theta_pairs, dtype=float)).T
+        p1 = np.asarray(demands[0].take_rate(t1), dtype=float)
+        p2 = np.asarray(demands[1].take_rate(t2), dtype=float)
+        both = joint_share(acquisition, p1, p2)
+        streams = _company_streams(decomposition, p1, p2, p1 - both, p2 - both, both)
+        coef = np.column_stack([r for _, r in streams])
+        return sweep(coef, np.asarray(_premium_rate(market, demands, t1, t2), dtype=float))
+
+    return ruin_at
 
 
 def company_ruin_at(
@@ -213,25 +245,13 @@ def company_ruin_at(
     end, about h/2 per claim, so it sits below the closed form of
     :func:`joint_expected_profit` less costs (1.25% at loading 0.4, h = 2).
     """
-    theta_pairs = np.atleast_2d(np.asarray(theta_pairs, dtype=float))
     scalar_reserve = np.isscalar(reserve)
     reserves = [float(reserve)] if scalar_reserve else [float(r) for r in reserve]
     if decomposition is None:
         decomposition = decompose(market, grid_step)
-    d1, d2 = demands
-    p1 = np.asarray(d1.take_rate(theta_pairs[:, 0]), dtype=float)
-    p2 = np.asarray(d2.take_rate(theta_pairs[:, 1]), dtype=float)
-    both = joint_share(acquisition, p1, p2)
-    severities, rates = zip(*_company_streams(decomposition, p1, p2, p1 - both, p2 - both, both))
-    tails = [integrated_tails(s) for s in severities]
-    coef = np.column_stack(rates)
-    premium = np.asarray(_premium_rate(market, demands, theta_pairs[:, 0], theta_pairs[:, 1]), dtype=float)
-    profit = premium - coef @ np.array([t.mean for t in tails])
-    feasible = profit > 0
-    ruin = _sweep_ruin(tails, coef, premium, feasible, reserves, grid_step)
-    if scalar_reserve:
-        ruin = ruin[:, 0]
-    return ruin, profit, feasible
+    ruin_at = _company_sweep(market, demands, acquisition, reserves, grid_step, decomposition)
+    ruin, profit, feasible = ruin_at(theta_pairs)
+    return (ruin[:, 0] if scalar_reserve else ruin), profit, feasible
 
 
 def sweep_single_loading(demand, intensity, severity, reserves, thetas, grid_step):
@@ -248,9 +268,7 @@ def sweep_single_loading(demand, intensity, severity, reserves, thetas, grid_ste
     tails = integrated_tails(severity)
     coef = (np.asarray(demand.take_rate(thetas), dtype=float) * intensity)[:, None]
     premium = np.asarray(demand.premium_rate(intensity, tails.mean, thetas), dtype=float)
-    profit = premium - coef[:, 0] * tails.mean
-    feasible = profit > 0
-    ruin = _sweep_ruin([tails], coef, premium, feasible, reserves, grid_step)
+    ruin, profit, feasible = _sweep([tails], reserves, grid_step)(coef, premium)
     return {"theta": thetas, "profit": profit, "feasible": feasible,
             "ruin": {r: ruin[:, j] for j, r in enumerate(reserves)}}
 
@@ -323,12 +341,6 @@ def optimize_joint_ruin(
     def loading_of(x):
         return float(x[0]) if mode == "common" else (float(x[0]), float(x[1]))
 
-    def objective(x):
-        r, _, feas = company_ruin_at(
-            market, demands, acquisition, reserve, [[x[0], x[-1]]], h, decomposition
-        )
-        return float(r[0]) if feas[0] and np.isfinite(r[0]) else 2.0
-
     (best,), usable = _sweep_argmin(sweep["ruin"][:, None], sweep["feasible"])
     if not usable.any():
         raise ValidationError("net profit condition fails everywhere in the search box")
@@ -336,6 +348,12 @@ def optimize_joint_ruin(
     value = grid_value = float(sweep["ruin"][best])
     refined = False
     if refine:
+        ruin_at = _company_sweep(market, demands, acquisition, [float(reserve)], h, decomposition)
+
+        def objective(x):
+            r, _, feas = ruin_at([[x[0], x[-1]]])
+            return float(r[0, 0]) if feas[0] and np.isfinite(r[0, 0]) else 2.0
+
         span = 2.0 * sweep_step
         res = sciopt.minimize(
             objective, x0=x, method="L-BFGS-B",

@@ -5,12 +5,14 @@ claims, so checking ruin when a claim lands is exact and needs no time
 discretization.  The premium rate must therefore be nonnegative.  Claims
 are drawn in fixed-size blocks of paths with one generator per block,
 seeded as ``SeedSequence((seed, block_index))``; identical seeds
-therefore reproduce estimates bit for bit.  With more than one block and
-more than one usable CPU the blocks run in forked worker processes, one
-per CPU, and are reassembled by path offset, so the result does not
-depend on the number of workers; without ``fork`` (or inside a daemonic
-process) they run in the calling process.  The copula samplers look
-their tables up in sorted order, which leaves the stream unchanged.
+therefore reproduce estimates bit for bit.  The blocks run through
+:func:`lundberg._pool.map`: with more than one block and more than one
+usable CPU they run in forked worker processes, one per CPU, and are
+reassembled by path offset, so the result does not depend on the number
+of workers.  Simulation blocks always clear the pool's work floor;
+without ``fork`` (or inside a daemonic process) the blocks run in the
+calling process.  The copula samplers look their tables up in sorted
+order, which leaves the stream unchanged.
 
 The default horizon is chosen in the claim-count clock: (80 + 8u/E[Y])
 divided by eta expected claims per path, where eta is the relative
@@ -23,12 +25,12 @@ test in the suite verifies per model.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import _pool
 from .demand import AcquisitionShares
 from .distributions import SeverityModel
 from .errors import ValidationError
@@ -56,7 +58,9 @@ class SimConfig:
     ``horizon`` is in time units; None picks the claim-count default
     described in the module docstring.  ``antithetic`` mirrors the
     uniform stream over the second half of the paths; severities are
-    then drawn by inverse transform, which is slower for mixtures.
+    then drawn by inverse transform through ``isf``, which is slower for
+    mixtures and for Gamma severities (``Gamma.isf`` inverts the
+    incomplete gamma function: about 9x the plain sampler's time).
     """
 
     paths: int = 100_000
@@ -150,53 +154,6 @@ def _run_block(n, rng, horizon, premium_rate, reserve, draw, mirror):
     return ruined, ruin_time
 
 
-_task = None  # (seed, horizon, premium_rate, reserve, draw), set in each worker at fork
-
-
-def _init_worker(*task):
-    global _task
-    _task = task
-
-
-def _run_job(job, task=None):
-    """Run one job (offset, size, block index, mirrored); returns (ruined, ruin times)."""
-    seed, horizon, premium_rate, reserve, draw = task or _task
-    _, size, block, mirrored = job
-    return _run_block(size, _block_rng(seed, block), horizon, premium_rate, reserve, draw, mirrored)
-
-
-def _worker_count(jobs: int) -> int:
-    """Worker processes for ``jobs`` blocks: one per usable CPU, at most one per block."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, jobs)
-
-
-def _fork_context():
-    """The ``fork`` context to start workers from, or None where blocks must run in-process."""
-    import multiprocessing
-
-    if (multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _run_jobs(jobs, task):
-    """Results of ``_run_job`` over ``jobs``, in order, in forked workers where possible."""
-    workers = _worker_count(len(jobs))
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        return [_run_job(job, task) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    # children inherit the task at fork: the draw closure is never pickled
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=task)
-    try:
-        return list(pool.map(_run_job, jobs))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_times, diagnostics):
     """Run all paths in seeded blocks and return the estimate.
 
@@ -222,7 +179,13 @@ def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_tim
         horizon = _default_horizon(rate, mean_claim, premium_rate, reserve)
     jobs = [(offset + start, min(_BLOCK, count - start), start // _BLOCK, mirrored)
             for offset, count, mirrored in parts for start in range(0, count, _BLOCK)]
-    results = _run_jobs(jobs, (config.seed, horizon, premium_rate, reserve, draw))
+
+    def run(job):
+        _, size, block, mirrored = job
+        return _run_block(size, _block_rng(config.seed, block), horizon, premium_rate, reserve,
+                          draw, mirrored)
+
+    results = list(_pool.map(run, jobs))
     all_times = np.full(total, np.nan)
     for (offset, size, _, _), (_, t_ruin) in zip(jobs, results):
         all_times[offset : offset + size] = t_ruin

@@ -1,7 +1,10 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
 import lundberg as lb
+from lundberg import _pool
 
 # Reference market: two gamma(2, 500) risks at intensity 800, logit demand
 # with slopes 4.0 / 4.5, fixed cost 64000 per risk, Clayton-coupled claims.
@@ -69,3 +72,39 @@ def pure_premium(intensity, severity):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def pool_modes(monkeypatch):
+    """Run a call with 1, 2 and 3 forked workers, then below the work floor.
+
+    The worker runs clear a zero floor; the last run keeps the real floor
+    with two workers allowed and a pool constructor that raises, so it
+    passes only if the call starts no pool.  Returns the four results.
+    """
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a call below the work floor started a pool")
+
+    def run(call):
+        floor = _pool._MIN_WORK
+        results = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(_pool, "_MIN_WORK", 0)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_pool, "_worker_count", lambda jobs, w=workers: min(w, jobs))
+            results.append(call())
+            assert bool(pools) == (workers > 1), "the pool ran when it should not, or not at all"
+            pools.clear()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(_pool, "_MIN_WORK", floor)
+        results.append(call())
+        return results
+
+    return run

@@ -343,6 +343,29 @@ def test_sum_distribution_rejects_negative_cell():
         sum_distribution(JointGridded.from_matrix(joint.nodes, matrix))
 
 
+def test_sum_distribution_is_the_same_bytes_in_every_pool_mode(pool_modes):
+    joint = _random_lattice(301, 8)
+    runs = pool_modes(lambda: sum_distribution(joint, chunk=37))  # 8 chunks of 37 and one of 5
+    for run in runs[1:]:
+        assert np.array_equal(run.masses, runs[0].masses)
+        assert np.array_equal(run.atoms, runs[0].atoms)
+
+
+def test_negative_cell_found_in_a_worker_reaches_the_caller(monkeypatch):
+    from concurrent.futures.process import _RemoteTraceback
+
+    from lundberg import _pool
+
+    monkeypatch.setattr(_pool, "_MIN_WORK", 0)
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
+    joint = _random_lattice(40, 5)
+    matrix = joint.row_masses(0, 40).copy()
+    matrix[29, 11] = -1e-9  # in the fourth chunk of 8 rows
+    with pytest.raises(ValidationError, match=r"nonnegative, min .*-1e-09") as info:
+        sum_distribution(JointGridded.from_matrix(joint.nodes, matrix), chunk=8)
+    assert isinstance(info.value.__cause__, _RemoteTraceback)
+
+
 def test_sum_distribution_clamps_float_dust_without_touching_the_input():
     joint = _random_lattice(20, 6)
     matrix = joint.row_masses(0, 20).copy()

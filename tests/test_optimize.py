@@ -91,8 +91,9 @@ def test_single_ruin_argmin_reserve_invariant(demand1, gamma_severity):
 
 
 def test_single_sweep_is_independent_of_chunking(demand1, gamma_severity, monkeypatch):
-    from lundberg import optimize
+    from lundberg import _pool, optimize
 
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: 1)  # kernel calls are counted in this process
     thetas = np.arange(0.05, 1.0 + 0.0025, 0.025)  # fig1's range: starts infeasible
     calls = []
 
@@ -111,6 +112,46 @@ def test_single_sweep_is_independent_of_chunking(demand1, gamma_severity, monkey
     for r in (1000.0, 5000.0):
         assert_allclose(runs[0]["ruin"][r], runs[1]["ruin"][r], rtol=0.0, atol=1e-12)
         assert np.array_equal(np.isnan(runs[0]["ruin"][r]), np.isnan(runs[1]["ruin"][r]))
+
+
+class _FlippedTails(lb.Exponential):
+    """An exponential claim whose first integrated tail has the wrong sign: unstable sweep rows."""
+
+    def _integrated_tails(self):
+        inner = super()._integrated_tails()
+        return lb.IntegratedTails(sbar=lambda x: -inner.sbar(x), ssbar=inner.ssbar, mean=inner.mean)
+
+
+def test_sweeps_are_the_same_bytes_in_every_pool_mode(demands, gamma_severity, monkeypatch,
+                                                      pool_modes):
+    from lundberg import optimize
+
+    market = lb.MarketSpec(lb.CompoundPoissonSpec(800.0, gamma_severity),
+                           lb.CompoundPoissonSpec(800.0, _FlippedTails(1000.0)), None)
+    thetas = np.arange(0.0, 1.0, 0.05)
+    t1, t2 = np.meshgrid(thetas, thetas, indexing="ij")
+    pairs = np.column_stack([t1.ravel(), t2.ravel()])
+    monkeypatch.setattr(optimize, "_SWEEP_CELLS", 7 * 601)  # 7 rows a chunk: 57 full and one of 1
+
+    def company():
+        return company_ruin_at(market, demands, lb.IndependenceCopula(), [1000.0, 3000.0], pairs, 5.0)
+
+    runs = pool_modes(company)
+    ruin, _, feasible = runs[0]
+    unstable = np.isnan(ruin).any(axis=1)
+    assert 0 < np.count_nonzero(unstable) and 0 < np.count_nonzero(~feasible)
+    assert 0 < np.count_nonzero(feasible & ~unstable)
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(run, runs[0]))
+
+    def single():
+        return sweep_single_loading(demands[0], 800.0, gamma_severity, [1000.0, 3000.0],
+                                    np.arange(0.05, 1.0 + 0.0025, 0.0125), 5.0)
+
+    runs = pool_modes(single)
+    for run in runs[1:]:
+        assert all(np.array_equal(run[key], runs[0][key]) for key in ("theta", "profit", "feasible"))
+        assert all(np.array_equal(run["ruin"][r], runs[0]["ruin"][r]) for r in (1000.0, 3000.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -12,7 +13,7 @@ import lundberg as lb
 from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
 from lundberg.market import _ordered_interp
-from lundberg import simulate
+from lundberg import _pool, simulate
 from lundberg.simulate import _BLOCK, _StreamSampler, wilson_interval
 
 
@@ -281,16 +282,34 @@ def test_result_does_not_depend_on_the_worker_count(monkeypatch, simulators, whi
     cfg = lb.SimConfig(paths=_UNEVEN_PATHS, seed=5, antithetic=antithetic)
     results = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(simulate, "_worker_count", lambda jobs, w=workers: min(w, jobs))
+        monkeypatch.setattr(_pool, "_worker_count", lambda jobs, w=workers: min(w, jobs))
         results.append(_fingerprint(run(cfg)))
     assert results[0][0] > 0
     assert results[1] == results[0] and results[2] == results[0]
 
 
+def test_small_antithetic_run_forks_its_two_halves(monkeypatch, simulators):
+    # one block per half: the simulator forks for any run of more than one block
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    cfg = lb.SimConfig(paths=2 * 1000, seed=5, antithetic=True)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(_pool, "_worker_count", lambda jobs, w=workers: min(w, jobs))
+        results.append(_fingerprint(simulators["single"](cfg)))
+    assert len(pools) == 1 and results[1] == results[0]
+
+
 def test_sampler_tables_are_built_before_the_workers_fork(monkeypatch, dep_market, shares_at_04,
                                                          demands):
     # tables built lazily inside the workers would be lost with them
-    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: min(2, jobs))
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
     own = lb.Decomposition(dep_market, grid_step=None)
     lb.simulate_bivariate_market(dep_market, shares_at_04, _company_premium(demands), 2000.0,
                                  lb.SimConfig(paths=2 * _BLOCK, horizon=1e-3), decomposition=own)
@@ -305,14 +324,14 @@ class _FailingSeverity(lb.Exponential):
 
 
 def test_worker_error_surfaces_in_the_caller(monkeypatch):
-    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: min(2, jobs))
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
     with pytest.raises(ValidationError, match="sample failed in process") as info:
         lb.simulate_ruin(1.0, _FailingSeverity(1.0), 2.0, 10.0, lb.SimConfig(paths=2 * _BLOCK))
     assert f"process {os.getpid()}" not in str(info.value)
 
 
 def test_call_from_a_daemonic_process_runs_serially(monkeypatch, simulators):
-    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: min(2, jobs))
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
     run = simulators["company"]
     cfg = lb.SimConfig(paths=_UNEVEN_PATHS, seed=7)
     context = multiprocessing.get_context("fork")
@@ -331,7 +350,7 @@ def test_call_from_a_daemonic_process_runs_serially(monkeypatch, simulators):
     got = receive.recv()
     child.join(timeout=60)
     assert not child.is_alive()
-    monkeypatch.setattr(simulate, "_worker_count", lambda jobs: 1)
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: 1)
     assert got == _fingerprint(run(cfg))
 
 
