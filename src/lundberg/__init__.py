@@ -50,8 +50,6 @@ from .optimize import (
     profit_optimal_loading,
     ruin_optimal_loading,
     size_scaling_experiment,
-    sweep_common_loading,
-    sweep_separate_loadings,
     sweep_single_loading,
     weighted_average_loading,
 )

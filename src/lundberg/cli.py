@@ -42,7 +42,6 @@ from .optimize import (
     optimize_joint_ruin,
     profit_optimal_loading,
     ruin_optimal_loading,
-    sweep_separate_loadings,
     sweep_single_loading,
     weighted_average_loading,
 )
@@ -199,10 +198,9 @@ def cmd_optimize(args) -> int:
             (market.risk1.severity.mean, market.risk2.severity.mean), mode=args.mode,
         )
     else:
-        decomposition = decompose(market, cfg.solver.grid_step)
         res = optimize_joint_ruin(
-            market, demands, cfg.acquisition, reserve, mode=args.mode, solver=cfg.solver,
-            sweep_step=args.sweep_step, refine=not args.no_refine, decomposition=decomposition,
+            market, demands, cfg.acquisition, reserve, mode=args.mode,
+            grid_step=cfg.solver.grid_step, sweep_step=args.sweep_step, refine=not args.no_refine,
         )
         sweep = dict(res.sweep, feasible=res.sweep["feasible"].astype(int))
         write_csv(out / f"{stem}_sweep.csv", list(sweep), zip(*(c.tolist() for c in sweep.values())))
@@ -333,7 +331,7 @@ def cmd_reproduce(args) -> int:
         reserve = max(cfg.reserves)
         decomposition = decompose(market, grid_step)
         res = optimize_joint_ruin(
-            market, demands, cfg.acquisition, reserve, mode="separate", solver=cfg.solver,
+            market, demands, cfg.acquisition, reserve, mode="separate", grid_step=grid_step,
             sweep_step=args.sweep_step or 0.01, decomposition=decomposition,
         )
         profit_res = optimize_joint_profit(
@@ -341,12 +339,12 @@ def cmd_reproduce(args) -> int:
             (market.risk1.severity.mean, market.risk2.severity.mean), mode="separate",
         )
         thetas = np.arange(0.2, 0.6 + 1e-9, args.sweep_step or 0.01)
-        grid = sweep_separate_loadings(
-            market, demands, cfg.acquisition, reserve, thetas, thetas, grid_step, decomposition
+        pairs = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
+        ruin, profit, _ = company_ruin_at(
+            market, demands, cfg.acquisition, reserve, pairs, grid_step, decomposition
         )
         write_csv(out / f"{name}_grid.csv", ["theta1", "theta2", "ruin", "profit"],
-                  zip(grid["theta1"].tolist(), grid["theta2"].tolist(),
-                      grid["ruin"].tolist(), grid["profit"].tolist()))
+                  zip(*pairs.T.tolist(), ruin.tolist(), profit.tolist()))
         summary["results"] = {
             "ruin_optimum": list(res.loading), "min_ruin": res.value,
             "grid_optimum": list(res.grid_loading),

@@ -22,7 +22,7 @@ from .market import CompoundPoissonSpec, MarketSpec
 from .ruin import SolverConfig
 from .simulate import SimConfig
 
-__all__ = ["ModelConfig", "parse_config", "load_config", "config_to_dict", "severity_from_dict"]
+__all__ = ["ModelConfig", "parse_config", "load_config", "config_to_dict"]
 
 
 def _require(data: dict, key: str, kind, field: str):
@@ -61,22 +61,14 @@ def severity_from_dict(data: dict, field: str = "severity") -> SeverityModel:
     raise ConfigError(f"unknown severity kind {kind!r}", field=f"{field}.kind")
 
 
-def _severity_to_dict(model: SeverityModel) -> dict:
-    return model.describe()
-
-
 def _copula_from_dict(data: dict, field: str) -> OrdinaryCopula:
     if not isinstance(data, dict):
         raise ConfigError("copula must be an object", field=field)
     family = data.get("family")
     if family is None:
         raise ConfigError("missing copula family", field=f"{field}.family")
-    omega = data.get("omega")
-    tau = data.get("tau")
-    if omega is not None and tau is not None:
-        raise ConfigError("specify either omega or tau, not both", field=field)
     try:
-        return make_ordinary(family, omega=omega, tau=tau)
+        return make_ordinary(family, omega=data.get("omega"), tau=data.get("tau"))
     except ValidationError as exc:
         raise ConfigError(str(exc), field=field) from exc
 
@@ -254,7 +246,7 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     """Canonical serialized form; parsing it back yields an identical model."""
     out = {
         "risks": [
-            {"lambda": r.intensity, "severity": _severity_to_dict(r.severity)} for r in cfg.risks
+            {"lambda": r.intensity, "severity": r.severity.describe()} for r in cfg.risks
         ],
         "reserves": list(cfg.reserves),
         "solver": {

@@ -18,7 +18,7 @@ from scipy.special import expit
 from .copulas import OrdinaryCopula
 from .errors import ValidationError
 
-__all__ = ["DemandSpec", "AcquisitionShares", "acquisition_shares", "joint_share", "shares_from_take_rates"]
+__all__ = ["DemandSpec", "AcquisitionShares", "acquisition_shares", "shares_from_take_rates"]
 
 _MARGIN_TOL = 1e-12
 

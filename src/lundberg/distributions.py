@@ -360,30 +360,22 @@ class Gridded(SeverityModel):
         self._ssb_breaks = ssb
 
     @classmethod
-    def from_cells(cls, nodes: Sequence[float], cell_masses: Sequence[float]) -> "Gridded":
-        """Build from cell masses over consecutive grid cells.
+    def from_survival(cls, nodes: Sequence[float], survival: Sequence[float]) -> "Gridded":
+        """Discretize a survival function sampled on grid nodes.
 
-        ``nodes`` are the n+1 cell edges starting at 0; mass of cell k
-        (edges ``nodes[k-1]``, ``nodes[k]``) sits at the right edge.
+        ``nodes`` are the n+1 cell edges starting at 0.  The mass of cell k
+        (edges ``nodes[k-1]``, ``nodes[k]``) is the survival decrement and
+        sits at the right edge; any residual tail mass beyond the last node
+        is folded into the final atom so the total stays exactly
+        ``survival[0]``.
         """
         nodes = np.asarray(nodes, dtype=float)
         if nodes[0] != 0.0:
             raise ValidationError("cell grid must start at 0")
-        return cls(nodes[1:], cell_masses)
-
-    @classmethod
-    def from_survival(cls, nodes: Sequence[float], survival: Sequence[float]) -> "Gridded":
-        """Discretize a survival function sampled on grid nodes.
-
-        Cell masses are the survival decrements; any residual tail mass
-        beyond the last node is folded into the final atom so the total
-        stays exactly ``survival[0]``.
-        """
-        nodes = np.asarray(nodes, dtype=float)
         survival = np.asarray(survival, dtype=float)
         masses = -np.diff(survival)
         masses[-1] += survival[-1]
-        return cls.from_cells(nodes, masses)
+        return cls(nodes[1:], masses)
 
     @property
     def atoms(self) -> np.ndarray:

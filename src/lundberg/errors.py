@@ -5,6 +5,11 @@ with 2, model precondition failures with 3, and numerical failures
 (instability, unreached accuracy) with 4.
 """
 
+__all__ = [
+    "LundbergError", "ValidationError", "ConfigError", "NetProfitError", "InstabilityError",
+    "AccuracyError",
+]
+
 
 class LundbergError(Exception):
     """Base class for all package-specific errors."""

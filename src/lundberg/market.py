@@ -122,6 +122,9 @@ class Decomposition:
 
     def __init__(self, market: MarketSpec, grid_step: float | None, *,
                  joint_step: float | None = None, joint_tail_mass: float | None = None):
+        for step in (grid_step, joint_step):
+            if step is not None and not 0 < step < np.inf:
+                raise ValidationError(f"grid step must be positive and finite, got {step}")
         self.market = market
         lam1, lam2 = market.risk1.intensity, market.risk2.intensity
         self.lambda1, self.lambda2 = lam1, lam2

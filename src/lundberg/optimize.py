@@ -8,6 +8,11 @@ closed form; they are found by sweeping the company ruin probability on
 a loading grid and polishing the grid argmin with a quasi-Newton
 refinement driven by finite differences.
 
+Two entries sweep loadings on a reserve grid of step ``grid_step``:
+:func:`sweep_single_loading` for one risk and :func:`company_ruin_at`
+for a batch of two-risk loading pairs (a common loading t is the pair
+(t, t)), through which :func:`optimize_joint_ruin` runs its sweep.
+
 The sweeps exploit the structure of the company claim model: the grid
 recursion coefficients are linear in the per-component exposure weights,
 so one set of component tail integrals serves every loading pair, and
@@ -46,8 +51,8 @@ __all__ = [
     "weighted_average_loading",
     "optimize_joint_ruin",
     "optimize_joint_profit",
-    "sweep_common_loading",
-    "sweep_separate_loadings",
+    "company_ruin_at",
+    "sweep_single_loading",
     "size_scaling_experiment",
 ]
 
@@ -63,8 +68,10 @@ class LoadingResult:
     the optimum (ruin probability at the reference reserve, or expected
     profit per unit time).  ``grid_loading`` keeps the pre-refinement
     sweep argmin for grid-step comparisons, and ``sweep`` the columns of
-    that sweep (empty where no sweep ran).  The joint ruin search reports
-    the gridded model's ``expected_profit`` (see :func:`company_ruin_at`).
+    that sweep: ``theta`` (common) or ``theta1``/``theta2`` (separate),
+    then ``ruin``, ``profit`` and ``feasible`` (empty where no sweep ran).
+    The joint ruin search reports the gridded model's ``expected_profit``
+    (see :func:`company_ruin_at`).
     """
 
     criterion: str
@@ -177,8 +184,13 @@ def _sweep(tails, reserves, grid_step):
     rate; the coefficients of ``tails`` serve every batch.  Infeasible rows
     carry ruin 1.0, rows outside the recursion's valid range NaN.  Chunks of
     ``_SWEEP_CELLS`` curve values (at least a row) with a feasible row are
-    jobs of ``_pool.map``.
+    jobs of ``_pool.map``.  A grid step that is not positive and finite, or
+    a reserve that is negative or not finite, raises ``ValidationError``.
     """
+    if not 0 < grid_step < np.inf:
+        raise ValidationError(f"grid step must be positive and finite, got {grid_step}")
+    if not all(0 <= r < np.inf for r in reserves):
+        raise ValidationError(f"reserves must be nonnegative and finite, got {list(reserves)}")
     n = max(int(np.ceil(max(reserves) / grid_step - 1e-9)), 1)
     coefficients = _recursion_coefficients(tails, grid_step * np.arange(n + 1), grid_step)
     node_idx = [int(round(r / grid_step)) for r in reserves]
@@ -273,40 +285,13 @@ def sweep_single_loading(demand, intensity, severity, reserves, thetas, grid_ste
             "ruin": {r: ruin[:, j] for j, r in enumerate(reserves)}}
 
 
-def sweep_common_loading(
-    market, demands, acquisition, reserve, thetas, grid_step, decomposition=None
-):
-    """Common-loading ruin/profit sweep; returns a dict of columns."""
-    thetas = np.asarray(thetas, dtype=float)
-    pairs = np.column_stack([thetas, thetas])
-    ruin, profit, feasible = company_ruin_at(
-        market, demands, acquisition, reserve, pairs, grid_step, decomposition
-    )
-    return {"theta": thetas, "ruin": ruin, "profit": profit, "feasible": feasible}
-
-
-def sweep_separate_loadings(
-    market, demands, acquisition, reserve, thetas1, thetas2, grid_step, decomposition=None
-):
-    """Two-loading sweep over the grid thetas1 x thetas2 (row-major)."""
-    t1, t2 = np.meshgrid(np.asarray(thetas1, float), np.asarray(thetas2, float), indexing="ij")
-    pairs = np.column_stack([t1.ravel(), t2.ravel()])
-    ruin, profit, feasible = company_ruin_at(
-        market, demands, acquisition, reserve, pairs, grid_step, decomposition
-    )
-    return {
-        "theta1": pairs[:, 0], "theta2": pairs[:, 1],
-        "ruin": ruin, "profit": profit, "feasible": feasible,
-    }
-
-
 def optimize_joint_ruin(
     market: MarketSpec,
     demands,
     acquisition: OrdinaryCopula,
     reserve: float,
     mode: str = "separate",
-    solver: SolverConfig | None = None,
+    grid_step: float = 2.0,
     box: tuple = (0.05, 1.0),
     sweep_step: float = 0.01,
     refine: bool = True,
@@ -319,36 +304,40 @@ def optimize_joint_ruin(
     with finite differences then polishes the argmin.  If the refinement
     fails to converge the grid argmin is returned with a diagnostic flag.
     Both modes search a vector of free loadings, one in common mode and
-    two in separate mode, mapped to the loading pair (first, last).
+    two in separate mode (the row-major grid of the box), mapped to the
+    loading pair (first, last).  Sweep and refinement solve on the reserve
+    grid of step ``grid_step``, which also discretizes the market when no
+    ``decomposition`` is given.
 
     Raises:
         ValidationError: if every point of the box violates net profit.
     """
     if mode not in ("common", "separate"):
         raise ValidationError(f"mode must be 'common' or 'separate', got {mode}")
-    solver = solver or SolverConfig(grid_step=2.0, x_max=max(reserve, 2.0))
-    h = solver.grid_step
     if decomposition is None:
-        decomposition = decompose(market, h)
+        decomposition = decompose(market, grid_step)
     thetas = np.arange(box[0], box[1] + sweep_step / 2, sweep_step)
     if mode == "common":
-        sweep = sweep_common_loading(market, demands, acquisition, reserve, thetas, h, decomposition)
-        free = thetas[:, None]
+        free, names = thetas[:, None], ["theta"]
     else:
-        sweep = sweep_separate_loadings(market, demands, acquisition, reserve, thetas, thetas, h, decomposition)
-        free = np.column_stack([sweep["theta1"], sweep["theta2"]])
+        free = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
+        names = ["theta1", "theta2"]
+    ruin, profit, feasible = company_ruin_at(
+        market, demands, acquisition, reserve, free[:, [0, -1]], grid_step, decomposition
+    )
+    sweep = dict(zip(names, free.T), ruin=ruin, profit=profit, feasible=feasible)
 
     def loading_of(x):
         return float(x[0]) if mode == "common" else (float(x[0]), float(x[1]))
 
-    (best,), usable = _sweep_argmin(sweep["ruin"][:, None], sweep["feasible"])
+    (best,), usable = _sweep_argmin(ruin[:, None], feasible)
     if not usable.any():
         raise ValidationError("net profit condition fails everywhere in the search box")
     x = free[best]
-    value = grid_value = float(sweep["ruin"][best])
+    value = grid_value = float(ruin[best])
     refined = False
     if refine:
-        ruin_at = _company_sweep(market, demands, acquisition, [float(reserve)], h, decomposition)
+        ruin_at = _company_sweep(market, demands, acquisition, [float(reserve)], grid_step, decomposition)
 
         def objective(x):
             r, _, feas = ruin_at([[x[0], x[-1]]])

@@ -27,7 +27,7 @@ import copy
 
 from .errors import ConfigError
 
-__all__ = ["PRESETS", "figure_config", "preset_names"]
+__all__ = ["figure_config", "preset_names"]
 
 GAMMA_SHAPE = 2.0
 GAMMA_SCALE = 500.0

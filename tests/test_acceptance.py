@@ -12,11 +12,11 @@ import pytest
 import lundberg as lb
 from lundberg.copulas import make_ordinary
 from lundberg.optimize import (
+    company_ruin_at,
     optimize_joint_ruin,
     profit_optimal_loading,
     ruin_optimal_loading,
     size_scaling_experiment,
-    sweep_common_loading,
     weighted_average_loading,
 )
 from lundberg.presets import figure_config
@@ -45,11 +45,11 @@ def joint_optima(dep_market, indep_market, decomposition, demands):
     for mode in ("common", "separate"):
         out[("indep", mode)] = optimize_joint_ruin(
             indep_market, demands, lb.IndependenceCopula(), RESERVE, mode=mode,
-            solver=SolverConfig(grid_step=GRID_STEP, x_max=RESERVE), sweep_step=SWEEP_STEP,
+            grid_step=GRID_STEP, sweep_step=SWEEP_STEP,
         )
         out[("dep", mode)] = optimize_joint_ruin(
             dep_market, demands, lb.IndependenceCopula(), RESERVE, mode=mode,
-            solver=SolverConfig(grid_step=GRID_STEP, x_max=RESERVE), sweep_step=SWEEP_STEP,
+            grid_step=GRID_STEP, sweep_step=SWEEP_STEP,
             decomposition=decomposition,
         )
     return out
@@ -256,18 +256,20 @@ def test_criterion_11_profit_invariance(gamma_severity, decomposition, dep_marke
 
 
 def test_criterion_12_acquisition_dependence_ordering(dep_market, decomposition, demands, thetas):
-    curves = {"independent": sweep_common_loading(
-        dep_market, demands, lb.IndependenceCopula(), RESERVE, thetas, GRID_STEP, decomposition)}
+    pairs = np.column_stack([thetas, thetas])
+    curves = {"independent": company_ruin_at(
+        dep_market, demands, lb.IndependenceCopula(), RESERVE, pairs, GRID_STEP, decomposition)}
     for fam in ("clayton", "gumbel"):
         for tau in (0.05, 0.25, 0.5):
-            curves[(fam, tau)] = sweep_common_loading(
-                dep_market, demands, make_ordinary(fam, tau=tau), RESERVE, thetas, GRID_STEP,
+            curves[(fam, tau)] = company_ruin_at(
+                dep_market, demands, make_ordinary(fam, tau=tau), RESERVE, pairs, GRID_STEP,
                 decomposition)
 
     def best(sweep):
-        vals = np.where(sweep["feasible"] & np.isfinite(sweep["ruin"]), sweep["ruin"], np.inf)
+        ruin, _, feasible = sweep
+        vals = np.where(feasible & np.isfinite(ruin), ruin, np.inf)
         i = int(np.argmin(vals))
-        return float(thetas[i]), float(sweep["ruin"][i])
+        return float(thetas[i]), float(ruin[i])
 
     optima = {k: best(v) for k, v in curves.items()}
     clayton = [optima[("clayton", t)][1] for t in (0.05, 0.25, 0.5)]

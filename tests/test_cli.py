@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lundberg import optimize
 from lundberg.cli import _write_sweep, main
 from lundberg.config import config_to_dict, load_config, parse_config
 from lundberg.errors import ConfigError
@@ -231,13 +232,13 @@ _REPRODUCE_SHA256 = {
         "fig4_grid.csv":
             "076902eb39fb744a56dc5837cfd35b135f44b7be67233abeccb8ef4688fea132",
         "summary.json":
-            "0e5354a3a2778fc4c36f5c6a548a3fc099e23a3f76e556334daf8f26f4926f7a",
+            "391f4c60b904ba0d1ed952648a88c499b3fb950ca46b36ce1a565d80dc2b6715",
     },
     "fig5": {
         "fig5_grid.csv":
             "a2f7a4c65f75ada76f9fb6a28347d64923444e8c7fac49699b9c0d83dc1d3157",
         "summary.json":
-            "14ca1a96b3b8a67955474e73231e953481e3772a42a75ac1bf60e232106f35c6",
+            "2c811837252d2b58422a0ff8bf458d811a1462e9f6b94e53b579ee6e36bc87fd",
     },
     "fig6": {
         "fig6_sweep_clayton_tau0.05.csv":
@@ -267,6 +268,23 @@ def test_reproduce_bytes_are_pinned(name, tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / name).iterdir()}
     assert written == _REPRODUCE_SHA256[name]
+
+
+def test_reproduce_optimizes_at_the_requested_grid_step(tmp_path, monkeypatch):
+    # the optimizer's sweep and refinement solve at the step of the decomposition and the grid CSV
+    steps = []
+    sweep = optimize._sweep
+
+    def spy(tails, reserves, grid_step):
+        steps.append(grid_step)
+        return sweep(tails, reserves, grid_step)
+
+    monkeypatch.setattr(optimize, "_sweep", spy)
+    assert main(["reproduce", "fig5", "--out-dir", str(tmp_path), "--grid-step", "25",
+                 "--sweep-step", "0.05"]) == 0
+    assert steps and set(steps) == {25.0}
+    summary = json.loads((tmp_path / "fig5" / "summary.json").read_text())
+    assert summary["results"]["min_ruin"] == 0.6525285386792075
 
 
 def test_two_risk_simulate_is_pinned_and_builds_no_grid(tmp_path, monkeypatch):
@@ -330,8 +348,10 @@ def test_config_round_trip_all_presets():
 def test_config_rejects_tau_and_omega_together():
     cfg = figure_config("fig3")
     cfg["acquisition_copula"] = {"family": "clayton", "tau": 0.5, "omega": 1.0}
-    with pytest.raises(ConfigError):
+    message = "^acquisition_copula: specify either omega or tau, not both$"
+    with pytest.raises(ConfigError, match=message) as err:
         parse_config(cfg)
+    assert err.value.field == "acquisition_copula"
 
 
 def test_config_rejects_unknown_keys_and_bad_shapes():

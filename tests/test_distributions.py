@@ -218,6 +218,11 @@ def test_gridded_from_survival_mass_and_mean():
     assert 3.0 <= model.mean <= 3.0 + 0.1 + 1e-9
 
 
+def test_gridded_from_survival_needs_cells_from_zero():
+    with pytest.raises(ValidationError, match="start at 0"):
+        lb.Gridded.from_survival([1.0, 2.0, 3.0], [1.0, 0.5, 0.0])
+
+
 def test_gridded_sampling_matches_masses(rng):
     model = lb.Gridded([1.0, 2.0, 5.0], [0.2, 0.5, 0.3])
     draws = model.sample(rng, 200_000)

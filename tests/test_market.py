@@ -63,6 +63,15 @@ def test_independent_market_decomposes_trivially(indep_market):
     assert dec.joint_both is None
 
 
+@pytest.mark.parametrize("market", ["dep_market", "indep_market"])
+@pytest.mark.parametrize("steps", [(0.0, None), (-2.0, None), (np.inf, None), (np.nan, None),
+                                   (2.0, 0.0), (2.0, -4.0)])
+def test_decompose_rejects_invalid_steps(market, steps, request):
+    grid_step, joint_step = steps
+    with pytest.raises(ValidationError, match="grid step must be positive"):
+        lb.decompose(request.getfixturevalue(market), grid_step, joint_step=joint_step)
+
+
 def test_clayton_unit_parameter_splits_half(decomposition):
     assert decomposition.lambda_both == pytest.approx(400.0, rel=1e-12)
     assert decomposition.lambda1_only == pytest.approx(400.0, rel=1e-12)

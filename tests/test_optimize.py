@@ -234,7 +234,7 @@ def test_symmetric_risks_give_equal_loadings(gamma_severity):
     market = lb.MarketSpec(risk, risk, None)
     res = optimize_joint_ruin(
         market, (demand, demand), lb.IndependenceCopula(), reserve=2000.0, mode="separate",
-        solver=lb.SolverConfig(grid_step=4.0, x_max=2000.0),
+        grid_step=4.0,
         box=(0.30, 0.55), sweep_step=0.01, refine=False,
     )
     t1, t2 = res.loading
@@ -247,7 +247,7 @@ def test_infeasible_box_raises(gamma_severity, demands):
     with pytest.raises(ValidationError):
         optimize_joint_ruin(
             market, demands, lb.IndependenceCopula(), reserve=1000.0, mode="common",
-            solver=lb.SolverConfig(grid_step=5.0, x_max=1000.0),
+            grid_step=5.0,
             box=(3.0, 3.2), sweep_step=0.05,
         )
 
@@ -255,7 +255,7 @@ def test_infeasible_box_raises(gamma_severity, demands):
 def test_common_mode_scans_the_diagonal(indep_market, demands):
     res = optimize_joint_ruin(
         indep_market, demands, lb.IndependenceCopula(), reserve=2000.0, mode="common",
-        solver=lb.SolverConfig(grid_step=4.0, x_max=2000.0),
+        grid_step=4.0,
         box=(0.30, 0.50), sweep_step=0.02, refine=False,
     )
     assert np.isscalar(res.loading)
@@ -277,6 +277,25 @@ def test_infeasible_points_report_certain_ruin(indep_market, demands):
     )
     assert not feasible[0] and ruin[0] == 1.0
     assert feasible[1] and 0.0 < ruin[1] < 1.0
+
+
+@pytest.mark.parametrize("reserves, step", [
+    ([1000.0, -2.0], 2.0), ([np.inf], 2.0), ([np.nan], 2.0),
+    ([1000.0], 0.0), ([1000.0], -10.0), ([1000.0], np.inf), ([1000.0], np.nan),
+])
+def test_sweeps_reject_invalid_reserves_and_grid_steps(gamma_severity, indep_market, demands,
+                                                       reserves, step):
+    # a negative reserve would index the grid from its far end
+    with pytest.raises(ValidationError):
+        sweep_single_loading(demands[0], 800.0, gamma_severity, reserves, [0.4], step)
+    with pytest.raises(ValidationError):
+        company_ruin_at(indep_market, demands, lb.IndependenceCopula(), reserves, [[0.4, 0.4]],
+                        step, lb.decompose(indep_market, 2.0))
+
+
+def test_joint_ruin_rejects_an_invalid_grid_step(indep_market, demands):
+    with pytest.raises(ValidationError):
+        optimize_joint_ruin(indep_market, demands, lb.IndependenceCopula(), 1000.0, grid_step=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +339,7 @@ _JOINT_RUIN_PINS = {
 def test_joint_ruin_optimum_is_pinned(dep_market, demands, mode):
     res = optimize_joint_ruin(
         dep_market, demands, lb.ClaytonCopula(0.5), 2000.0, mode=mode,
-        solver=lb.SolverConfig(grid_step=25.0, x_max=2000.0), box=(0.2, 0.6), sweep_step=0.05,
+        grid_step=25.0, box=(0.2, 0.6), sweep_step=0.05,
         decomposition=lb.decompose(dep_market, 25.0),
     )
     digest = hashlib.sha256()
