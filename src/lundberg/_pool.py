@@ -10,9 +10,11 @@ import os
 
 # The work floor of a pool, in operations of about 10 ns: a lattice cell, or
 # a sweep curve value per bit of its node count.  Break-evens on a 2-core x86
-# machine (median of 9 interleaved runs, in two workers against one process):
-# lattice 6-7 ms slower at 2^23 cells, 3 ms faster at 2^23.25; sweep 12 ms slower
-# at 2^23.16 operations, 14 ms faster (n = 2500) or 5 ms slower (n = 10000) at 2^23.38.
+# machine (medians of interleaved runs, in two workers against one process):
+# lattice row stream 3-6 ms faster at 2^22.5 cells, 4-14 ms faster at 2^23 and
+# 10-15 ms faster at 2^23.25 (two sets of 15 runs), so its break-even sits at or
+# below 2^22.5; sweep 12 ms slower at 2^23.16 operations, 14 ms faster (n = 2500)
+# or 5 ms slower (n = 10000) at 2^23.38 (9 runs).
 _MIN_WORK = 10_000_000
 
 _task = None  # the job function of a worker process, set at fork

@@ -19,7 +19,7 @@ import abc
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import integrate, special
@@ -42,7 +42,6 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _MASS_TOL = 1e-9
-_ROW_BLOCK = 8  # lattice rows per row_masses call in sum_distribution
 
 
 class SeverityModel(abc.ABC):
@@ -442,13 +441,15 @@ class Gridded(SeverityModel):
 class JointGridded:
     """Cell masses of a dependent claim pair on a shared uniform grid.
 
-    Large grids are never materialized: ``row_masses(a, b)`` yields rows
-    ``a:b`` of the (n x n) cell-mass matrix on demand, where row i and
-    column j hold the mass of the rectangle (nodes[i], nodes[i+1]] x
-    (nodes[j], nodes[j+1]], assigned to the upper-right corner.
+    Large grids are never materialized: ``rows(a, b)`` streams rows
+    ``a:b`` of the (n x n) cell-mass matrix, where row i and column j
+    hold the mass of the rectangle (nodes[i], nodes[i+1]] x (nodes[j],
+    nodes[j+1]], assigned to the upper-right corner.  The ``rows``
+    callable given at construction yields them as 1-D arrays and may
+    reuse one buffer for every row.
     """
 
-    def __init__(self, nodes: np.ndarray, row_masses: Callable[[int, int], np.ndarray]):
+    def __init__(self, nodes: np.ndarray, rows: Callable[[int, int], Iterable[np.ndarray]]):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.size < 2 or nodes[0] != 0.0:
             raise ValidationError("joint grid must start at 0 with at least one cell")
@@ -458,24 +459,24 @@ class JointGridded:
         self.nodes = nodes
         self.step = float(steps[0])
         self.ncells = nodes.size - 1
-        self._row_masses = row_masses
+        self._rows = rows
 
-    @classmethod
-    def from_matrix(cls, nodes: Sequence[float], matrix: np.ndarray) -> "JointGridded":
-        matrix = np.asarray(matrix, dtype=float)
-        nodes = np.asarray(nodes, dtype=float)
-        n = nodes.size - 1
-        if matrix.shape != (n, n):
-            raise ValidationError(f"cell matrix must be {n}x{n}, got {matrix.shape}")
-        return cls(nodes, lambda a, b: matrix[a:b])
+    def rows(self, a: int, b: int) -> Iterator[np.ndarray]:
+        """Rows ``a:b``, each checked nonnegative; a row may be overwritten by the next."""
+        for row in self._rows(a, b):
+            row = np.asarray(row, dtype=float)
+            low = row.min(initial=0.0)
+            if low < -1e-12:
+                raise ValidationError(f"joint cell masses must be nonnegative, min {low!r}")
+            # A fresh clamped copy: the source may be a caller's matrix.
+            yield np.maximum(row, 0.0) if low < 0.0 else row
 
     def row_masses(self, a: int, b: int) -> np.ndarray:
-        rows = np.asarray(self._row_masses(a, b), dtype=float)
-        low = rows.min(initial=0.0)
-        if low < -1e-12:
-            raise ValidationError(f"joint cell masses must be nonnegative, min {low!r}")
-        # A fresh clamped copy: the source may be a caller's matrix.
-        return np.maximum(rows, 0.0) if low < 0.0 else rows
+        """Rows ``a:b`` stacked into a new (b - a) x n array."""
+        block = np.empty((b - a, self.ncells))
+        for k, row in enumerate(self.rows(a, b)):
+            block[k] = row
+        return block
 
 
 def integrated_tails(model: SeverityModel) -> IntegratedTails:
@@ -533,13 +534,13 @@ def sum_distribution(joint: JointGridded, chunk: int = 256) -> Gridded:
     introduced and the mean of the result equals the sum of the marginal
     means exactly.
 
-    The lattice is walked in blocks of ``_ROW_BLOCK`` rows, small enough
-    to stay in cache.  Row i is one shifted slice-add into a buffer for
-    its ``chunk`` of rows (its anti-diagonals start at offset i), and
-    each buffer is added into the result once, in chunk order: every
-    lattice point is summed row by row within a chunk, then chunk by
-    chunk.  The chunks are jobs of :func:`lundberg._pool.map`, in forked
-    workers from 10^7 cells on; each buffer is added as it arrives.
+    The lattice is streamed one row at a time, so the working set stays
+    a few rows.  Row i is one shifted slice-add into a buffer for its
+    ``chunk`` of rows (its anti-diagonals start at offset i), and each
+    buffer is added into the result once, in chunk order: every lattice
+    point is summed row by row within a chunk, then chunk by chunk.  The
+    chunks are jobs of :func:`lundberg._pool.map`, in forked workers
+    from 10^7 cells on; each buffer is added as it arrives.
     """
     n = joint.ncells
     h = joint.step
@@ -547,9 +548,8 @@ def sum_distribution(joint: JointGridded, chunk: int = 256) -> Gridded:
     def chunk_sum(a):
         b = min(a + chunk, n)
         acc = np.zeros(b - a + n - 1)
-        for r in range(a, b, _ROW_BLOCK):
-            for i, row in enumerate(joint.row_masses(r, min(r + _ROW_BLOCK, b)), r - a):
-                acc[i : i + n] += row
+        for i, row in enumerate(joint.rows(a, b)):
+            acc[i : i + n] += row
         return acc
 
     out = np.zeros(2 * n - 1)

@@ -181,7 +181,11 @@ class Decomposition:
         # The lattice may use its own (coarser) step and a shorter tail,
         # since the summed severity carries a small mixture weight; with
         # the defaults it shares the component grid and the consistency
-        # identities are exact.
+        # identities are exact.  Lattice row i is the column difference of
+        # the corner rows C(e1[i+1], e2) - C(e1[i], e2).  A chunk's rows
+        # are streamed one at a time through a few buffers that stay in
+        # cache, carrying the previous corner row, so each corner row is
+        # evaluated once (and once more where a chunk starts).
         joint_step = grid_step if joint_step is None else joint_step
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
         nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
@@ -190,23 +194,30 @@ class Decomposition:
         e1[-1] = 0.0
         e2[-1] = 0.0
         harmonic = levy.omega == 1.0
-        zero2 = np.flatnonzero(e2 == 0.0)
 
-        def row_masses(a: int, b: int) -> np.ndarray:
-            rows = e1[a : b + 1][:, None]
-            if harmonic:
-                # rows*e2/(rows+e2) in place; 0 where both tails are 0.
-                block = rows * e2
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    block /= rows + e2
-                block[np.ix_(np.flatnonzero(rows[:, 0] == 0.0), zero2)] = 0.0
-            else:
-                block = np.asarray(levy.cdf(rows, e2[None, :]), dtype=float)
-            rect = np.diff(np.diff(block, axis=0), axis=1)
-            rect /= lam_both
-            return np.maximum(rect, 0.0, out=rect)
+        def rows(a: int, b: int):
+            corners = np.empty(nj + 1), np.empty(nj + 1)
+            d0 = np.empty(nj + 1)
+            upper, lower = d0[1:], d0[:-1]
+            rect = np.empty(nj)
+            for k, x in enumerate(e1[a : b + 1].tolist()):
+                if not harmonic:
+                    high = np.asarray(levy.cdf(x, e2), dtype=float)
+                elif x == 0.0:
+                    # x*e2/(x+e2) is 0, and 0 (not 0/0) where both tails are 0.
+                    high = corners[k % 2]
+                    high.fill(0.0)
+                else:
+                    high = np.multiply(x, e2, out=corners[k % 2])
+                    high /= np.add(x, e2, out=d0)
+                if k:
+                    np.subtract(high, low, out=d0)
+                    np.subtract(upper, lower, out=rect)
+                    rect /= lam_both
+                    yield np.maximum(rect, 0.0, out=rect)
+                low = high
 
-        self.joint_both = JointGridded(jnodes, row_masses)
+        self.joint_both = JointGridded(jnodes, rows)
         self.sev_sum_both = sum_distribution(self.joint_both)
 
     def _extent(self, tail_mass: float) -> float:

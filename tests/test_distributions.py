@@ -248,7 +248,7 @@ def test_sum_distribution_diagonal_pair_is_doubled_claim():
     sf = np.exp(-nodes)
     masses = -np.diff(sf)
     masses[-1] += sf[-1]
-    joint = JointGridded.from_matrix(nodes, np.diag(masses))
+    joint = joint_from_matrix(nodes, np.diag(masses))
     doubled = sum_distribution(joint)
     single = lb.Gridded.from_survival(nodes, sf)
     xs = np.linspace(0.0, 20.0, 41)
@@ -259,7 +259,7 @@ def test_sum_distribution_point_masses():
     nodes = np.linspace(0.0, 10.0, 11)
     matrix = np.zeros((10, 10))
     matrix[2, 4] = 1.0  # atoms at 3 and 5
-    joint = JointGridded.from_matrix(nodes, matrix)
+    joint = joint_from_matrix(nodes, matrix)
     total = sum_distribution(joint)
     assert_allclose(total.mean, 8.0, atol=1e-12)
     assert total.cdf(7.999) == 0.0
@@ -288,6 +288,12 @@ def test_sum_distribution_against_pair_sampling_oracle(decomposition):
         p_grid = float(decomposition.sev_sum_both.cdf(x))
         tol = 3.0 * np.sqrt(max(p_emp * (1 - p_emp), 0.05) / n) + 2e-3
         assert abs(p_emp - p_grid) < tol, (x, p_emp, p_grid)
+
+
+def joint_from_matrix(nodes, matrix):
+    """A joint lattice that streams the rows of a whole cell-mass matrix."""
+    matrix = np.asarray(matrix, dtype=float)
+    return JointGridded(nodes, lambda a, b: matrix[a:b])
 
 
 def marginal_masses(joint, chunk=256):
@@ -319,7 +325,7 @@ def _random_lattice(n, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
     matrix[rng.integers(n), rng.integers(n)] += 1.0  # never all zero
-    return JointGridded.from_matrix(0.5 * np.arange(n + 1), matrix / matrix.sum())
+    return joint_from_matrix(0.5 * np.arange(n + 1), matrix / matrix.sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,7 +351,7 @@ def test_sum_distribution_rejects_negative_cell():
     matrix = joint.row_masses(0, 20).copy()
     matrix[7, 11] = -1e-9
     with pytest.raises(ValidationError, match="nonnegative"):
-        sum_distribution(JointGridded.from_matrix(joint.nodes, matrix))
+        sum_distribution(joint_from_matrix(joint.nodes, matrix))
 
 
 def test_sum_distribution_is_the_same_bytes_in_every_pool_mode(pool_modes):
@@ -367,7 +373,7 @@ def test_negative_cell_found_in_a_worker_reaches_the_caller(monkeypatch):
     matrix = joint.row_masses(0, 40).copy()
     matrix[29, 11] = -1e-9  # in the fourth chunk of 8 rows
     with pytest.raises(ValidationError, match=r"nonnegative, min .*-1e-09") as info:
-        sum_distribution(JointGridded.from_matrix(joint.nodes, matrix), chunk=8)
+        sum_distribution(joint_from_matrix(joint.nodes, matrix), chunk=8)
     assert isinstance(info.value.__cause__, _RemoteTraceback)
 
 
@@ -376,16 +382,16 @@ def test_sum_distribution_clamps_float_dust_without_touching_the_input():
     matrix = joint.row_masses(0, 20).copy()
     i, j = np.argwhere(matrix == 0.0)[0]
     matrix[i, j] = -1e-13
-    total = sum_distribution(JointGridded.from_matrix(joint.nodes, matrix))
+    total = sum_distribution(joint_from_matrix(joint.nodes, matrix))
     assert matrix[i, j] == -1e-13
     clamped = np.maximum(matrix, 0.0)
-    expected = reference_sum_distribution(JointGridded.from_matrix(joint.nodes, clamped))
+    expected = reference_sum_distribution(joint_from_matrix(joint.nodes, clamped))
     assert np.array_equal(total.masses, expected.masses)
 
 
 def test_joint_grid_requires_uniform_nodes():
     with pytest.raises(ValidationError):
-        JointGridded.from_matrix(np.array([0.0, 1.0, 3.0]), np.zeros((2, 2)))
+        joint_from_matrix(np.array([0.0, 1.0, 3.0]), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

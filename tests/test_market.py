@@ -1,13 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import lundberg as lb
+from lundberg import _pool
 from lundberg.demand import AcquisitionShares
+from lundberg.distributions import sum_distribution
 from lundberg.errors import ValidationError
 from lundberg.market import _company_claim_model
 from lundberg.simulate import _CHUNK, _StreamSampler, _block_rng
-from test_distributions import marginal_masses, reference_sum_distribution
+from test_distributions import joint_from_matrix, marginal_masses, reference_sum_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +118,54 @@ def _reference_joint(dec):
     else:
         block = np.asarray(levy.cdf(rows, e2[None, :]), dtype=float)
     rect = np.diff(np.diff(block, axis=0), axis=1) / dec.lambda_both
-    return lb.JointGridded.from_matrix(jnodes, np.maximum(rect, 0.0))
+    return joint_from_matrix(jnodes, np.maximum(rect, 0.0))
 
 
-@pytest.mark.parametrize("omega", [1.0, 2.5])
-def test_summed_simultaneous_claim_is_bit_identical_to_reference(omega):
+def _lattice_market(omega):
     risk1 = lb.CompoundPoissonSpec(800.0, lb.Gamma(2.0, 500.0))
     risk2 = lb.CompoundPoissonSpec(500.0, lb.Exponential(700.0))
-    market = lb.MarketSpec(risk1, risk2, lb.ClaytonLevyCopula(omega))
-    dec = lb.decompose(market, grid_step=40.0)
-    assert dec.joint_both.ncells % 8 != 0
+    return lb.MarketSpec(risk1, risk2, lb.ClaytonLevyCopula(omega))
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.5])
+def test_summed_simultaneous_claim_is_bit_identical_to_reference(omega):
+    dec = lb.decompose(_lattice_market(omega), grid_step=40.0)
+    assert dec.joint_both.ncells > 256 and dec.joint_both.ncells % 256 != 0  # two chunks
     expected = reference_sum_distribution(_reference_joint(dec))
     assert np.array_equal(dec.sev_sum_both.masses, expected.masses)
     assert np.array_equal(dec.sev_sum_both.atoms, expected.atoms)
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0])
+def test_summed_simultaneous_claim_is_the_same_bytes_in_every_pool_mode(omega, pool_modes,
+                                                                        monkeypatch):
+    # 37 rows per chunk, which leaves a short last chunk: every chunk, in a
+    # worker or not, restarts its carried corner row
+    monkeypatch.setattr("lundberg.market.sum_distribution",
+                        functools.partial(sum_distribution, chunk=37))
+    runs = pool_modes(lambda: lb.decompose(_lattice_market(omega), grid_step=40.0))
+    assert runs[0].joint_both.ncells % 37 != 0
+    expected = reference_sum_distribution(_reference_joint(runs[0]), chunk=37)
+    for run in runs:
+        assert np.array_equal(run.sev_sum_both.masses, expected.masses)
+        assert np.array_equal(run.sev_sum_both.atoms, expected.atoms)
+
+
+def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
+    dec = lb.decompose(_lattice_market(2.5), grid_step=40.0)
+    cells = []
+    cdf = lb.ClaytonLevyCopula.cdf
+
+    def counted(self, x, y):
+        cells.append(np.broadcast(np.asarray(x), np.asarray(y)).size)
+        return cdf(self, x, y)
+
+    monkeypatch.setattr(lb.ClaytonLevyCopula, "cdf", counted)
+    monkeypatch.setattr(_pool, "_MIN_WORK", float("inf"))  # every chunk in this process
+    n, chunk = dec.joint_both.ncells, 37
+    sum_distribution(dec.joint_both, chunk=chunk)
+    chunks = -(-n // chunk)
+    assert 0 < sum(cells) <= (n + chunks) * (n + 1)
 
 
 def test_degenerate_complete_dependence(gamma_severity):
