@@ -36,6 +36,7 @@ from .errors import AccuracyError, ConfigError, InstabilityError, LundbergError,
 from .market import _premium_rate, company_exposure, decompose
 from .copulas import make_ordinary
 from .optimize import (
+    _loading_grid,
     _sweep_argmin,
     company_ruin_at,
     optimize_joint_profit,
@@ -45,7 +46,7 @@ from .optimize import (
     sweep_single_loading,
     weighted_average_loading,
 )
-from .presets import figure_config, preset_names
+from .presets import figure_config
 from .ruin import RuinCurve, SolverConfig, solve_series, solve_survival
 from .simulate import SimConfig, simulate_bivariate_market, simulate_ruin
 
@@ -129,7 +130,7 @@ def cmd_solve(args) -> int:
         extra["loading"] = theta
     else:
         market = cfg.market()
-        decomposition = decompose(market, cfg.solver.grid_step)
+        decomposition = decompose(market, solver.grid_step)
         exposure = company_exposure(
             market, _company_shares(cfg), tuple(cfg.loadings), tuple(cfg.demands), tuple(cfg.reserves),
             decomposition=decomposition,
@@ -263,7 +264,7 @@ def _write_sweep(path, thetas, profit, ruin, feasible, reserves):
 def _reproduce_single(name, cfg, out, sweep_step, grid_step):
     risk, demand = cfg.risks[0], cfg.demands[0]
     reserves = sorted(cfg.reserves)
-    thetas = np.arange(0.05, 1.0 + sweep_step / 2, sweep_step)
+    thetas = _loading_grid(0.05, 1.0, sweep_step)
     sweep = sweep_single_loading(demand, risk.intensity, risk.severity, cfg.reserves, thetas, grid_step)
     ruin = np.column_stack([sweep["ruin"][r] for r in reserves])
     best = _write_sweep(out / f"{name}_sweep.csv", sweep["theta"], sweep["profit"], ruin,
@@ -283,7 +284,7 @@ def _reproduce_common(name, cfg, out, sweep_step, grid_step, acquisition=None, l
     market = cfg.market()
     if decomposition is None:
         decomposition = decompose(market, grid_step)
-    thetas = np.arange(0.05, 1.0 + sweep_step / 2, sweep_step)
+    thetas = _loading_grid(0.05, 1.0, sweep_step)
     reserves = sorted(cfg.reserves)
     ruin, profit, feasible = company_ruin_at(
         market, tuple(cfg.demands), acquisition or cfg.acquisition, reserves,
@@ -295,12 +296,7 @@ def _reproduce_common(name, cfg, out, sweep_step, grid_step, acquisition=None, l
 
 def cmd_reproduce(args) -> int:
     name = args.figure
-    try:
-        raw = figure_config(name)
-    except ConfigError:
-        raise ConfigError(
-            f"unknown figure {name!r}; known: {', '.join(n for n in preset_names())}", field="figure"
-        )
+    raw = figure_config(name)
     cfg = parse_config(raw)
     out = _out_dir(args) / name
     sweep_step = args.sweep_step or (0.005 if name.startswith(("fig1", "fig2")) else 0.01)
@@ -332,13 +328,13 @@ def cmd_reproduce(args) -> int:
         decomposition = decompose(market, grid_step)
         res = optimize_joint_ruin(
             market, demands, cfg.acquisition, reserve, mode="separate", grid_step=grid_step,
-            sweep_step=args.sweep_step or 0.01, decomposition=decomposition,
+            sweep_step=sweep_step, decomposition=decomposition,
         )
         profit_res = optimize_joint_profit(
             demands, (market.risk1.intensity, market.risk2.intensity),
             (market.risk1.severity.mean, market.risk2.severity.mean), mode="separate",
         )
-        thetas = np.arange(0.2, 0.6 + 1e-9, args.sweep_step or 0.01)
+        thetas = _loading_grid(0.2, 0.6, sweep_step)
         pairs = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
         ruin, profit, _ = company_ruin_at(
             market, demands, cfg.acquisition, reserve, pairs, grid_step, decomposition
@@ -350,7 +346,7 @@ def cmd_reproduce(args) -> int:
             "grid_optimum": list(res.grid_loading),
             "profit_optimum": list(profit_res.loading),
         }
-    elif name == "fig6":
+    else:  # fig6
         decomposition = decompose(cfg.market(), grid_step)
         acquisitions = {"independent": ("_independent", make_ordinary("independence"))}
         for family in ("clayton", "gumbel"):
@@ -361,8 +357,6 @@ def cmd_reproduce(args) -> int:
                                    label=label, decomposition=decomposition)
             for key, (label, acq) in acquisitions.items()
         }
-    else:
-        raise ConfigError(f"unknown figure {name!r}", field="figure")
 
     write_json(out / "summary.json", summary)
     print(f"wrote {out / 'summary.json'}")

@@ -442,23 +442,20 @@ class JointGridded:
     """Cell masses of a dependent claim pair on a shared uniform grid.
 
     Large grids are never materialized: ``rows(a, b)`` streams rows
-    ``a:b`` of the (n x n) cell-mass matrix, where row i and column j
-    hold the mass of the rectangle (nodes[i], nodes[i+1]] x (nodes[j],
-    nodes[j+1]], assigned to the upper-right corner.  The ``rows``
-    callable given at construction yields them as 1-D arrays and may
-    reuse one buffer for every row.
+    ``a:b`` of the (ncells x ncells) cell-mass matrix, where row i and
+    column j hold the mass of the rectangle (i*step, (i+1)*step] x
+    (j*step, (j+1)*step], assigned to the upper-right corner.  The
+    ``rows`` callable given at construction yields them as 1-D arrays
+    and may reuse one buffer for every row.
     """
 
-    def __init__(self, nodes: np.ndarray, rows: Callable[[int, int], Iterable[np.ndarray]]):
-        nodes = np.asarray(nodes, dtype=float)
-        if nodes.size < 2 or nodes[0] != 0.0:
-            raise ValidationError("joint grid must start at 0 with at least one cell")
-        steps = np.diff(nodes)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValidationError("joint grid must be uniform")
-        self.nodes = nodes
-        self.step = float(steps[0])
-        self.ncells = nodes.size - 1
+    def __init__(self, step: float, ncells: int, rows: Callable[[int, int], Iterable[np.ndarray]]):
+        if not 0 < step < np.inf:
+            raise ValidationError(f"joint grid step must be positive and finite, got {step}")
+        if ncells < 1:
+            raise ValidationError(f"joint grid needs at least one cell, got {ncells}")
+        self.step = float(step)
+        self.ncells = int(ncells)
         self._rows = rows
 
     def rows(self, a: int, b: int) -> Iterator[np.ndarray]:
@@ -470,13 +467,6 @@ class JointGridded:
                 raise ValidationError(f"joint cell masses must be nonnegative, min {low!r}")
             # A fresh clamped copy: the source may be a caller's matrix.
             yield np.maximum(row, 0.0) if low < 0.0 else row
-
-    def row_masses(self, a: int, b: int) -> np.ndarray:
-        """Rows ``a:b`` stacked into a new (b - a) x n array."""
-        block = np.empty((b - a, self.ncells))
-        for k, row in enumerate(self.rows(a, b)):
-            block[k] = row
-        return block
 
 
 def integrated_tails(model: SeverityModel) -> IntegratedTails:

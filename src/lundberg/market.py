@@ -189,8 +189,7 @@ class Decomposition:
         joint_step = grid_step if joint_step is None else joint_step
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
         nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
-        jnodes = joint_step * np.arange(nj + 1)
-        e1, e2 = self._tail_integrals(jnodes)
+        e1, e2 = self._tail_integrals(joint_step * np.arange(nj + 1))
         e1[-1] = 0.0
         e2[-1] = 0.0
         harmonic = levy.omega == 1.0
@@ -217,7 +216,7 @@ class Decomposition:
                     yield np.maximum(rect, 0.0, out=rect)
                 low = high
 
-        self.joint_both = JointGridded(jnodes, rows)
+        self.joint_both = JointGridded(joint_step, nj, rows)
         self.sev_sum_both = sum_distribution(self.joint_both)
 
     def _extent(self, tail_mass: float) -> float:
@@ -344,19 +343,13 @@ class CompanyExposure:
     reserve: float
     intensity_indep: float
     severity_indep: SeverityModel
-    shares: AcquisitionShares
     lambda_both: float
     loadings: tuple
-    market: MarketSpec
-
-    @property
-    def mean_claim_rate(self) -> float:
-        return self.intensity * self.severity.mean
 
     @property
     def expected_profit(self) -> float:
         """Expected profit per unit time, net of fixed costs."""
-        return self.premium_rate - self.mean_claim_rate
+        return self.premium_rate - self.intensity * self.severity.mean
 
 
 def _company_streams(decomp: Decomposition, p1, p2, only1, only2, both):
@@ -418,8 +411,7 @@ def company_exposure(
     loadings: tuple,
     demands: tuple[DemandSpec, DemandSpec],
     reserves: tuple,
-    decomposition: Decomposition | None = None,
-    grid_step: float = None,
+    decomposition: Decomposition,
 ) -> CompanyExposure:
     """Build the company claim model, premium rate, and reserve.
 
@@ -430,11 +422,8 @@ def company_exposure(
     per-risk demand premiums at the given loadings; the reserve adds the
     two per-risk reserves.  The marginal-only approximation (hat model)
     is carried alongside; both have the same mean claim rate.
+    ``decomposition`` is the market's :func:`decompose` on the solver grid.
     """
-    if decomposition is None:
-        if grid_step is None:
-            raise ValidationError("company_exposure needs a decomposition or a grid step")
-        decomposition = decompose(market, grid_step)
     theta1, theta2 = loadings
     lam_tilde, sev_tilde, lam_hat, sev_hat = _company_claim_model(decomposition, shares)
     premium = float(_premium_rate(market, demands, theta1, theta2))
@@ -448,8 +437,6 @@ def company_exposure(
         reserve=reserve,
         intensity_indep=lam_hat,
         severity_indep=sev_hat,
-        shares=shares,
         lambda_both=decomposition.lambda_both,
         loadings=(float(theta1), float(theta2)),
-        market=market,
     )

@@ -168,6 +168,15 @@ def weighted_average_loading(theta1: float, theta2: float, p1_ref: float, p2_ref
     return (theta1 * p1_ref + theta2 * p2_ref) / (p1_ref + p2_ref)
 
 
+def _loading_grid(low: float, high: float, step: float) -> np.ndarray:
+    """Loadings ``low, low + step, ...`` as ``np.arange`` spaces them, none past ``high``.
+
+    A step that divides the box ends on ``high`` (within 1e-9 of a step);
+    any other step ends at the last loading below it.
+    """
+    return np.arange(low, high + step / 2, step)[: int((high - low) / step + 1e-9) + 1]
+
+
 def _sweep_argmin(ruin: np.ndarray, feasible: np.ndarray):
     """Row of the smallest feasible, finite value in each column of ``ruin``; the first wins a tie.
 
@@ -316,7 +325,7 @@ def optimize_joint_ruin(
         raise ValidationError(f"mode must be 'common' or 'separate', got {mode}")
     if decomposition is None:
         decomposition = decompose(market, grid_step)
-    thetas = np.arange(box[0], box[1] + sweep_step / 2, sweep_step)
+    thetas = _loading_grid(*box, sweep_step)
     if mode == "common":
         free, names = thetas[:, None], ["theta"]
     else:

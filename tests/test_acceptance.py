@@ -191,7 +191,7 @@ def test_criterion_09_solver_simulator_agreement(
     c1 = float(d1.premium_rate(800.0, 1000.0, 0.435))
     single = solve_survival(lam1, lb.Gamma(2.0, 500.0), c1, cfg)
     exp_i = lb.company_exposure(indep_market, shares_at_04, (0.4, 0.4), demands, (0.0,),
-                                grid_step=GRID_STEP)
+                                decomposition=lb.decompose(indep_market, GRID_STEP))
     curve_i = solve_survival(exp_i.intensity, exp_i.severity, exp_i.premium_rate, cfg)
     exp_d = lb.company_exposure(dep_market, shares_at_04, (0.4, 0.4), demands, (0.0,),
                                 decomposition=fine_decomposition)

@@ -70,6 +70,17 @@ def test_solve_two_risk_company_model(two_risk_config, tmp_path):
     assert header.startswith("x,sf_only1")
 
 
+def test_solve_two_risk_decomposes_at_the_requested_grid_step(two_risk_config, tmp_path):
+    # the config's step is 2; the market must be discretized on the solver's grid
+    out = tmp_path / "out"
+    assert main(["solve", str(two_risk_config), "--out-dir", str(out), "--grid-step", "40",
+                 "--dump-decomposition"]) == 0
+    rows = (out / "ruin_curve_decomposition.csv").read_text().splitlines()[1:]
+    x = np.array([float(row.split(",")[0]) for row in rows])
+    assert x.size > 2
+    assert np.array_equal(x, 40.0 * np.arange(x.size))
+
+
 def test_solve_series_solver_flag(fig1_config, tmp_path):
     out = tmp_path / "out"
     rc = main(["solve", str(fig1_config), "--out-dir", str(out), "--solver", "series",
@@ -329,8 +340,10 @@ def test_series_accuracy_failure_exits_4(fig1_config, tmp_path):
     assert main(["solve", str(path), "--solver", "series", "--out-dir", str(tmp_path)]) == 4
 
 
-def test_reproduce_unknown_figure(tmp_path):
+def test_reproduce_unknown_figure(tmp_path, capsys):
     assert main(["reproduce", "fig99", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'fig99'" in err and f"known: {', '.join(preset_names())}" in err
 
 
 # ---------------------------------------------------------------------------

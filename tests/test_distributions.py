@@ -248,7 +248,7 @@ def test_sum_distribution_diagonal_pair_is_doubled_claim():
     sf = np.exp(-nodes)
     masses = -np.diff(sf)
     masses[-1] += sf[-1]
-    joint = joint_from_matrix(nodes, np.diag(masses))
+    joint = joint_from_matrix(nodes[1], np.diag(masses))
     doubled = sum_distribution(joint)
     single = lb.Gridded.from_survival(nodes, sf)
     xs = np.linspace(0.0, 20.0, 41)
@@ -256,10 +256,9 @@ def test_sum_distribution_diagonal_pair_is_doubled_claim():
 
 
 def test_sum_distribution_point_masses():
-    nodes = np.linspace(0.0, 10.0, 11)
     matrix = np.zeros((10, 10))
     matrix[2, 4] = 1.0  # atoms at 3 and 5
-    joint = joint_from_matrix(nodes, matrix)
+    joint = joint_from_matrix(1.0, matrix)
     total = sum_distribution(joint)
     assert_allclose(total.mean, 8.0, atol=1e-12)
     assert total.cdf(7.999) == 0.0
@@ -290,10 +289,18 @@ def test_sum_distribution_against_pair_sampling_oracle(decomposition):
         assert abs(p_emp - p_grid) < tol, (x, p_emp, p_grid)
 
 
-def joint_from_matrix(nodes, matrix):
-    """A joint lattice that streams the rows of a whole cell-mass matrix."""
+def joint_from_matrix(step, matrix):
+    """A joint lattice of grid step ``step`` that streams the rows of a whole cell-mass matrix."""
     matrix = np.asarray(matrix, dtype=float)
-    return JointGridded(nodes, lambda a, b: matrix[a:b])
+    return JointGridded(step, matrix.shape[0], lambda a, b: matrix[a:b])
+
+
+def row_masses(joint, a, b):
+    """Rows ``a:b`` of the lattice stacked into a new (b - a) x n array."""
+    block = np.empty((b - a, joint.ncells))
+    for k, row in enumerate(joint.rows(a, b)):
+        block[k] = row
+    return block
 
 
 def marginal_masses(joint, chunk=256):
@@ -302,7 +309,7 @@ def marginal_masses(joint, chunk=256):
     m2 = np.zeros(joint.ncells)
     for a in range(0, joint.ncells, chunk):
         b = min(a + chunk, joint.ncells)
-        rows = joint.row_masses(a, b)
+        rows = row_masses(joint, a, b)
         m1[a:b] = rows.sum(axis=1)
         m2 += rows.sum(axis=0)
     return m1, m2
@@ -315,7 +322,7 @@ def reference_sum_distribution(joint, chunk=256):
     cols = np.arange(n)
     for a in range(0, n, chunk):
         b = min(a + chunk, n)
-        rows = joint.row_masses(a, b)
+        rows = row_masses(joint, a, b)
         idx = (np.arange(a, b)[:, None] + cols[None, :]).ravel()
         out += np.bincount(idx, weights=rows.ravel(), minlength=2 * n - 1)
     return lb.Gridded(joint.step * np.arange(2, 2 * n + 1), out)
@@ -325,7 +332,7 @@ def _random_lattice(n, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
     matrix[rng.integers(n), rng.integers(n)] += 1.0  # never all zero
-    return joint_from_matrix(0.5 * np.arange(n + 1), matrix / matrix.sum())
+    return joint_from_matrix(0.5, matrix / matrix.sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,10 +355,10 @@ def test_sum_distribution_matches_bincount_reference_bit_for_bit(n, chunk, seed)
 
 def test_sum_distribution_rejects_negative_cell():
     joint = _random_lattice(20, 5)
-    matrix = joint.row_masses(0, 20).copy()
+    matrix = row_masses(joint, 0, 20)
     matrix[7, 11] = -1e-9
     with pytest.raises(ValidationError, match="nonnegative"):
-        sum_distribution(joint_from_matrix(joint.nodes, matrix))
+        sum_distribution(joint_from_matrix(joint.step, matrix))
 
 
 def test_sum_distribution_is_the_same_bytes_in_every_pool_mode(pool_modes):
@@ -370,28 +377,31 @@ def test_negative_cell_found_in_a_worker_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(_pool, "_MIN_WORK", 0)
     monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
     joint = _random_lattice(40, 5)
-    matrix = joint.row_masses(0, 40).copy()
+    matrix = row_masses(joint, 0, 40)
     matrix[29, 11] = -1e-9  # in the fourth chunk of 8 rows
     with pytest.raises(ValidationError, match=r"nonnegative, min .*-1e-09") as info:
-        sum_distribution(joint_from_matrix(joint.nodes, matrix), chunk=8)
+        sum_distribution(joint_from_matrix(joint.step, matrix), chunk=8)
     assert isinstance(info.value.__cause__, _RemoteTraceback)
 
 
 def test_sum_distribution_clamps_float_dust_without_touching_the_input():
     joint = _random_lattice(20, 6)
-    matrix = joint.row_masses(0, 20).copy()
+    matrix = row_masses(joint, 0, 20)
     i, j = np.argwhere(matrix == 0.0)[0]
     matrix[i, j] = -1e-13
-    total = sum_distribution(joint_from_matrix(joint.nodes, matrix))
+    total = sum_distribution(joint_from_matrix(joint.step, matrix))
     assert matrix[i, j] == -1e-13
     clamped = np.maximum(matrix, 0.0)
-    expected = reference_sum_distribution(joint_from_matrix(joint.nodes, clamped))
+    expected = reference_sum_distribution(joint_from_matrix(joint.step, clamped))
     assert np.array_equal(total.masses, expected.masses)
 
 
-def test_joint_grid_requires_uniform_nodes():
-    with pytest.raises(ValidationError):
-        joint_from_matrix(np.array([0.0, 1.0, 3.0]), np.zeros((2, 2)))
+def test_joint_grid_requires_a_positive_step_and_a_cell():
+    for step in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="step must be positive and finite"):
+            joint_from_matrix(step, np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="at least one cell"):
+        joint_from_matrix(1.0, np.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------------------

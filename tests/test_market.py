@@ -21,7 +21,7 @@ from test_distributions import joint_from_matrix, marginal_masses, reference_sum
 def _aggregate(risk1, risk2, demands):
     market = lb.MarketSpec(risk1, risk2, None)
     return lb.company_exposure(market, AcquisitionShares.monopoly(), (0.4, 0.4), demands,
-                               (0.0,), grid_step=2.0)
+                               (0.0,), decomposition=lb.decompose(market, 2.0))
 
 
 def test_aggregate_single_is_identity(gamma_severity, demands):
@@ -106,7 +106,8 @@ def test_joint_marginals_match_component_masses(decomposition):
 def _reference_joint(dec):
     """The whole joint lattice, from the where-guarded corner formula."""
     market, levy = dec.market, dec.market.levy
-    jnodes = dec.joint_both.nodes
+    joint = dec.joint_both
+    jnodes = joint.step * np.arange(joint.ncells + 1)
     e1 = np.asarray(market.risk1.tail_integral(jnodes), dtype=float)
     e2 = np.asarray(market.risk2.tail_integral(jnodes), dtype=float)
     e1[-1] = 0.0
@@ -118,7 +119,7 @@ def _reference_joint(dec):
     else:
         block = np.asarray(levy.cdf(rows, e2[None, :]), dtype=float)
     rect = np.diff(np.diff(block, axis=0), axis=1) / dec.lambda_both
-    return joint_from_matrix(jnodes, np.maximum(rect, 0.0))
+    return joint_from_matrix(joint.step, np.maximum(rect, 0.0))
 
 
 def _lattice_market(omega):
@@ -221,7 +222,8 @@ def test_no_joint_clients_reduces_to_marginal_model(dep_market, decomposition, d
 
 def test_independent_market_mixture(indep_market, demands, shares_at_04):
     exposure = lb.company_exposure(
-        indep_market, shares_at_04, (0.4, 0.4), demands, (5000.0,), grid_step=2.0,
+        indep_market, shares_at_04, (0.4, 0.4), demands, (5000.0,),
+        decomposition=lb.decompose(indep_market, 2.0),
     )
     lam_expected = shares_at_04.p1 * 800.0 + shares_at_04.p2 * 800.0
     assert exposure.intensity == pytest.approx(lam_expected, rel=1e-12)

@@ -2,12 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lundberg as lb
 from lundberg.copulas import make_ordinary
 from lundberg.errors import ValidationError
 from lundberg.optimize import (
+    _loading_grid,
     company_ruin_at,
     joint_expected_profit,
     optimize_joint_profit,
@@ -296,6 +299,43 @@ def test_sweeps_reject_invalid_reserves_and_grid_steps(gamma_severity, indep_mar
 def test_joint_ruin_rejects_an_invalid_grid_step(indep_market, demands):
     with pytest.raises(ValidationError):
         optimize_joint_ruin(indep_market, demands, lb.IndependenceCopula(), 1000.0, grid_step=0.0)
+
+
+# ---------------------------------------------------------------------------
+# loading grids
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(low=st.floats(0.0, 2.0), high=st.floats(0.0, 4.0), step=st.floats(1e-3, 1.0))
+@example(low=0.05, high=1.0, step=0.03)
+@example(low=0.05, high=1.0, step=0.07)
+@example(low=0.05, high=1.0, step=0.005)
+@example(low=0.2, high=0.6, step=0.01)
+@example(low=0.2, high=0.6, step=0.03)
+@example(low=0.2, high=0.6, step=0.07)
+def test_loading_grid_starts_at_low_and_never_passes_high(low, high, step):
+    if high < low:
+        low, high = high, low
+    grid = _loading_grid(low, high, step)
+    assert grid[0] == low
+    assert grid[-1] <= high + 1e-9 * step
+    spaced = np.arange(low, high + step / 2, step)
+    if spaced[-1] <= high + 1e-9 * step:
+        assert np.array_equal(grid, spaced)
+
+
+@pytest.mark.parametrize("box", [(0.2, 0.6), (0.2, 0.38)])
+def test_joint_ruin_sweep_stays_inside_a_box_that_its_step_does_not_divide(dep_market, demands,
+                                                                           box):
+    # at step 0.07 the loadings 0.62 and 0.41 lie beyond these boxes; (0.2, 0.38) ends below
+    # the optimum near 0.4, where the sweep's argmin is its last loading
+    res = optimize_joint_ruin(
+        dep_market, demands, lb.ClaytonCopula(0.5), 2000.0, mode="common", grid_step=25.0,
+        box=box, sweep_step=0.07, decomposition=lb.decompose(dep_market, 25.0),
+    )
+    assert box[0] <= res.sweep["theta"].min() and res.sweep["theta"].max() <= box[1]
+    assert box[0] <= res.grid_loading <= box[1]
+    assert box[0] <= res.loading <= box[1]
 
 
 # ---------------------------------------------------------------------------

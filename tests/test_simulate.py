@@ -161,7 +161,8 @@ def test_company_exposure_simulate_shortcut(dep_market, decomposition, demands, 
 
 def test_bivariate_reduces_to_aggregate_when_independent(indep_market, demands, shares_at_04):
     exposure = lb.company_exposure(
-        indep_market, shares_at_04, (0.4, 0.4), demands, (2000.0,), grid_step=2.0,
+        indep_market, shares_at_04, (0.4, 0.4), demands, (2000.0,),
+        decomposition=lb.decompose(indep_market, 2.0),
     )
     cfg = lb.SimConfig(paths=30_000, seed=10)
     via_streams = lb.simulate_bivariate_market(
