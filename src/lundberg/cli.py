@@ -299,8 +299,10 @@ def cmd_reproduce(args) -> int:
     raw = figure_config(name)
     cfg = parse_config(raw)
     out = _out_dir(args) / name
-    sweep_step = args.sweep_step or (0.005 if name.startswith(("fig1", "fig2")) else 0.01)
-    grid_step = args.grid_step or cfg.solver.grid_step
+    sweep_step = args.sweep_step
+    if sweep_step is None:
+        sweep_step = 0.005 if name.startswith(("fig1", "fig2")) else 0.01
+    grid_step = cfg.solver.grid_step if args.grid_step is None else args.grid_step
     summary = {"figure": name, "preset": raw}
 
     if name.startswith(("fig1", "fig2")):

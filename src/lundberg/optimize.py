@@ -172,8 +172,11 @@ def _loading_grid(low: float, high: float, step: float) -> np.ndarray:
     """Loadings ``low, low + step, ...`` as ``np.arange`` spaces them, none past ``high``.
 
     A step that divides the box ends on ``high`` (within 1e-9 of a step);
-    any other step ends at the last loading below it.
+    any other step ends at the last loading below it.  A step that is not
+    positive and finite raises ``ValidationError``.
     """
+    if not 0 < step < np.inf:
+        raise ValidationError(f"sweep step must be positive and finite, got {step}")
     return np.arange(low, high + step / 2, step)[: int((high - low) / step + 1e-9) + 1]
 
 
@@ -310,8 +313,12 @@ def optimize_joint_ruin(
 
     A coarse sweep over the search box locates the basin (plateau ties
     break toward the smallest loading); a bounded quasi-Newton refinement
-    with finite differences then polishes the argmin.  If the refinement
-    fails to converge the grid argmin is returned with a diagnostic flag.
+    with finite differences then polishes the argmin.  The refined point
+    is kept whenever its value is finite and at most the grid value plus
+    1e-12, whatever the optimizer's success flag says: its line search
+    can stop ``ABNORMAL`` at the objective's rounding floor after it has
+    found a better point.  Otherwise the grid argmin is returned, and the
+    diagnostic flag ``refined`` says which.
     Both modes search a vector of free loadings, one in common mode and
     two in separate mode (the row-major grid of the box), mapped to the
     loading pair (first, last).  Sweep and refinement solve on the reserve
@@ -319,7 +326,8 @@ def optimize_joint_ruin(
     ``decomposition`` is given.
 
     Raises:
-        ValidationError: if every point of the box violates net profit.
+        ValidationError: if every point of the box violates net profit,
+            or the sweep step is not positive and finite.
     """
     if mode not in ("common", "separate"):
         raise ValidationError(f"mode must be 'common' or 'separate', got {mode}")
@@ -358,7 +366,7 @@ def optimize_joint_ruin(
             bounds=[(max(box[0], v - span), min(box[1], v + span)) for v in x],
             options={"eps": 1e-3, "maxiter": 60, "ftol": 1e-12},
         )
-        if res.success and np.isfinite(res.fun) and res.fun <= grid_value + 1e-12:
+        if np.isfinite(res.fun) and res.fun <= grid_value + 1e-12:
             x, value, refined = res.x, float(res.fun), True
 
     t1, t2 = float(x[0]), float(x[-1])

@@ -12,11 +12,13 @@ Poisson surplus process ``u + c*t - S_t``:
   ``sbar``/``ssbar``, so the only approximation is the interpolation of
   ``Vbar`` itself.  The node equations form a lower-triangular Toeplitz
   system, i.e. a quotient of power series, which one kernel solves in
-  O(n log n) per curve by Newton iteration for the series inverse
-  (Brent & Kung 1978): :func:`_recursion_coefficients` builds its
+  O(n log n) per curve: Newton iteration for the series inverse (Brent &
+  Kung 1978) to half the nodes, then one Karp & Markstein (1997) step
+  for the whole quotient.  :func:`_recursion_coefficients` builds its
   per-component rows and :func:`survival_batch` solves any number of
-  curves together.  A single curve is a batch of one; the loading
-  sweeps of :mod:`lundberg.optimize` are batches of hundreds.
+  curves together, each row the same bits in any batch.  A single curve
+  is a batch of one; the loading sweeps of :mod:`lundberg.optimize` are
+  batches of hundreds.
 
 * :func:`solve_series` sums the Picard series of the equivalent fixed
   point equation V = alpha*(g + L V), where ``L`` is the tail
@@ -174,29 +176,67 @@ def survival_batch(a: np.ndarray, coefficients, n: int):
     With ``u[m] = Vbar(x_{m+1})`` the recursion is the lower-triangular
     Toeplitz system ``D(z) U(z) = B(z) mod z^n`` with ``D = denom - z AD(z)``
     and ``B`` the boundary-value term, so ``U = B / D`` as power series.
-    ``1 / D`` comes from Newton doubling ``G <- G - G (D G - 1)`` (Brent &
-    Kung 1978), each step a pair of FFT products along the rows, which
-    costs O(n log n) per row instead of the O(n^2) of node-by-node
-    elimination.  Rows never mix, so a failed row leaves the others
-    untouched.
+    Newton doubling ``G <- G - G (D G - 1)`` (Brent & Kung 1978) finds
+    ``G = 1 / D`` only to ``h = ceil(n/2)`` terms; each step takes both
+    of its products from one cyclic FFT length, the first as a middle
+    product (Hanrot, Quercia & Zimmermann 2004), and reuses the transform
+    of ``G``.  One Karp & Markstein (1997) step then gives all n terms of
+    the quotient: ``U_h = B G mod z^h`` and ``U = U_h + z^h G r`` with
+    ``r`` the terms h..n-1 of ``B - D U_h``.  That costs O(n log n) per
+    row, with no FFT longer than about n, instead of the O(n^2) of
+    node-by-node elimination.
+
+    Rows never mix, so a failed row leaves the others untouched, and
+    every row is the same bits in any batch: the component weighting is
+    a fixed-order sum (:func:`_weigh`) and the FFTs transform each row
+    alone.
     """
     w, d, v1, means = coefficients
-    v0 = 1.0 - a @ means
-    base = v0[:, None] * (1.0 + a @ w)  # boundary-value term of every node
-    dz = np.concatenate([1.0 - a @ v1[:, None], -(a @ d)], axis=1)
+    v0 = 1.0 - _weigh(a, means[:, None])[:, 0]
+    base = v0[:, None] * (1.0 + _weigh(a, w))  # boundary-value term of every node
+    dz = np.concatenate([1.0 - _weigh(a, v1[:, None]), -_weigh(a, d)], axis=1)
     dz[dz[:, 0] <= 0] = np.nan  # fails the row from node 1 on
+    h = (n + 1) // 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = 1.0 / dz[:, :1]
         k = 1
-        while k < n:
-            m = min(2 * k, n)
-            # D G = 1 mod z^k, so only its coefficients k..m-1 correct G
-            err = _series_product(dz[:, :m], g, m)[:, k:]
-            g = np.concatenate([g, -_series_product(g[:, : m - k], err, m - k)], axis=1)
+        while k < h:
+            m = min(2 * k, h)
+            size = next_fast_len(m, real=True)
+            fg = rfft(g, size, axis=1)
+            # D G = 1 mod z^k, so only its coefficients k..m-1 correct G; a cyclic
+            # length of at least m wraps the product's higher terms below k
+            err = _cyclic_product(dz[:, :m], fg, size)[:, k:m]
+            g = np.concatenate([g, -_cyclic_product(err, fg, size)[:, : m - k]], axis=1)
             k = m
-        vbar = np.concatenate([v0[:, None], _series_product(base, g, n)], axis=1)
+        size = next_fast_len(n, real=True)
+        fg = rfft(g, size, axis=1)
+        u = _cyclic_product(base[:, :h], fg, size)[:, :h]
+        if h < n:
+            # terms h..n-1 of D U_h: a length of at least n wraps its higher terms below h
+            r = base[:, h:] - _cyclic_product(dz, rfft(u, size, axis=1), size)[:, h:n]
+            u = np.concatenate([u, _cyclic_product(r, fg, size)[:, : n - h]], axis=1)
+        vbar = np.concatenate([v0[:, None], u], axis=1)
     ok = (vbar.min(axis=1) > -_NEGATIVE_TOL) & (vbar.max(axis=1) < 1.0 + _NEGATIVE_TOL)
     return vbar, ok
+
+
+def _weigh(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``a @ rows``, each value summed over the components in order.
+
+    ``np.einsum`` without ``optimize`` does not call BLAS: row by row of
+    ``a``, it adds each component's products into that output row in
+    component order, so a value is the same chain of products and sums
+    whichever rows share the call.  A BLAS product blocks the rows and
+    can round a row differently in another batch.  The kernel tests
+    check the batch invariance on the installed numpy.
+    """
+    return np.einsum("rk,kn->rn", a, rows)
+
+
+def _cyclic_product(p: np.ndarray, fq: np.ndarray, size: int) -> np.ndarray:
+    """Row-wise cyclic product, length ``size``, of ``p`` and the series whose rfft is ``fq``."""
+    return irfft(rfft(p, size, axis=1) * fq, size, axis=1)
 
 
 def _series_product(p: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:

@@ -229,7 +229,7 @@ _REPRODUCE_SHA256 = {
         "fig3_sweep_independent.csv":
             "03e4d5c6c2644a1f47f6c1884de7677f5270ebc40d9b6c61e4eca8fa753bf769",
         "summary.json":
-            "a79f05ca3ff1009a41cbd607cf73c25eb0bd40c57e6b302ae98d44f51807cfea",
+            "cd04749421155b870ad7c7dc92b4770f37d07e0c9e8c70e9619d9415a869bce6",
     },
     "fig3-omega05": {
         "fig3-omega05_sweep_dependent.csv":
@@ -237,19 +237,19 @@ _REPRODUCE_SHA256 = {
         "fig3-omega05_sweep_independent.csv":
             "03e4d5c6c2644a1f47f6c1884de7677f5270ebc40d9b6c61e4eca8fa753bf769",
         "summary.json":
-            "480b98146562bcc8b036f681409bb5af3c134407d186d202b8b11441895ab024",
+            "05f215e0cbd789d8370c86995e4919759fc3c8b9663da6cffaf58e5d0e7b0161",
     },
     "fig4": {
         "fig4_grid.csv":
             "076902eb39fb744a56dc5837cfd35b135f44b7be67233abeccb8ef4688fea132",
         "summary.json":
-            "391f4c60b904ba0d1ed952648a88c499b3fb950ca46b36ce1a565d80dc2b6715",
+            "e8fff2224cc9f6f1e62cafdbd60455b9346ce07038709aa3cc60cfd294bdf554",
     },
     "fig5": {
         "fig5_grid.csv":
             "a2f7a4c65f75ada76f9fb6a28347d64923444e8c7fac49699b9c0d83dc1d3157",
         "summary.json":
-            "2c811837252d2b58422a0ff8bf458d811a1462e9f6b94e53b579ee6e36bc87fd",
+            "1f7564329e10ffba6220398012347c25bc6b493da34c06e136dd263d77f9db2e",
     },
     "fig6": {
         "fig6_sweep_clayton_tau0.05.csv":
@@ -267,7 +267,7 @@ _REPRODUCE_SHA256 = {
         "fig6_sweep_independent.csv":
             "475b47242f0c2575992158064c6f4a8991d593e5d4b55bd148043cb8b203113d",
         "summary.json":
-            "a22cba4a9fd3df5a65f5febc2db23be6700f422d4adc97d848416d6f5b36f073",
+            "60983a8b8f00cd63acc84c9e6343e641cea76848234607aa997c1655fde9a3ad",
     },
 }
 
@@ -295,7 +295,7 @@ def test_reproduce_optimizes_at_the_requested_grid_step(tmp_path, monkeypatch):
                  "--sweep-step", "0.05"]) == 0
     assert steps and set(steps) == {25.0}
     summary = json.loads((tmp_path / "fig5" / "summary.json").read_text())
-    assert summary["results"]["min_ruin"] == 0.6525285386792075
+    assert summary["results"]["min_ruin"] == 0.6525285386792066
 
 
 def test_two_risk_simulate_is_pinned_and_builds_no_grid(tmp_path, monkeypatch):
@@ -338,6 +338,13 @@ def test_series_accuracy_failure_exits_4(fig1_config, tmp_path):
     path = tmp_path / "short_series.json"
     path.write_text(json.dumps(cfg))
     assert main(["solve", str(path), "--solver", "series", "--out-dir", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("flag, step", [("--sweep-step", "-0.01"), ("--sweep-step", "0"),
+                                        ("--sweep-step", "nan"), ("--grid-step", "0")])
+def test_reproduce_rejects_a_step_that_is_not_positive(tmp_path, capsys, flag, step):
+    assert main(["reproduce", "fig1", "--out-dir", str(tmp_path), flag, step]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_reproduce_unknown_figure(tmp_path, capsys):

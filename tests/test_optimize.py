@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from scipy import optimize as sciopt
 
 import lundberg as lb
 from lundberg.copulas import make_ordinary
@@ -113,8 +113,7 @@ def test_single_sweep_is_independent_of_chunking(demand1, gamma_severity, monkey
     assert 0 < feasible < thetas.size
     assert calls == [1] * feasible + [feasible]
     for r in (1000.0, 5000.0):
-        assert_allclose(runs[0]["ruin"][r], runs[1]["ruin"][r], rtol=0.0, atol=1e-12)
-        assert np.array_equal(np.isnan(runs[0]["ruin"][r]), np.isnan(runs[1]["ruin"][r]))
+        assert np.array_equal(runs[0]["ruin"][r], runs[1]["ruin"][r], equal_nan=True)
 
 
 class _FlippedTails(lb.Exponential):
@@ -301,6 +300,42 @@ def test_joint_ruin_rejects_an_invalid_grid_step(indep_market, demands):
         optimize_joint_ruin(indep_market, demands, lb.IndependenceCopula(), 1000.0, grid_step=0.0)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.01, np.inf, np.nan])
+def test_loading_sweeps_reject_a_step_that_is_not_positive_and_finite(indep_market, demands, step):
+    with pytest.raises(ValidationError, match="sweep step"):
+        _loading_grid(0.05, 1.0, step)
+    with pytest.raises(ValidationError, match="sweep step"):
+        optimize_joint_ruin(indep_market, demands, lb.IndependenceCopula(), 1000.0, grid_step=25.0,
+                            sweep_step=step, decomposition=lb.decompose(indep_market, 25.0))
+
+
+@pytest.mark.parametrize("shift, kept", [(-1e-6, True), (1e-6, False)])
+def test_joint_ruin_keeps_a_better_refinement_whatever_its_success_flag(dep_market, demands,
+                                                                        monkeypatch, shift, kept):
+    # L-BFGS-B can stop ABNORMAL at the objective's rounding floor after finding a better point
+    from lundberg import optimize
+
+    start = []
+
+    def unconverged(fun, x0, **kwargs):
+        start.append(fun(x0))
+        return sciopt.OptimizeResult(x=np.asarray(x0) + 0.01, fun=start[0] + shift, success=False,
+                                     message="ABNORMAL")
+
+    monkeypatch.setattr(optimize.sciopt, "minimize", unconverged)
+    res = optimize_joint_ruin(
+        dep_market, demands, lb.ClaytonCopula(0.5), 2000.0, mode="common", grid_step=25.0,
+        box=(0.2, 0.6), sweep_step=0.05, decomposition=lb.decompose(dep_market, 25.0),
+    )
+    # the single-pair objective gives the bits of the sweep's row for the same loading
+    assert start == [res.diagnostics["grid_value"]]
+    assert res.diagnostics["refined"] is kept
+    if kept:
+        assert res.value == start[0] + shift and res.loading == res.grid_loading + 0.01
+    else:
+        assert res.value == res.diagnostics["grid_value"] and res.loading == res.grid_loading
+
+
 # ---------------------------------------------------------------------------
 # loading grids
 # ---------------------------------------------------------------------------
@@ -356,21 +391,21 @@ def test_size_scaling_rows(dep_market, decomposition):
     assert rows[0]["gap"] == max(r["gap"] for r in rows)
 
 
-# Recorded before the two modes were folded into one code path; the sweep
-# hash covers every column's name and bytes in order.
+# Recorded with the batch-invariant survival kernel; the sweep hash covers every
+# column's name and bytes in order.
 _JOINT_RUIN_PINS = {
     "common": (
-        0.40146521387258, 0.39999999999999997, 0.8171773947595442, 26993.306056505302,
+        0.4014652138728273, 0.39999999999999997, 0.8171773947595431, 26993.306056482077,
         {"refined": True, "sweep_points": 9, "feasible_points": 8,
-         "grid_value": 0.8171922808859157},
-        "ff291935d86186bbb82b002586ea0a4f79275ed2a27d3d858662527018d35325",
+         "grid_value": 0.817192280885916},
+        "22972efbdd91b8cf2162792b845618d6a7cd54494d916f02d5e15ddbb6da122b",
     ),
     "separate": (
-        (0.4214459821172037, 0.3822042582269814), (0.39999999999999997, 0.39999999999999997),
-        0.8153667583861697, 27344.200115876447,
+        (0.42144598211726303, 0.3822042582270299), (0.39999999999999997, 0.39999999999999997),
+        0.8153667583861693, 27344.20011587144,
         {"refined": True, "sweep_points": 81, "feasible_points": 75,
-         "grid_value": 0.8171922808859157},
-        "e749b45cf7359147256daf2911b6ae2e617a50bc1bf3f49fcc9dcaa04efe5321",
+         "grid_value": 0.817192280885916},
+        "322c8dec1e9181048b97093e58f9a18029cfc69c29610ce49cebdaebe3a281c5",
     ),
 }
 

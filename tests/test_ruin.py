@@ -142,6 +142,23 @@ def test_kernel_matches_direct_recursion(gamma_severity, dep_market, decompositi
         assert np.max(np.abs(solve_survival(*args).survival - direct_recursion(*args))) <= 1e-12
 
 
+# n = 1, 2, 3 and odd n on either side of a power of two: the Newton half ceil(n/2)
+# and the Karp-Markstein tail n - ceil(n/2) take every edge length
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 65, 1023, 1025, 4095, 4097])
+def test_kernel_matches_direct_recursion_at_any_length(gamma_severity, dep_market, decomposition,
+                                                       demands, shares_at_04, n):
+    exposure = lb.company_exposure(
+        dep_market, shares_at_04, (0.4, 0.4), demands, (0.0,), decomposition=decomposition,
+    )
+    cfg = SolverConfig(grid_step=2.0, x_max=2.0 * n)
+    assert cfg.n_cells == n
+    for intensity, severity, premium in ((200.0, gamma_severity, 230_000.0),
+                                         (exposure.intensity, exposure.severity, exposure.premium_rate)):
+        reference = direct_recursion(intensity, severity, premium, cfg)
+        assert np.max(np.abs(solve_survival(intensity, severity, premium, cfg).survival
+                             - reference)) <= 1e-12
+
+
 def test_kernel_batch_rows_match_batches_of_one(gamma_severity):
     tails = [integrated_tails(gamma_severity), integrated_tails(lb.Exponential(400.0))]
     n, h = 1500, 2.0
@@ -152,7 +169,7 @@ def test_kernel_batch_rows_match_batches_of_one(gamma_severity):
     for row, curve in zip(a, batch):
         single, single_ok = survival_batch(row[None, :], coefficients, n)
         assert single_ok[0]
-        assert np.max(np.abs(single[0] - curve)) <= 1e-12
+        assert np.array_equal(single[0], curve)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +196,36 @@ def test_kernel_matches_direct_recursion_for_any_model(gamma, shape, mean, loadi
     assert np.max(np.abs(curves[0] - reference)) <= 1e-12
 
 
+_COMPONENTS = (lb.Gamma(2.0, 500.0), lb.Exponential(400.0), lb.Gamma(0.7, 3000.0),
+               lb.Exponential(2500.0), lb.Gamma(5.0, 60.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(st.sampled_from([1, 2, 3, 1023, 1025, 8193]), st.integers(1, 2500)),
+    rows=st.integers(1, 24),
+)
+def test_kernel_rows_are_the_same_bits_in_any_batch(data, n, rows):
+    # five components as in a two-risk company; each row's expected claims per unit
+    # premium a @ means stays below 1 (net profit), its weights are otherwise free
+    h = 2.0
+    tails = [integrated_tails(s) for s in _COMPONENTS]
+    coefficients = _recursion_coefficients(tails, h * np.arange(n + 1), h)
+    weights = np.array(data.draw(st.lists(
+        st.lists(st.floats(1e-3, 1.0), min_size=5, max_size=5), min_size=rows, max_size=rows)))
+    load = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=rows, max_size=rows)))
+    a = weights * (load / (weights @ coefficients[3]))[:, None]
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows), max_size=rows)))
+    whole, whole_ok = survival_batch(a, coefficients, n)
+    parts = [survival_batch(a[i:j], coefficients, n) for i, j in zip([0, *cuts], [*cuts, rows])
+             if i < j]
+    assert np.array_equal(np.concatenate([p for p, _ in parts]), whole, equal_nan=True)
+    assert np.array_equal(np.concatenate([ok for _, ok in parts]), whole_ok)
+    single, _ = survival_batch(a[-1:], coefficients, n)
+    assert np.array_equal(single[0], whole[-1], equal_nan=True)
+
+
 def test_kernel_fails_a_row_without_touching_the_others(gamma_severity):
     tails = [integrated_tails(gamma_severity)]
     n, h = 777, 2.0
@@ -190,7 +237,7 @@ def test_kernel_fails_a_row_without_touching_the_others(gamma_severity):
     assert np.all(np.isnan(batch[1, 1:]))
     for i in (0, 2):
         single, _ = survival_batch(a[i : i + 1], coefficients, n)
-        assert np.max(np.abs(single[0] - batch[i])) <= 1e-12
+        assert np.array_equal(single[0], batch[i])
 
 
 def test_curve_is_monotone_and_bounded(gamma_severity):
