@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,8 +48,8 @@ from .optimize import (
     weighted_average_loading,
 )
 from .presets import figure_config
-from .ruin import RuinCurve, SolverConfig, solve_series, solve_survival
-from .simulate import SimConfig, simulate_bivariate_market, simulate_ruin
+from .ruin import RuinCurve, solve_series, solve_survival
+from .simulate import simulate_bivariate_market, simulate_ruin
 
 _FLOAT_FMT = "%.12g"
 
@@ -109,17 +110,18 @@ def _company_shares(cfg: ModelConfig):
     return acquisition_shares(cfg.acquisition, *cfg.demands, *cfg.loadings)
 
 
+def _given_flags(args, *names) -> dict:
+    """The named flags that the command line gives; they pass the same checks as file values."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _curve_rows(curve: RuinCurve):
     return zip(curve.x.tolist(), curve.survival.tolist(), curve.ruin.tolist())
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    solver = SolverConfig(
-        grid_step=args.grid_step or cfg.solver.grid_step,
-        x_max=args.x_max or cfg.solver.x_max,
-        series_terms=cfg.solver.series_terms,
-    )
+    solver = replace(cfg.solver, **_given_flags(args, "grid_step", "x_max"))
     out = _out_dir(args)
     stem = args.out or "ruin_curve"
     solve = solve_series if args.solver == "series" else solve_survival
@@ -218,12 +220,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
     stem = args.out or "simulate"
-    sim = SimConfig(
-        paths=args.paths or cfg.sim.paths,
-        horizon=args.horizon if args.horizon is not None else cfg.sim.horizon,
-        seed=args.seed if args.seed is not None else cfg.sim.seed,
-        antithetic=cfg.sim.antithetic,
-    )
+    sim = replace(cfg.sim, **_given_flags(args, "paths", "horizon", "seed"))
     reserve = max(cfg.reserves)
     if cfg.is_single:
         lam, sev, c, _ = _single_model(cfg)

@@ -70,10 +70,10 @@ class SolverConfig:
     series_terms: int = 400
 
     def __post_init__(self):
-        if not self.grid_step > 0:
-            raise ValidationError(f"grid step must be positive, got {self.grid_step}")
-        if self.x_max < self.grid_step:
-            raise ValidationError("x_max must be at least one grid step")
+        if not 0 < self.grid_step < math.inf:
+            raise ValidationError(f"grid step must be positive and finite, got {self.grid_step}")
+        if not self.grid_step <= self.x_max < math.inf:
+            raise ValidationError(f"x_max must be finite and at least one grid step, got {self.x_max}")
         if self.series_terms < 1:
             raise ValidationError("series_terms must be at least 1")
 
@@ -239,12 +239,6 @@ def _cyclic_product(p: np.ndarray, fq: np.ndarray, size: int) -> np.ndarray:
     return irfft(rfft(p, size, axis=1) * fq, size, axis=1)
 
 
-def _series_product(p: np.ndarray, q: np.ndarray, m: int) -> np.ndarray:
-    """Row-wise product of two power series, truncated to m terms."""
-    size = next_fast_len(p.shape[1] + q.shape[1] - 1, real=True)
-    return irfft(rfft(p, size, axis=1) * rfft(q, size, axis=1), size, axis=1)[:, :m]
-
-
 def solve_survival(
     intensity: float,
     severity: SeverityModel,
@@ -282,7 +276,8 @@ def solve_survival(
 def _tail_convolution(values: np.ndarray, sf_nodes: np.ndarray, h: float) -> np.ndarray:
     """Trapezoid quadrature of integral of values(z) * F̄(x - z) dz on the grid."""
     n = values.size
-    conv = _series_product(values[None], sf_nodes[None], n)[0]
+    size = next_fast_len(2 * n - 1, real=True)
+    conv = _cyclic_product(values[None], rfft(sf_nodes[None], size, axis=1), size)[0, :n]
     return h * (conv - 0.5 * values[0] * sf_nodes - 0.5 * sf_nodes[0] * values)
 
 

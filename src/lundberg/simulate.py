@@ -25,7 +25,7 @@ test in the suite verifies per model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -70,9 +70,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.paths < 1:
-            raise ValidationError(f"need at least one path, got {self.paths}")
+            raise ValidationError(f"paths must be at least 1, got {self.paths}")
         if self.horizon is not None and not 0 < self.horizon < float("inf"):
             raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,8 @@ class RuinEstimate:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "probability": self.probability,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "paths": self.paths,
-            "ruined": self.ruined,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
+        """Every field but ``diagnostics``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagnostics"}
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99):

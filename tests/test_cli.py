@@ -363,6 +363,61 @@ def test_config_round_trip_all_presets():
         echoed = config_to_dict(cfg)
         again = config_to_dict(parse_config(echoed))
         assert echoed == again
+    # a minimal config echoes the dataclass defaults
+    echoed = config_to_dict(parse_config({
+        "risks": [{"lambda": 1.0, "severity": {"kind": "exponential", "mean": 1.0}}],
+        "premium_rate": 2.0, "reserves": [1.0],
+    }))
+    assert echoed["solver"]["series_terms"] == 400
+    assert echoed["sim"] == {"paths": 100_000, "horizon": None, "seed": 0, "antithetic": False}
+
+
+def _edited(name, path, value):
+    """Preset ``name`` with the entry at ``path`` set to ``value``, read back from JSON text."""
+    cfg = figure_config(name)
+    *parents, key = path
+    target = cfg
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    return json.loads(json.dumps(cfg))
+
+
+_MIXTURE = {"kind": "mixture", "weights": ["1"], "components": [{"kind": "exponential", "mean": 1.0}]}
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    ("fig1", ("solver", "x_max"), float("inf"), "solver.x_max"),
+    ("fig1", ("solver", "x_max"), "NaN", "solver.x_max"),
+    ("fig1", ("sim", "paths"), "1000", "sim.paths"),
+    ("fig1", ("loadings",), ["0.4"], "loadings[0]"),
+    ("fig1", ("reserves",), [100.0, "2000"], "reserves[1]"),
+    ("fig1", ("demand", 0, "fixed_cost"), "64000", "demand[0].fixed_cost"),
+    ("fig5", ("levy_copula", "omega"), "1.0", "levy_copula.omega"),
+    ("fig5", ("acquisition_copula",), {"family": "clayton", "omega": "2"}, "acquisition_copula.omega"),
+    ("fig1", ("risks", 0, "severity"), {"kind": "gridded", "atoms": ["1"], "masses": [1.0]},
+     "risks[0].severity.atoms[0]"),
+    ("fig1", ("risks", 0, "severity"), _MIXTURE, "risks[0].severity.weights[0]"),
+    ("fig1", ("loadings",), 0.4, "loadings"),
+    ("fig1", ("sim", "antithetic"), "false", "sim.antithetic"),
+    ("fig1", ("sim", "paths"), True, "sim.paths"),
+    ("fig1", ("solver", "grid_stp"), 2.0, "solver.grid_stp"),
+    ("fig1", ("risks", 0, "lamda"), 800.0, "risks[0].lamda"),
+    ("fig1", ("sim", "seed"), -1, "sim"),
+])
+def test_config_rejects_a_bad_entry_and_names_it(name, path, value, field):
+    with pytest.raises(ConfigError) as err:
+        parse_config(_edited(name, path, value))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid-step", "0"], ["solve", "--x-max", "inf"], ["simulate", "--paths", "0"],
+    ["simulate", "--seed", "-1"],
+])
+def test_flags_pass_the_checks_of_file_values(fig1_config, tmp_path, capsys, argv):
+    assert main([argv[0], str(fig1_config), *argv[1:], "--out-dir", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_config_rejects_tau_and_omega_together():
@@ -410,6 +465,15 @@ def test_load_config_reports_json_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert "line" in str(err.value)
+
+
+def test_load_config_reports_an_unreadable_path(tmp_path):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"notes": "\xe9"}')
+    for path in (tmp_path, undecodable):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(path)
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 2
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
