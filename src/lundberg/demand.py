@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .copulas import OrdinaryCopula
-from .errors import ValidationError
+from .errors import ValidationError, _nonnegative, _positive
 
 __all__ = ["DemandSpec", "AcquisitionShares", "acquisition_shares", "shares_from_take_rates"]
 
@@ -39,10 +39,8 @@ class DemandSpec:
     fixed_cost: float = 0.0
 
     def __post_init__(self):
-        if not self.beta1 > 0:
-            raise ValidationError(f"demand slope beta1 must be positive, got {self.beta1}")
-        if self.fixed_cost < 0:
-            raise ValidationError(f"fixed cost must be nonnegative, got {self.fixed_cost}")
+        _positive("demand slope beta1", self.beta1)
+        _nonnegative("fixed cost", self.fixed_cost)
 
     def take_rate(self, theta):
         """Probability that a potential client buys at loading theta.

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import _pool
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError, ValidationError, _positive
 
 __all__ = [
     "SeverityModel",
@@ -42,6 +42,7 @@ __all__ = [
 
 _WEIGHT_TOL = 1e-12
 _MASS_TOL = 1e-9
+_LATTICE_CHUNK = 256  # rows of the joint lattice per job of sum_distribution
 
 
 class SeverityModel(abc.ABC):
@@ -124,9 +125,7 @@ class Exponential(SeverityModel):
     """Exponential claim sizes with the given mean."""
 
     def __init__(self, mean: float):
-        if not mean > 0:
-            raise ValidationError(f"exponential mean must be positive, got {mean}")
-        self._mean = float(mean)
+        self._mean = float(_positive("exponential mean", mean))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -179,10 +178,8 @@ class Gamma(SeverityModel):
     """
 
     def __init__(self, shape: float, scale: float):
-        if not (shape > 0 and scale > 0):
-            raise ValidationError(f"gamma shape/scale must be positive, got {shape}, {scale}")
-        self._a = float(shape)
-        self._k = float(scale)
+        self._a = float(_positive("gamma shape", shape))
+        self._k = float(_positive("gamma scale", scale))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -248,14 +245,6 @@ class Mixture(SeverityModel):
         self._w = weights
         self._components = tuple(components)
         self._mean = float(np.dot(weights, [c.mean for c in components]))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._w.copy()
-
-    @property
-    def components(self) -> tuple:
-        return self._components
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -376,14 +365,6 @@ class Gridded(SeverityModel):
         masses[-1] += survival[-1]
         return cls(nodes[1:], masses)
 
-    @property
-    def atoms(self) -> np.ndarray:
-        return self._atoms.copy()
-
-    @property
-    def masses(self) -> np.ndarray:
-        return self._masses.copy()
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._atoms, x, side="right")
@@ -450,8 +431,7 @@ class JointGridded:
     """
 
     def __init__(self, step: float, ncells: int, rows: Callable[[int, int], Iterable[np.ndarray]]):
-        if not 0 < step < np.inf:
-            raise ValidationError(f"joint grid step must be positive and finite, got {step}")
+        _positive("joint grid step", step)
         if ncells < 1:
             raise ValidationError(f"joint grid needs at least one cell, got {ncells}")
         self.step = float(step)
@@ -516,7 +496,7 @@ def mixture(weights: Sequence[float], components: Sequence[SeverityModel]) -> Se
     return Mixture(weights, components)
 
 
-def sum_distribution(joint: JointGridded, chunk: int = 256) -> Gridded:
+def sum_distribution(joint: JointGridded) -> Gridded:
     """Distribution of the coordinate sum of a gridded claim pair.
 
     Cell masses land on the shared atom lattice (atoms of row i and
@@ -525,25 +505,25 @@ def sum_distribution(joint: JointGridded, chunk: int = 256) -> Gridded:
     means exactly.
 
     The lattice is streamed one row at a time, so the working set stays
-    a few rows.  Row i is one shifted slice-add into a buffer for its
-    ``chunk`` of rows (its anti-diagonals start at offset i), and each
-    buffer is added into the result once, in chunk order: every lattice
-    point is summed row by row within a chunk, then chunk by chunk.  The
-    chunks are jobs of :func:`lundberg._pool.map`, in forked workers
-    from 10^7 cells on; each buffer is added as it arrives.
+    a few rows.  Row i is one shifted slice-add into the buffer of its
+    chunk of ``_LATTICE_CHUNK`` rows (anti-diagonals start at offset i),
+    and each buffer is added into the result once, in chunk order: every
+    lattice point is summed row by row within a chunk, then chunk by
+    chunk.  The chunks are jobs of :func:`lundberg._pool.map`, in forked
+    workers from 10^7 cells on; each buffer is added as it arrives.
     """
     n = joint.ncells
     h = joint.step
 
     def chunk_sum(a):
-        b = min(a + chunk, n)
+        b = min(a + _LATTICE_CHUNK, n)
         acc = np.zeros(b - a + n - 1)
         for i, row in enumerate(joint.rows(a, b)):
             acc[i : i + n] += row
         return acc
 
     out = np.zeros(2 * n - 1)
-    starts = range(0, n, chunk)
+    starts = range(0, n, _LATTICE_CHUNK)
     for a, acc in zip(starts, _pool.map(chunk_sum, starts, n * n)):
         out[a : a + acc.size] += acc
     total = float(out.sum())

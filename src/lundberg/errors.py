@@ -5,6 +5,9 @@ with 2, model precondition failures with 3, and numerical failures
 (instability, unreached accuracy) with 4.
 """
 
+import math
+import numbers
+
 __all__ = [
     "LundbergError", "ValidationError", "ConfigError", "NetProfitError", "InstabilityError",
     "AccuracyError",
@@ -64,3 +67,24 @@ class InstabilityError(LundbergError):
 
 class AccuracyError(LundbergError):
     """A quadrature or series evaluation could not reach its target accuracy."""
+
+
+def _positive(name: str, value):
+    """``value`` if it lies in (0, inf); otherwise a :class:`ValidationError` naming ``name``."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _nonnegative(name: str, value):
+    """``value`` if it lies in [0, inf); otherwise a :class:`ValidationError` naming ``name``."""
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be nonnegative and finite, got {value}")
+    return value
+
+
+def _count(name: str, value, least: int):
+    """``value`` if it is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value

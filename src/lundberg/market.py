@@ -30,7 +30,7 @@ import numpy as np
 from .copulas import ClaytonLevyCopula
 from .demand import AcquisitionShares, DemandSpec
 from .distributions import Gridded, JointGridded, SeverityModel, mixture, sum_distribution
-from .errors import ValidationError
+from .errors import ValidationError, _nonnegative, _positive
 
 __all__ = [
     "CompoundPoissonSpec",
@@ -53,8 +53,7 @@ class CompoundPoissonSpec:
     severity: SeverityModel
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ValidationError(f"claim intensity must be nonnegative, got {self.intensity}")
+        _nonnegative("claim intensity", self.intensity)
 
     def tail_integral(self, x):
         """U(x) = intensity * P(Y >= x), the jump measure of [x, inf)."""
@@ -123,8 +122,8 @@ class Decomposition:
     def __init__(self, market: MarketSpec, grid_step: float | None, *,
                  joint_step: float | None = None, joint_tail_mass: float | None = None):
         for step in (grid_step, joint_step):
-            if step is not None and not 0 < step < np.inf:
-                raise ValidationError(f"grid step must be positive and finite, got {step}")
+            if step is not None:
+                _positive("grid step", step)
         self.market = market
         lam1, lam2 = market.risk1.intensity, market.risk2.intensity
         self.lambda1, self.lambda2 = lam1, lam2
@@ -355,24 +354,20 @@ class CompanyExposure:
 def _company_streams(decomp: Decomposition, p1, p2, only1, only2, both):
     """The company's claim streams as (severity, intensity) pairs.
 
-    Independent markets give one stream per risk; coupled markets give
-    the five-part split into exclusive, one-sided simultaneous and
-    summed simultaneous claims.  Shares may be scalars or arrays (one
-    entry per loading of a sweep).
+    Coupled markets give the five-part split into exclusive, one-sided
+    simultaneous and summed simultaneous claims; independent markets
+    give its first two, each risk's own claims.  Shares may be scalars
+    or arrays (one entry per loading of a sweep).
     """
-    if decomp.lambda_both == 0.0:
-        return [
-            (decomp.market.risk1.severity, p1 * decomp.lambda1),
-            (decomp.market.risk2.severity, p2 * decomp.lambda2),
-        ]
     lam_b = decomp.lambda_both
-    return [
+    streams = [
         (decomp.sev1_only, p1 * decomp.lambda1_only),
         (decomp.sev2_only, p2 * decomp.lambda2_only),
         (decomp.sev1_both, only1 * lam_b),
         (decomp.sev2_both, only2 * lam_b),
         (decomp.sev_sum_both, both * lam_b),
     ]
+    return streams if lam_b else streams[:2]
 
 
 def _company_claim_model(decomp: Decomposition, shares: AcquisitionShares):
@@ -382,14 +377,9 @@ def _company_claim_model(decomp: Decomposition, shares: AcquisitionShares):
     """
     lam1, lam2 = decomp.lambda1, decomp.lambda2
     p1, p2, both = shares.p1, shares.p2, shares.both
-    lam_tilde = p1 * lam1 + p2 * lam2 - both * decomp.lambda_both
-    if lam_tilde <= 0:
-        raise ValidationError("company claim intensity must be positive; increase shares")
+    lam_tilde = _positive("company claim intensity", p1 * lam1 + p2 * lam2 - both * decomp.lambda_both)
     lam_hat = p1 * lam1 + p2 * lam2
     severities, rates = zip(*_company_streams(decomp, p1, p2, shares.only1, shares.only2, both))
-    if decomp.lambda_both == 0.0:
-        sev_hat = mixture([r / lam_hat for r in rates], severities)
-        return lam_tilde, sev_hat, lam_hat, sev_hat
     sev_tilde = mixture(np.array(rates) / lam_tilde, severities)
     sev_hat = mixture(
         [p1 * lam1 / lam_hat, p2 * lam2 / lam_hat],
@@ -427,9 +417,7 @@ def company_exposure(
     theta1, theta2 = loadings
     lam_tilde, sev_tilde, lam_hat, sev_hat = _company_claim_model(decomposition, shares)
     premium = float(_premium_rate(market, demands, theta1, theta2))
-    reserve = float(np.sum(reserves))
-    if reserve < 0:
-        raise ValidationError(f"reserve must be nonnegative, got {reserve}")
+    reserve = _nonnegative("reserve", float(np.sum(reserves)))
     return CompanyExposure(
         intensity=lam_tilde,
         severity=sev_tilde,

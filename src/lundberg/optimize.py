@@ -34,7 +34,7 @@ from . import _pool
 from .copulas import OrdinaryCopula
 from .demand import DemandSpec, acquisition_shares, joint_share, shares_from_take_rates
 from .distributions import integrated_tails
-from .errors import AccuracyError, ValidationError
+from .errors import AccuracyError, ValidationError, _nonnegative, _positive
 from .market import (
     Decomposition, MarketSpec, _company_claim_model, _company_streams, _premium_rate, company_exposure,
     decompose,
@@ -173,10 +173,10 @@ def _loading_grid(low: float, high: float, step: float) -> np.ndarray:
 
     A step that divides the box ends on ``high`` (within 1e-9 of a step);
     any other step ends at the last loading below it.  A step that is not
-    positive and finite raises ``ValidationError``.
+    positive and finite, or a reversed or infinite box, raises ``ValidationError``.
     """
-    if not 0 < step < np.inf:
-        raise ValidationError(f"sweep step must be positive and finite, got {step}")
+    _positive("sweep step", step)
+    _nonnegative("loading box width", high - low)
     return np.arange(low, high + step / 2, step)[: int((high - low) / step + 1e-9) + 1]
 
 
@@ -199,12 +199,9 @@ def _sweep(tails, reserves, grid_step):
     jobs of ``_pool.map``.  A grid step that is not positive and finite, or
     a reserve that is negative or not finite, raises ``ValidationError``.
     """
-    if not 0 < grid_step < np.inf:
-        raise ValidationError(f"grid step must be positive and finite, got {grid_step}")
-    if not all(0 <= r < np.inf for r in reserves):
-        raise ValidationError(f"reserves must be nonnegative and finite, got {list(reserves)}")
-    n = max(int(np.ceil(max(reserves) / grid_step - 1e-9)), 1)
-    coefficients = _recursion_coefficients(tails, grid_step * np.arange(n + 1), grid_step)
+    config = SolverConfig(grid_step, max(max(_nonnegative("reserve", r) for r in reserves), grid_step))
+    n = config.n_cells
+    coefficients = _recursion_coefficients(tails, config.nodes(), grid_step)
     node_idx = [int(round(r / grid_step)) for r in reserves]
     means = np.array([t.mean for t in tails])
 
@@ -327,13 +324,13 @@ def optimize_joint_ruin(
 
     Raises:
         ValidationError: if every point of the box violates net profit,
-            or the sweep step is not positive and finite.
+            or the box or the sweep step fails :func:`_loading_grid`.
     """
     if mode not in ("common", "separate"):
         raise ValidationError(f"mode must be 'common' or 'separate', got {mode}")
+    thetas = _loading_grid(*box, sweep_step)
     if decomposition is None:
         decomposition = decompose(market, grid_step)
-    thetas = _loading_grid(*box, sweep_step)
     if mode == "common":
         free, names = thetas[:, None], ["theta"]
     else:
@@ -398,8 +395,9 @@ def optimize_joint_profit(
 
     Profit separates across risks, so the separate-mode optimum is the
     pair of single-risk roots; the common mode maximizes the summed
-    profit curve numerically on the box.
+    profit curve numerically on the box (not reversed, finite).
     """
+    _nonnegative("loading box width", box[1] - box[0])
     d1, d2 = demands
     l1, l2 = intensities
     m1, m2 = mean_severities
@@ -444,8 +442,8 @@ def size_scaling_experiment(
     |V - V_ind| at x, the a-priori dependence bound, and its small-share
     asymptote both * lambda_both * x0 / (1 + theta).
     """
-    if x0 <= 0 or theta <= 0:
-        raise ValidationError("size scaling needs positive x0 and theta")
+    _positive("x0", x0)
+    _positive("theta", theta)
     if decomposition is None:
         decomposition = decompose(market, grid_step=min(
             market.risk1.severity.mean, market.risk2.severity.mean) / 500.0)

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .distributions import SeverityModel, integrated_tails
-from .errors import AccuracyError, InstabilityError, NetProfitError, ValidationError
+from .errors import AccuracyError, InstabilityError, NetProfitError, ValidationError, _count, _nonnegative, _positive
 
 __all__ = [
     "SolverConfig",
@@ -70,12 +70,10 @@ class SolverConfig:
     series_terms: int = 400
 
     def __post_init__(self):
-        if not 0 < self.grid_step < math.inf:
-            raise ValidationError(f"grid step must be positive and finite, got {self.grid_step}")
+        _positive("grid step", self.grid_step)
         if not self.grid_step <= self.x_max < math.inf:
             raise ValidationError(f"x_max must be finite and at least one grid step, got {self.x_max}")
-        if self.series_terms < 1:
-            raise ValidationError("series_terms must be at least 1")
+        _count("series_terms", self.series_terms, 1)
 
     @property
     def n_cells(self) -> int:
@@ -106,31 +104,25 @@ class RuinCurve:
     def ruin(self) -> np.ndarray:
         return 1.0 - self.survival
 
-    def survival_at(self, x):
-        return np.interp(x, self.x, self.survival)
-
     def ruin_at(self, x):
-        return 1.0 - self.survival_at(x)
+        return 1.0 - np.interp(x, self.x, self.survival)
 
 
 def _solve(solver, intensity, severity, premium_rate, config, curve) -> RuinCurve:
     """The entry both solvers share.
 
-    Checks the intensity, returns the certain-survival curve without
-    claims and enforces the net profit condition; otherwise
-    ``curve(tails, nodes)`` returns the survival values and diagnostics.
+    Checks the intensity and the net profit condition, also without
+    claims, and returns the certain-survival curve without claims;
+    otherwise ``curve(tails, nodes)`` gives the values and diagnostics.
     """
-    if intensity < 0:
-        raise ValidationError(f"claim intensity must be nonnegative, got {intensity}")
+    margin = premium_rate - _nonnegative("claim intensity", intensity) * severity.mean
+    if not margin > 0:
+        raise NetProfitError(margin)
     nodes = config.nodes()
     payload = f"{intensity!r}|{severity.fingerprint()}|{premium_rate!r}|{config.grid_step!r}|{config.x_max!r}"
     survival, diagnostics = np.ones_like(nodes), {}
     if intensity != 0.0:
-        tails = integrated_tails(severity)
-        margin = premium_rate - intensity * tails.mean
-        if margin <= 0:
-            raise NetProfitError(margin)
-        survival, diagnostics = curve(tails, nodes)
+        survival, diagnostics = curve(integrated_tails(severity), nodes)
     return RuinCurve(
         x=nodes, survival=survival, intensity=intensity, premium_rate=premium_rate, config=config,
         solver=solver, fingerprint=hashlib.sha1(payload.encode()).hexdigest()[:12],

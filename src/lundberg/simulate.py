@@ -33,7 +33,7 @@ from scipy.special import ndtri
 from . import _pool
 from .demand import AcquisitionShares
 from .distributions import SeverityModel
-from .errors import ValidationError
+from .errors import ValidationError, _count, _nonnegative, _positive
 from .market import Decomposition, MarketSpec
 
 __all__ = [
@@ -69,12 +69,10 @@ class SimConfig:
     antithetic: bool = False
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise ValidationError(f"paths must be at least 1, got {self.paths}")
-        if self.horizon is not None and not 0 < self.horizon < float("inf"):
-            raise ValidationError(f"horizon must be positive and finite, got {self.horizon}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
+        _count("paths", self.paths, 1)
+        if self.horizon is not None:
+            _positive("horizon", self.horizon)
+        _count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -158,10 +156,9 @@ def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_tim
     same per-block generators with mirrored uniforms, pairing paths row
     by row until their lifetimes diverge.
     """
-    if not premium_rate >= 0:  # ruin between claims would go unseen
-        raise ValidationError(f"premium rate must be nonnegative, got {premium_rate}")
-    if reserve < 0:
-        raise ValidationError(f"reserve must be nonnegative, got {reserve}")
+    _nonnegative("claim intensity", rate)
+    _nonnegative("premium rate", premium_rate)  # ruin between claims would go unseen below 0
+    _nonnegative("reserve", reserve)
     total = config.paths
     parts = [(0, total, False)]
     if config.antithetic:
@@ -207,9 +204,6 @@ def simulate_ruin(
     ``return_times`` adds per-path ruin times (NaN for survivors) to the
     estimate diagnostics, for distributional tests and CSV dumps.
     """
-    if intensity < 0:
-        raise ValidationError(f"intensity must be nonnegative, got {intensity}")
-
     def draw(rng, shape, mirror):
         if not config.antithetic:
             return rng.exponential(1.0 / intensity, shape), severity.sample(rng, shape)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
 import lundberg as lb
+from lundberg import distributions
 from lundberg.distributions import JointGridded, integrated_tails, mixture, sum_distribution
 from lundberg.errors import ValidationError
 
@@ -108,7 +109,7 @@ def test_gridded_sbar_is_exact_segment_sum():
     tails = integrated_tails(model)
     # piecewise-constant survival: integrate each segment by hand
     for x in (30.0, 50.0, 77.0, 399.9, 400.0, 2000.0):
-        edges = np.concatenate(([0.0], model.atoms))
+        edges = np.concatenate(([0.0], model._atoms))
         total = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             if x <= lo:
@@ -213,7 +214,7 @@ def test_gridded_from_survival_mass_and_mean():
     nodes = np.linspace(0.0, 30.0, 301)
     sf = np.exp(-nodes / 3.0)
     model = lb.Gridded.from_survival(nodes, sf)
-    assert_allclose(model.masses.sum(), 1.0, atol=1e-12)
+    assert_allclose(model._masses.sum(), 1.0, atol=1e-12)
     # atoms on right endpoints overestimate the mean by at most one step
     assert 3.0 <= model.mean <= 3.0 + 0.1 + 1e-9
 
@@ -226,8 +227,8 @@ def test_gridded_from_survival_needs_cells_from_zero():
 def test_gridded_sampling_matches_masses(rng):
     model = lb.Gridded([1.0, 2.0, 5.0], [0.2, 0.5, 0.3])
     draws = model.sample(rng, 200_000)
-    freq = np.array([(draws == a).mean() for a in model.atoms])
-    assert_allclose(freq, model.masses, atol=3 * np.sqrt(0.5 * 0.5 / 200_000) + 1e-12)
+    freq = np.array([(draws == a).mean() for a in model._atoms])
+    assert_allclose(freq, model._masses, atol=3 * np.sqrt(0.5 * 0.5 / 200_000) + 1e-12)
     assert_allclose(draws.mean(), model.mean, rtol=0.01)
 
 
@@ -268,7 +269,7 @@ def test_sum_distribution_point_masses():
 def test_sum_distribution_mass_and_mean(decomposition):
     joint = decomposition.joint_both
     total = decomposition.sev_sum_both
-    assert_allclose(total.masses.sum(), 1.0, atol=1e-9)
+    assert_allclose(total._masses.sum(), 1.0, atol=1e-9)
     m1, m2 = marginal_masses(joint)
     assert_allclose(total.mean, decomposition.sev1_both.mean + decomposition.sev2_both.mean,
                     rtol=1e-12)
@@ -347,10 +348,12 @@ def _random_lattice(n, seed):
 @example(n=300, chunk=8, seed=3)
 def test_sum_distribution_matches_bincount_reference_bit_for_bit(n, chunk, seed):
     joint = _random_lattice(n, seed)
-    new = sum_distribution(joint, chunk=chunk)
+    with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture would span every example
+        patch.setattr(distributions, "_LATTICE_CHUNK", chunk)
+        new = sum_distribution(joint)
     ref = reference_sum_distribution(joint, chunk=chunk)
-    assert np.array_equal(new.masses, ref.masses)
-    assert np.array_equal(new.atoms, ref.atoms)
+    assert np.array_equal(new._masses, ref._masses)
+    assert np.array_equal(new._atoms, ref._atoms)
 
 
 def test_sum_distribution_rejects_negative_cell():
@@ -361,12 +364,13 @@ def test_sum_distribution_rejects_negative_cell():
         sum_distribution(joint_from_matrix(joint.step, matrix))
 
 
-def test_sum_distribution_is_the_same_bytes_in_every_pool_mode(pool_modes):
+def test_sum_distribution_is_the_same_bytes_in_every_pool_mode(pool_modes, monkeypatch):
     joint = _random_lattice(301, 8)
-    runs = pool_modes(lambda: sum_distribution(joint, chunk=37))  # 8 chunks of 37 and one of 5
+    monkeypatch.setattr(distributions, "_LATTICE_CHUNK", 37)  # 8 chunks of 37 and one of 5
+    runs = pool_modes(lambda: sum_distribution(joint))
     for run in runs[1:]:
-        assert np.array_equal(run.masses, runs[0].masses)
-        assert np.array_equal(run.atoms, runs[0].atoms)
+        assert np.array_equal(run._masses, runs[0]._masses)
+        assert np.array_equal(run._atoms, runs[0]._atoms)
 
 
 def test_negative_cell_found_in_a_worker_reaches_the_caller(monkeypatch):
@@ -376,11 +380,12 @@ def test_negative_cell_found_in_a_worker_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(_pool, "_MIN_WORK", 0)
     monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
+    monkeypatch.setattr(distributions, "_LATTICE_CHUNK", 8)
     joint = _random_lattice(40, 5)
     matrix = row_masses(joint, 0, 40)
     matrix[29, 11] = -1e-9  # in the fourth chunk of 8 rows
     with pytest.raises(ValidationError, match=r"nonnegative, min .*-1e-09") as info:
-        sum_distribution(joint_from_matrix(joint.step, matrix), chunk=8)
+        sum_distribution(joint_from_matrix(joint.step, matrix))
     assert isinstance(info.value.__cause__, _RemoteTraceback)
 
 
@@ -393,7 +398,7 @@ def test_sum_distribution_clamps_float_dust_without_touching_the_input():
     assert matrix[i, j] == -1e-13
     clamped = np.maximum(matrix, 0.0)
     expected = reference_sum_distribution(joint_from_matrix(joint.step, clamped))
-    assert np.array_equal(total.masses, expected.masses)
+    assert np.array_equal(total._masses, expected._masses)
 
 
 def test_joint_grid_requires_a_positive_step_and_a_cell():

@@ -1,8 +1,10 @@
 import inspect
+import math
 import pickle
 
 import pytest
 
+import lundberg as lb
 from lundberg import errors
 
 # one instance per class, with every attribute set to a value that is not its default
@@ -30,3 +32,63 @@ def test_errors_survive_pickling(error):
     assert type(copy) is type(error)
     assert str(copy) == str(error)
     assert vars(copy) == vars(error)
+
+
+_NAN, _INF = math.nan, math.inf
+_SEV = lb.Gamma(2.0, 500.0)
+_DEMANDS = (lb.DemandSpec(-0.6, 4.0, 64_000.0), lb.DemandSpec(-0.6, 4.5, 64_000.0))
+_RISK = lb.CompoundPoissonSpec(800.0, _SEV)
+_MARKET = lb.MarketSpec(_RISK, _RISK)
+
+
+def _simulate(intensity=1200.0, premium=1200.0 * 1.2 * 1000.0, reserve=100.0):
+    return lb.simulate_ruin(intensity, _SEV, premium, reserve, lb.SimConfig(paths=100))
+
+
+def _solve(intensity, premium):
+    return lb.solve_survival(intensity, _SEV, premium, lb.SolverConfig(grid_step=50.0, x_max=1000.0))
+
+
+def _joint_ruin(box):
+    return lb.optimize_joint_ruin(_MARKET, _DEMANDS, lb.IndependenceCopula(), 1000.0, grid_step=25.0,
+                                  box=box, decomposition=lb.decompose(_MARKET, 25.0))
+
+
+# NaN, infinite, out-of-range or fractional inputs, each with the quantity its
+# ValidationError names or the NetProfitError it raises
+_PROBES = {
+    "simulate nan intensity": (lambda: _simulate(intensity=_NAN), "claim intensity"),
+    "simulate inf intensity": (lambda: _simulate(intensity=_INF), "claim intensity"),
+    "simulate nan reserve": (lambda: _simulate(reserve=_NAN), "reserve"),
+    "simulate inf reserve": (lambda: _simulate(reserve=_INF), "reserve"),
+    "simulate inf premium": (lambda: _simulate(premium=_INF), "premium rate"),
+    "solve nan intensity": (lambda: _solve(_NAN, 1e6), "claim intensity"),
+    "solve nan premium": (lambda: _solve(800.0, _NAN), errors.NetProfitError),
+    "solve negative premium without claims": (lambda: _solve(0.0, -5.0), errors.NetProfitError),
+    "risk nan intensity": (lambda: lb.CompoundPoissonSpec(_NAN, _SEV), "claim intensity"),
+    "demand nan fixed cost": (lambda: lb.DemandSpec(-0.6, 4.0, fixed_cost=_NAN), "fixed cost"),
+    "exponential inf mean": (lambda: lb.Exponential(_INF), "exponential mean"),
+    "gamma inf scale": (lambda: lb.Gamma(2.0, _INF), "gamma scale"),
+    "joint ruin reversed box": (lambda: _joint_ruin((0.6, 0.2)), "loading box width"),
+    "joint ruin nan box": (lambda: _joint_ruin((_NAN, 0.6)), "loading box width"),
+    "joint profit reversed box": (
+        lambda: lb.optimize_joint_profit(_DEMANDS, (800.0, 800.0), (1000.0, 1000.0), mode="common",
+                                         box=(0.6, 0.2)), "loading box width"),
+    "size scaling nan x0": (
+        lambda: lb.size_scaling_experiment(_MARKET, lb.IndependenceCopula(), _NAN, 0.2, [0.1],
+                                           decomposition=lb.decompose(_MARKET, 25.0)), "x0"),
+    "fractional paths": (lambda: lb.SimConfig(paths=2.5), "paths"),
+    "boolean paths": (lambda: lb.SimConfig(paths=True), "paths"),
+    "fractional seed": (lambda: lb.SimConfig(seed=1.5), "seed"),
+    "fractional series terms": (lambda: lb.SolverConfig(1.0, 10.0, series_terms=2.5), "series_terms"),
+}
+
+
+@pytest.mark.parametrize("call, expected", _PROBES.values(), ids=_PROBES.keys())
+def test_api_rejects_inputs_that_are_not_finite_in_range_or_whole(call, expected):
+    if isinstance(expected, str):  # a ValidationError that names the quantity
+        with pytest.raises(errors.ValidationError, match=f"^{expected} must be"):
+            call()
+    else:
+        with pytest.raises(expected):
+            call()

@@ -1,11 +1,9 @@
-import functools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import lundberg as lb
-from lundberg import _pool
+from lundberg import _pool, distributions
 from lundberg.demand import AcquisitionShares
 from lundberg.distributions import sum_distribution
 from lundberg.errors import ValidationError
@@ -45,7 +43,7 @@ def test_aggregate_weights_by_intensity(gamma_severity, demands):
     b = lb.CompoundPoissonSpec(400.0, lb.Exponential(2000.0))
     agg = _aggregate(a, b, demands)
     assert agg.intensity == 1200.0
-    assert_allclose(agg.severity.weights, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+    assert_allclose(agg.severity._w, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
     assert_allclose(agg.severity.mean, (2.0 / 3.0) * 1000.0 + (1.0 / 3.0) * 2000.0, rtol=1e-12)
 
 
@@ -99,8 +97,8 @@ def test_recomposition_matches_marginal_tail_integral(decomposition, dep_market)
 
 def test_joint_marginals_match_component_masses(decomposition):
     m1, m2 = marginal_masses(decomposition.joint_both)
-    assert_allclose(m1, decomposition.sev1_both.masses, atol=1e-12)
-    assert_allclose(m2, decomposition.sev2_both.masses, atol=1e-12)
+    assert_allclose(m1, decomposition.sev1_both._masses, atol=1e-12)
+    assert_allclose(m2, decomposition.sev2_both._masses, atol=1e-12)
 
 
 def _reference_joint(dec):
@@ -133,8 +131,8 @@ def test_summed_simultaneous_claim_is_bit_identical_to_reference(omega):
     dec = lb.decompose(_lattice_market(omega), grid_step=40.0)
     assert dec.joint_both.ncells > 256 and dec.joint_both.ncells % 256 != 0  # two chunks
     expected = reference_sum_distribution(_reference_joint(dec))
-    assert np.array_equal(dec.sev_sum_both.masses, expected.masses)
-    assert np.array_equal(dec.sev_sum_both.atoms, expected.atoms)
+    assert np.array_equal(dec.sev_sum_both._masses, expected._masses)
+    assert np.array_equal(dec.sev_sum_both._atoms, expected._atoms)
 
 
 @pytest.mark.parametrize("omega", [0.5, 1.0])
@@ -142,14 +140,13 @@ def test_summed_simultaneous_claim_is_the_same_bytes_in_every_pool_mode(omega, p
                                                                         monkeypatch):
     # 37 rows per chunk, which leaves a short last chunk: every chunk, in a
     # worker or not, restarts its carried corner row
-    monkeypatch.setattr("lundberg.market.sum_distribution",
-                        functools.partial(sum_distribution, chunk=37))
+    monkeypatch.setattr(distributions, "_LATTICE_CHUNK", 37)
     runs = pool_modes(lambda: lb.decompose(_lattice_market(omega), grid_step=40.0))
     assert runs[0].joint_both.ncells % 37 != 0
     expected = reference_sum_distribution(_reference_joint(runs[0]), chunk=37)
     for run in runs:
-        assert np.array_equal(run.sev_sum_both.masses, expected.masses)
-        assert np.array_equal(run.sev_sum_both.atoms, expected.atoms)
+        assert np.array_equal(run.sev_sum_both._masses, expected._masses)
+        assert np.array_equal(run.sev_sum_both._atoms, expected._atoms)
 
 
 def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
@@ -164,7 +161,8 @@ def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
     monkeypatch.setattr(lb.ClaytonLevyCopula, "cdf", counted)
     monkeypatch.setattr(_pool, "_MIN_WORK", float("inf"))  # every chunk in this process
     n, chunk = dec.joint_both.ncells, 37
-    sum_distribution(dec.joint_both, chunk=chunk)
+    monkeypatch.setattr(distributions, "_LATTICE_CHUNK", chunk)
+    sum_distribution(dec.joint_both)
     chunks = -(-n // chunk)
     assert 0 < sum(cells) <= (n + chunks) * (n + 1)
 
@@ -228,7 +226,7 @@ def test_independent_market_mixture(indep_market, demands, shares_at_04):
     lam_expected = shares_at_04.p1 * 800.0 + shares_at_04.p2 * 800.0
     assert exposure.intensity == pytest.approx(lam_expected, rel=1e-12)
     assert isinstance(exposure.severity, lb.Mixture)
-    assert len(exposure.severity.components) == 2
+    assert len(exposure.severity._components) == 2
 
 
 def test_mean_preservation_for_random_configurations(dep_market, decomposition, demands):
@@ -261,7 +259,7 @@ def test_company_claim_model_weights(decomposition, shares_at_04):
     expected_w = np.array([
         s.p1 * 400, s.p2 * 400, s.only1 * 400, s.only2 * 400, s.both * 400,
     ]) / lam_t
-    assert_allclose(sev_t.weights, expected_w, rtol=1e-12)
+    assert_allclose(sev_t._w, expected_w, rtol=1e-12)
 
 
 def stream_claim_counts(decomposition, shares, horizon, paths, seed):
