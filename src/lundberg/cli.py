@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__
 from .config import ModelConfig, config_to_dict, load_config, parse_config
 from .demand import acquisition_shares
-from .errors import AccuracyError, ConfigError, InstabilityError, LundbergError, NetProfitError, ValidationError
+from .errors import (AccuracyError, ConfigError, InstabilityError, LundbergError, NetProfitError,
+                     ValidationError, _positive)
 from .market import _premium_rate, company_exposure, decompose
 from .copulas import make_ordinary
 from .optimize import (
@@ -229,8 +230,8 @@ def cmd_simulate(args) -> int:
         # the simulator builds its own copula samplers; no grid is needed
         market = cfg.market()
         shares = _company_shares(cfg)
-        if shares.p1 * market.risk1.intensity + shares.p2 * market.risk2.intensity <= 0:
-            raise ValidationError("company claim intensity must be positive; increase shares")
+        _positive("company claim intensity",
+                  shares.p1 * market.risk1.intensity + shares.p2 * market.risk2.intensity)
         est = simulate_bivariate_market(
             market, shares, float(_premium_rate(market, cfg.demands, *cfg.loadings)), reserve, sim,
             return_times=args.dump_times,

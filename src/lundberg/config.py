@@ -216,9 +216,9 @@ def parse_config(data: dict) -> ModelConfig:
     solver = _build("solver", SolverConfig, **{
         "grid_step": mean_scale / 500.0, "x_max": max(max(reserves), mean_scale * 20.0),
         **_given(solver_raw, "solver", {"grid_step": float, "x_max": float, "series_terms": int})})
-    sim_raw = _object(data.get("sim", {}), "sim", ("paths", "horizon", "seed", "antithetic"))
+    sim_raw = _object(data.get("sim", {}), "sim", ("paths", "horizon", "seed"))
     sim = _build("sim", SimConfig,
-                 **_given(sim_raw, "sim", {"paths": int, "horizon": float, "seed": int, "antithetic": bool}))
+                 **_given(sim_raw, "sim", {"paths": int, "horizon": float, "seed": int}))
 
     return ModelConfig(
         risks=risks, demands=demands, levy=levy, acquisition=acquisition,

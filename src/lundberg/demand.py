@@ -39,6 +39,8 @@ class DemandSpec:
     fixed_cost: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.beta0):  # any sign
+            raise ValidationError(f"demand intercept beta0 must be finite, got {self.beta0}")
         _positive("demand slope beta1", self.beta1)
         _nonnegative("fixed cost", self.fixed_cost)
 

@@ -163,9 +163,9 @@ def weighted_average_loading(theta1: float, theta2: float, p1_ref: float, p2_ref
     Weights are the take rates at a stated reference loading; a useful
     predictor of the common-loading optimum of an aggregated pair.
     """
-    if p1_ref < 0 or p2_ref < 0 or p1_ref + p2_ref <= 0:
-        raise ValidationError("reference take rates must be nonnegative with positive sum")
-    return (theta1 * p1_ref + theta2 * p2_ref) / (p1_ref + p2_ref)
+    total = _positive("reference take rate sum", _nonnegative("reference take rate", p1_ref)
+                      + _nonnegative("reference take rate", p2_ref))
+    return (theta1 * p1_ref + theta2 * p2_ref) / total
 
 
 def _loading_grid(low: float, high: float, step: float) -> np.ndarray:

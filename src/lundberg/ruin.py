@@ -329,9 +329,12 @@ def independence_gap_bound(p_both, lambda_both, intensity, premium_rate, x):
     where lambda is the company claim intensity and c its premium rate.
     Zero joint policyholders or zero reserve give a zero bound.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or p_both < 0 or lambda_both < 0 or intensity < 0 or premium_rate <= 0:
-        raise ValidationError("gap bound inputs must be nonnegative with positive premium rate")
+    x = np.asarray(x, dtype=float)  # a negative, infinite or NaN reserve reaches its min or max
+    for name, value in (("reserve", x.min(initial=0.0)), ("reserve", x.max(initial=0.0)),
+                        ("joint share", p_both), ("joint intensity", lambda_both),
+                        ("claim intensity", intensity)):
+        _nonnegative(name, float(value))
+    _positive("premium rate", premium_rate)
     if intensity == 0.0:
         out = p_both * lambda_both * 2.0 * x / premium_rate
     else:

@@ -8,7 +8,7 @@ seeded as ``SeedSequence((seed, block_index))``; identical seeds
 therefore reproduce estimates bit for bit.  The blocks run through
 :func:`lundberg._pool.map`: with more than one block and more than one
 usable CPU they run in forked worker processes, one per CPU, and are
-reassembled by path offset, so the result does not depend on the number
+joined in path order, so the result does not depend on the number
 of workers.  Simulation blocks always clear the pool's work floor;
 without ``fork`` (or inside a daemonic process) the blocks run in the
 calling process.  The copula samplers look their tables up in sorted
@@ -56,17 +56,12 @@ class SimConfig:
     """Monte Carlo run parameters.
 
     ``horizon`` is in time units; None picks the claim-count default
-    described in the module docstring.  ``antithetic`` mirrors the
-    uniform stream over the second half of the paths; severities are
-    then drawn by inverse transform through ``isf``, which is slower for
-    mixtures and for Gamma severities (``Gamma.isf`` inverts the
-    incomplete gamma function: about 9x the plain sampler's time).
+    described in the module docstring.
     """
 
     paths: int = 100_000
     horizon: float | None = None
     seed: int = 0
-    antithetic: bool = False
 
     def __post_init__(self):
         _count("paths", self.paths, 1)
@@ -117,20 +112,14 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(block))))
 
 
-def _mirror(u):
-    """Antithetic partner 1 - u, capped below 1 so that u = 0 gives no infinite wait or claim."""
-    return np.minimum(1.0 - u, 1.0 - 2.0**-53)
-
-
-def _run_block(n, rng, horizon, premium_rate, reserve, draw, mirror):
+def _run_block(n, rng, horizon, premium_rate, reserve, draw):
     """Simulate one block of paths to ruin or horizon; returns ruin times."""
     t_cur = np.zeros(n)
     l_cur = np.zeros(n)
     ruin_time = np.full(n, np.nan)
     alive = np.arange(n)
-    ruined = 0
     while alive.size:
-        waits, sizes = draw(rng, (alive.size, _CHUNK), mirror)
+        waits, sizes = draw(rng, (alive.size, _CHUNK))
         tt = t_cur[alive, None] + np.cumsum(waits, axis=1)
         ll = l_cur[alive, None] + np.cumsum(sizes, axis=1)
         hit = (reserve + premium_rate * tt - ll <= 0.0) & (tt <= horizon)
@@ -139,12 +128,11 @@ def _run_block(n, rng, horizon, premium_rate, reserve, draw, mirror):
             rows = np.nonzero(any_hit)[0]
             first = np.argmax(hit[rows], axis=1)
             ruin_time[alive[rows]] = tt[rows, first]
-            ruined += rows.size
         t_cur[alive] = tt[:, -1]
         l_cur[alive] = ll[:, -1]
         alive = alive[~any_hit]
         alive = alive[t_cur[alive] < horizon]
-    return ruined, ruin_time
+    return ruin_time
 
 
 def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_times, diagnostics):
@@ -152,36 +140,26 @@ def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_tim
 
     ``rate`` is the total claim rate and ``mean_claim`` the mean claim
     size, which set the default horizon; without claims no path is
-    ruined.  With antithetic on, the second half of the paths replays the
-    same per-block generators with mirrored uniforms, pairing paths row
-    by row until their lifetimes diverge.
+    ruined.
     """
     _nonnegative("claim intensity", rate)
     _nonnegative("premium rate", premium_rate)  # ruin between claims would go unseen below 0
     _nonnegative("reserve", reserve)
     total = config.paths
-    parts = [(0, total, False)]
-    if config.antithetic:
-        first = (total + 1) // 2
-        parts = [(0, first, False), (first, total - first, True)]
+    starts = range(0, total, _BLOCK)
     horizon = config.horizon
     if rate <= 0:  # no claims: nothing to run
-        parts, horizon = [], horizon or np.inf
+        starts, horizon = [], horizon or np.inf
     elif horizon is None:
         horizon = _default_horizon(rate, mean_claim, premium_rate, reserve)
-    jobs = [(offset + start, min(_BLOCK, count - start), start // _BLOCK, mirrored)
-            for offset, count, mirrored in parts for start in range(0, count, _BLOCK)]
 
-    def run(job):
-        _, size, block, mirrored = job
-        return _run_block(size, _block_rng(config.seed, block), horizon, premium_rate, reserve,
-                          draw, mirrored)
+    def run(start):
+        return _run_block(min(_BLOCK, total - start), _block_rng(config.seed, start // _BLOCK),
+                          horizon, premium_rate, reserve, draw)
 
-    results = list(_pool.map(run, jobs))
-    all_times = np.full(total, np.nan)
-    for (offset, size, _, _), (_, t_ruin) in zip(jobs, results):
-        all_times[offset : offset + size] = t_ruin
-    ruined_total = sum(n_ruined for n_ruined, _ in results)
+    blocks = list(_pool.map(run, starts))  # in path order
+    all_times = np.concatenate(blocks) if blocks else np.full(total, np.nan)
+    ruined_total = int(np.count_nonzero(~np.isnan(all_times)))
     if return_times:
         diagnostics["ruin_times"] = all_times
     lo, hi = wilson_interval(ruined_total, total)
@@ -204,15 +182,8 @@ def simulate_ruin(
     ``return_times`` adds per-path ruin times (NaN for survivors) to the
     estimate diagnostics, for distributional tests and CSV dumps.
     """
-    def draw(rng, shape, mirror):
-        if not config.antithetic:
-            return rng.exponential(1.0 / intensity, shape), severity.sample(rng, shape)
-        uw = rng.random(shape)
-        uy = rng.random(shape)
-        if mirror:
-            uw, uy = _mirror(uw), _mirror(uy)
-        waits = -np.log1p(-uw) / intensity
-        return waits, np.asarray(severity.isf(1.0 - uy))
+    def draw(rng, shape):
+        return rng.exponential(1.0 / intensity, shape), severity.sample(rng, shape)
 
     return _run_paths(config, intensity, severity.mean, premium_rate, reserve, draw, return_times, {})
 
@@ -255,11 +226,9 @@ class _StreamSampler:
                 vals[idx] = sample(rng, idx.size)
         return vals
 
-    def draw(self, rng, shape, mirror):
+    def draw(self, rng, shape):
         uw = rng.random(shape)
         ut = rng.random(shape).ravel()
-        if mirror:
-            uw, ut = _mirror(uw), 1.0 - ut
         waits = -np.log1p(-uw) / self.total_rate
         past0, past1 = ut > self.type_cum[0], ut > self.type_cum[1]
         del uw, ut  # freed before the severity draws

@@ -299,8 +299,9 @@ def test_reproduce_optimizes_at_the_requested_grid_step(tmp_path, monkeypatch):
 
 
 def test_two_risk_simulate_is_pinned_and_builds_no_grid(tmp_path, monkeypatch):
-    # simulate.json of fig5 at 20,000 paths and seed 3 (p = 0.601350), recorded while
-    # the command still built the grid decomposition that it never read
+    # simulate.json of fig5 at 20,000 paths and seed 3 (p = 0.601350); the estimate was
+    # recorded while the command still built the grid decomposition that it never read,
+    # and the echoed config was re-recorded when the sim entry lost "antithetic": false
     def no_grid(*args, **kwargs):
         raise AssertionError("lundberg simulate built a grid decomposition")
 
@@ -310,15 +311,16 @@ def test_two_risk_simulate_is_pinned_and_builds_no_grid(tmp_path, monkeypatch):
     assert main(["simulate", str(path), "--paths", "20000", "--seed", "3",
                  "--out-dir", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "simulate.json").read_bytes()).hexdigest()
-    assert digest == "7464cea34f89175d1bc75f389427f62960770d8d6f0558f1ff8f2fc055ad76b6"
+    assert digest == "2cf21e4bb84a477b54203226954ec284b388d8236c2fa04a47eedbce26f7b02a"
 
 
-def test_two_risk_simulate_without_claims_exits_2(tmp_path):
+def test_two_risk_simulate_without_claims_exits_2(tmp_path, capsys):
     cfg = figure_config("fig5")
     cfg["loadings"] = [200.0, 200.0]  # both take rates underflow to 0
     path = tmp_path / "fig5.json"
     path.write_text(json.dumps(cfg))
     assert main(["simulate", str(path), "--paths", "100", "--out-dir", str(tmp_path)]) == 2
+    assert "company claim intensity must be positive and finite" in capsys.readouterr().err
 
 
 def test_sweep_minimum_skips_infeasible_and_nan_points_and_keeps_the_first_tie(tmp_path):
@@ -369,7 +371,7 @@ def test_config_round_trip_all_presets():
         "premium_rate": 2.0, "reserves": [1.0],
     }))
     assert echoed["solver"]["series_terms"] == 400
-    assert echoed["sim"] == {"paths": 100_000, "horizon": None, "seed": 0, "antithetic": False}
+    assert echoed["sim"] == {"paths": 100_000, "horizon": None, "seed": 0}
 
 
 def _edited(name, path, value):
@@ -399,7 +401,7 @@ _MIXTURE = {"kind": "mixture", "weights": ["1"], "components": [{"kind": "expone
      "risks[0].severity.atoms[0]"),
     ("fig1", ("risks", 0, "severity"), _MIXTURE, "risks[0].severity.weights[0]"),
     ("fig1", ("loadings",), 0.4, "loadings"),
-    ("fig1", ("sim", "antithetic"), "false", "sim.antithetic"),
+    ("fig1", ("sim", "antithetic"), False, "sim.antithetic"),  # an entry older versions read
     ("fig1", ("sim", "paths"), True, "sim.paths"),
     ("fig1", ("solver", "grid_stp"), 2.0, "solver.grid_stp"),
     ("fig1", ("risks", 0, "lamda"), 800.0, "risks[0].lamda"),

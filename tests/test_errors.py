@@ -67,6 +67,13 @@ _PROBES = {
     "solve negative premium without claims": (lambda: _solve(0.0, -5.0), errors.NetProfitError),
     "risk nan intensity": (lambda: lb.CompoundPoissonSpec(_NAN, _SEV), "claim intensity"),
     "demand nan fixed cost": (lambda: lb.DemandSpec(-0.6, 4.0, fixed_cost=_NAN), "fixed cost"),
+    "demand nan intercept": (lambda: lb.DemandSpec(_NAN, 4.0), "demand intercept beta0"),
+    "gap bound nan joint share": (lambda: lb.independence_gap_bound(_NAN, 400.0, 100.0, 1e5, 10.0),
+                                  "joint share"),
+    "gap bound nan reserve": (lambda: lb.independence_gap_bound(0.1, 400.0, 100.0, 1e5, [10.0, _NAN]),
+                              "reserve"),
+    "weighted average nan take rate": (lambda: lb.weighted_average_loading(0.4, 0.3, _NAN, 0.5),
+                                       "reference take rate"),
     "exponential inf mean": (lambda: lb.Exponential(_INF), "exponential mean"),
     "gamma inf scale": (lambda: lb.Gamma(2.0, _INF), "gamma scale"),
     "joint ruin reversed box": (lambda: _joint_ruin((0.6, 0.2)), "loading box width"),

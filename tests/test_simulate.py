@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -13,7 +12,7 @@ import lundberg as lb
 from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
 from lundberg.market import _ordered_interp
-from lundberg import _pool, simulate
+from lundberg import _pool
 from lundberg.simulate import _BLOCK, _StreamSampler, wilson_interval
 
 
@@ -113,19 +112,6 @@ def test_horizon_doubling_is_negligible(demand1, gamma_severity):
     assert abs(doubled.probability - base.probability) < 0.5 * half_width
 
 
-def test_antithetic_estimate_consistent(gamma_severity):
-    plain = lb.simulate_ruin(200.0, gamma_severity, 240_000.0, 2000.0,
-                             lb.SimConfig(paths=20_000, seed=4))
-    anti = lb.simulate_ruin(200.0, gamma_severity, 240_000.0, 2000.0,
-                            lb.SimConfig(paths=20_000, seed=4, antithetic=True))
-    assert anti.paths == plain.paths
-    # same model: the two estimators must agree within joint noise
-    assert abs(anti.probability - plain.probability) < 3.0 * (plain.ci_high - plain.ci_low)
-    again = lb.simulate_ruin(200.0, gamma_severity, 240_000.0, 2000.0,
-                             lb.SimConfig(paths=20_000, seed=4, antithetic=True))
-    assert again.probability == anti.probability
-
-
 def test_simulated_severity_mean_matches_model(gamma_severity, rng):
     mix = lb.Mixture([0.4, 0.6], [lb.Exponential(400.0), gamma_severity])
     draws = mix.sample(rng, 200_000)
@@ -216,10 +202,8 @@ def test_bivariate_zero_rates_yield_zero(dep_market, decomposition):
 # 0.4/0.4 shares, reserve 2000, 9000 paths; recorded before the samplers
 # looked their tables up in sorted order, which must not move a draw.
 _GOLDEN = {
-    (0, False): (7008, "e80b3bd87a952ab064bf9b21198fda3a7569fbafb648bcb272c01a4111e25edd"),
-    (0, True): (7052, "66502418bc4e5ea28d71f0c84d33dcd7b1ec59f07b4b64ecf6f7afac7967ef5c"),
-    (3, False): (7038, "ec2a1d3f60c8e213a7461bc6b8c8acc0a15dff9af6cfeaa2416c83f7b53dee37"),
-    (3, True): (6978, "47407ad54f595c0936d7a0676010a781a60ea566388d7189090a2ac1516e98d9"),
+    0: (7008, "e80b3bd87a952ab064bf9b21198fda3a7569fbafb648bcb272c01a4111e25edd"),
+    3: (7038, "ec2a1d3f60c8e213a7461bc6b8c8acc0a15dff9af6cfeaa2416c83f7b53dee37"),
 }
 
 
@@ -227,19 +211,19 @@ def _company_premium(demands):
     return float(sum(d.premium_rate(800.0, 1000.0, 0.4) for d in demands))
 
 
-@pytest.mark.parametrize("seed,antithetic", sorted(_GOLDEN))
-def test_bivariate_stream_is_pinned(dep_market, demands, shares_at_04, seed, antithetic):
+@pytest.mark.parametrize("seed", sorted(_GOLDEN))
+def test_bivariate_stream_is_pinned(dep_market, demands, shares_at_04, seed):
     est = lb.simulate_bivariate_market(
         dep_market, shares_at_04, _company_premium(demands), 2000.0,
-        lb.SimConfig(paths=9000, seed=seed, antithetic=antithetic), return_times=True,
+        lb.SimConfig(paths=9000, seed=seed), return_times=True,
     )
     digest = hashlib.sha256(est.diagnostics["ruin_times"].tobytes()).hexdigest()
-    assert (est.ruined, digest) == _GOLDEN[seed, antithetic]
+    assert (est.ruined, digest) == _GOLDEN[seed]
 
 
 def test_bivariate_own_decomposition_matches_gridded(dep_market, decomposition, demands,
                                                      shares_at_04):
-    cfg = lb.SimConfig(paths=3000, seed=2, antithetic=True)
+    cfg = lb.SimConfig(paths=3000, seed=2)
     args = (dep_market, shares_at_04, _company_premium(demands), 2000.0, cfg)
     own = lb.simulate_bivariate_market(*args, return_times=True)
     given_ = lb.simulate_bivariate_market(*args, decomposition=decomposition, return_times=True)
@@ -254,7 +238,7 @@ def test_bivariate_own_decomposition_matches_gridded(dep_market, decomposition, 
 # blocks in worker processes
 # ---------------------------------------------------------------------------
 
-_UNEVEN_PATHS = 2 * _BLOCK + 17  # three blocks plain, two per half antithetic
+_UNEVEN_PATHS = 2 * _BLOCK + 17  # three blocks, the last one short
 
 
 def _fingerprint(est):
@@ -264,8 +248,8 @@ def _fingerprint(est):
 @pytest.fixture
 def simulators(gamma_severity, dep_market, decomposition, shares_at_04, demands):
     def single(cfg):
-        # a short horizon bounds the slow inverse-transform draws of the antithetic run
-        cfg = lb.SimConfig(cfg.paths, 0.5, cfg.seed, cfg.antithetic)
+        # a short horizon bounds the time of each run, which the tests repeat per worker count
+        cfg = lb.SimConfig(cfg.paths, 0.5, cfg.seed)
         return lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg, return_times=True)
 
     def company(cfg):
@@ -276,35 +260,16 @@ def simulators(gamma_severity, dep_market, decomposition, shares_at_04, demands)
     return {"single": single, "company": company}
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("which", ["single", "company"])
-def test_result_does_not_depend_on_the_worker_count(monkeypatch, simulators, which, antithetic):
+def test_result_does_not_depend_on_the_worker_count(monkeypatch, simulators, which):
     run = simulators[which]
-    cfg = lb.SimConfig(paths=_UNEVEN_PATHS, seed=5, antithetic=antithetic)
+    cfg = lb.SimConfig(paths=_UNEVEN_PATHS, seed=5)
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(_pool, "_worker_count", lambda jobs, w=workers: min(w, jobs))
         results.append(_fingerprint(run(cfg)))
     assert results[0][0] > 0
     assert results[1] == results[0] and results[2] == results[0]
-
-
-def test_small_antithetic_run_forks_its_two_halves(monkeypatch, simulators):
-    # one block per half: the simulator forks for any run of more than one block
-    pools = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    cfg = lb.SimConfig(paths=2 * 1000, seed=5, antithetic=True)
-    results = []
-    for workers in (1, 2):
-        monkeypatch.setattr(_pool, "_worker_count", lambda jobs, w=workers: min(w, jobs))
-        results.append(_fingerprint(simulators["single"](cfg)))
-    assert len(pools) == 1 and results[1] == results[0]
 
 
 def test_sampler_tables_are_built_before_the_workers_fork(monkeypatch, dep_market, shares_at_04,
@@ -365,68 +330,18 @@ class _QueueRng:
         return np.full(size, self.values.pop(0))
 
 
-def test_mirrored_top_uniform_draws_a_simultaneous_claim(decomposition, shares_at_04):
-    sampler = _StreamSampler(decomposition, shares_at_04)
-    # on this market the stream probabilities sum to 1 - 2**-53, so the
-    # mirrored uniform 1.0 lies above the last cumulative cut
-    rates = sampler.rates / sampler.total_rate
-    assert rates[0] + rates[1] + rates[2] == 1.0 - 2.0**-53
-    _, sizes = sampler.draw(_QueueRng(0.5, 0.0, 0.3, 0.6), (1, 2), mirror=True)
-    y1, y2 = decomposition.sample_pair_both(_QueueRng(0.3, 0.6), 2)
-    assert np.array_equal(sizes, (y1 + y2).reshape(1, 2))
-
-
-def test_mirrored_top_uniform_without_joint_clients_stays_one_sided(decomposition):
+def test_top_uniform_without_joint_clients_stays_one_sided(decomposition):
     # no joint clients: the simultaneous stream has rate 0, and at these
-    # shares the two one-sided probabilities sum to 1 - 2**-53
-    shares = AcquisitionShares(p1=0.04, p2=0.29, only1=0.04, only2=0.29, both=0.0)
+    # shares the two one-sided probabilities sum to 1 - 2**-52, below the
+    # largest uniform 1 - 2**-53
+    shares = AcquisitionShares(p1=0.271, p2=0.138, only1=0.271, only2=0.138, both=0.0)
     sampler = _StreamSampler(decomposition, shares)
     assert sampler.rates[2] == 0.0
-    _, sizes = sampler.draw(_QueueRng(0.5, 0.0, 0.3, 0.6), (1, 2), mirror=True)
+    rates = sampler.rates / sampler.total_rate
+    assert rates[0] + rates[1] == 1.0 - 2.0**-52
+    _, sizes = sampler.draw(_QueueRng(0.5, 1.0 - 2.0**-53, 0.3, 0.6), (1, 2))
     expected = sampler._one_sided(_QueueRng(0.3, 0.6), 2, 2)
     assert np.array_equal(sizes, expected.reshape(1, 2))
-
-
-# ---------------------------------------------------------------------------
-# antithetic partners of a zero uniform
-# ---------------------------------------------------------------------------
-
-_TOP_WAIT = -np.log(2.0**-53)  # the wait, in mean waits, of the mirrored uniform 0
-
-
-def _replay_in_every_block(monkeypatch, *values):
-    monkeypatch.setattr(simulate, "_block_rng", lambda seed, block: _QueueRng(*values))
-
-
-def test_mirrored_zero_wait_uniform_keeps_the_single_risk_path_drawing(monkeypatch,
-                                                                       gamma_severity):
-    # uw = 0, uy = 0.5 in both halves: with no premium to speak of, each first
-    # claim (the median) ruins the path, the plain one at once and the
-    # mirrored one after the largest finite wait rather than never
-    _replay_in_every_block(monkeypatch, 0.0, 0.5)
-    est = lb.simulate_ruin(1.0, gamma_severity, 1.0, 0.0,
-                           lb.SimConfig(paths=2, horizon=100.0, antithetic=True),
-                           return_times=True)
-    assert est.ruined == 2
-    assert est.diagnostics["ruin_times"] == pytest.approx([0.0, _TOP_WAIT], rel=1e-12)
-
-
-def test_mirrored_zero_claim_uniform_draws_a_finite_claim(monkeypatch, gamma_severity):
-    # uw = 0.5, uy = 0: the plain claim is isf(1) = 0 and the mirrored one
-    # isf(2**-53), about 20,000, which a reserve of 1e5 survives; an
-    # infinite claim would ruin the mirrored path
-    assert gamma_severity.isf(2.0**-53) < 1e5
-    _replay_in_every_block(monkeypatch, 0.5, 0.0)
-    est = lb.simulate_ruin(1.0, gamma_severity, 1.0, 1e5,
-                           lb.SimConfig(paths=2, horizon=1.0, antithetic=True))
-    assert est.ruined == 0
-
-
-def test_mirrored_zero_wait_uniform_gives_a_finite_company_wait(decomposition, shares_at_04):
-    sampler = _StreamSampler(decomposition, shares_at_04)
-    waits, sizes = sampler.draw(_QueueRng(0.0, 0.5, 0.3, 0.6, 0.3, 0.6), (1, 2), mirror=True)
-    assert waits == pytest.approx(np.full((1, 2), _TOP_WAIT / sampler.total_rate), rel=1e-12)
-    assert np.isfinite(sizes).all()
 
 
 @settings(max_examples=60, deadline=None)
