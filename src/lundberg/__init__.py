@@ -1,71 +1,51 @@
-"""Ruin probabilities and optimal premium loadings for compound Poisson surplus processes."""
+"""Ruin probabilities and optimal premium loadings for compound Poisson surplus processes.
+
+Each public name loads its submodule on first use (PEP 562), so a
+script that only simulates never imports scipy.optimize, scipy.integrate
+or scipy.fft.  ``lundberg.X`` is looked up in the submodule on every
+access and never cached here, so it is always the submodule's current
+binding.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .copulas import (
-    ClaytonCopula,
-    ClaytonLevyCopula,
-    FrankCopula,
-    GumbelCopula,
-    IndependenceCopula,
-    OrdinaryCopula,
-    make_ordinary,
-    tau_to_parameter,
-)
-from .demand import AcquisitionShares, DemandSpec, acquisition_shares, shares_from_take_rates
-from .distributions import (
-    Exponential,
-    Gamma,
-    Gridded,
-    IntegratedTails,
-    JointGridded,
-    Mixture,
-    SeverityModel,
-    integrated_tails,
-    mixture,
-    sum_distribution,
-)
-from .errors import (
-    AccuracyError,
-    ConfigError,
-    InstabilityError,
-    LundbergError,
-    NetProfitError,
-    ValidationError,
-)
-from .market import (
-    CompanyExposure,
-    CompoundPoissonSpec,
-    Decomposition,
-    MarketSpec,
-    company_exposure,
-    decompose,
-)
-from .optimize import (
-    LoadingResult,
-    company_ruin_at,
-    joint_expected_profit,
-    optimize_joint_profit,
-    optimize_joint_ruin,
-    profit_optimal_loading,
-    ruin_optimal_loading,
-    size_scaling_experiment,
-    sweep_single_loading,
-    weighted_average_loading,
-)
-from .ruin import (
-    RuinCurve,
-    SolverConfig,
-    independence_gap_bound,
-    solve_series,
-    solve_survival,
-)
-from .config import ModelConfig, config_to_dict, load_config, parse_config
-from .presets import figure_config, preset_names
-from .simulate import (
-    RuinEstimate,
-    SimConfig,
-    simulate_bivariate_market,
-    simulate_ruin,
-    wilson_interval,
-)
+# submodule -> its __all__
+_EXPORTS = {
+    "copulas": ["OrdinaryCopula", "IndependenceCopula", "ClaytonCopula", "GumbelCopula",
+                "FrankCopula", "ClaytonLevyCopula", "tau_to_parameter", "make_ordinary"],
+    "demand": ["DemandSpec", "AcquisitionShares", "acquisition_shares", "shares_from_take_rates"],
+    "distributions": ["SeverityModel", "Exponential", "Gamma", "Mixture", "Gridded",
+                      "JointGridded", "IntegratedTails", "integrated_tails", "mixture",
+                      "sum_distribution"],
+    "errors": ["LundbergError", "ValidationError", "ConfigError", "NetProfitError",
+               "InstabilityError", "AccuracyError"],
+    "market": ["CompoundPoissonSpec", "MarketSpec", "Decomposition", "CompanyExposure",
+               "decompose", "company_exposure"],
+    "optimize": ["LoadingResult", "ruin_optimal_loading", "profit_optimal_loading",
+                 "joint_expected_profit", "weighted_average_loading", "optimize_joint_ruin",
+                 "optimize_joint_profit", "company_ruin_at", "sweep_single_loading",
+                 "size_scaling_experiment"],
+    "ruin": ["SolverConfig", "RuinCurve", "solve_survival", "solve_series",
+             "independence_gap_bound"],
+    "config": ["ModelConfig", "parse_config", "load_config", "config_to_dict"],
+    "presets": ["figure_config", "preset_names"],
+    "simulate": ["SimConfig", "RuinEstimate", "wilson_interval", "simulate_ruin",
+                 "simulate_bivariate_market"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _EXPORTS:  # a submodule nothing has imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,7 +13,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ValidationError
 
@@ -178,6 +177,8 @@ class ClaytonLevyCopula:
 
 
 def _debye_one(x: float) -> float:
+    from scipy import integrate
+
     val, _ = integrate.quad(lambda t: t / np.expm1(t), 0.0, x, limit=200)
     return val / x
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import _pool
 from .errors import AccuracyError, ValidationError, _positive
@@ -464,6 +464,8 @@ def integrated_tails(model: SeverityModel) -> IntegratedTails:
 
 
 def _quadrature_tails(model: SeverityModel) -> IntegratedTails:
+    from scipy import integrate
+
     def _one(fun, x):
         if x <= 0:
             return 0.0

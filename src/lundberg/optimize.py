@@ -94,7 +94,7 @@ def ruin_optimal_loading(demand: DemandSpec, intensity: float, mean_severity: fl
     ``value`` is alpha at the optimum.  A local check confirms the
     stationary point is a minimum of alpha.
     """
-    lam_mean = intensity * mean_severity
+    lam_mean = _nonnegative("claim intensity", intensity) * _positive("mean severity", mean_severity)
     floor = demand.fixed_cost * demand.beta1 * np.exp(demand.beta0)
     if lam_mean < floor or demand.fixed_cost <= 0:
         raise ValidationError(
@@ -123,6 +123,8 @@ def profit_optimal_loading(demand: DemandSpec, intensity: float, mean_severity: 
     condition of t * lambda * p(t) * E[Y]; the root does not depend on
     lambda, E[Y], or the fixed cost, which only shift the profit level.
     """
+    _nonnegative("claim intensity", intensity)
+    _positive("mean severity", mean_severity)
     b0, b1 = demand.beta0, demand.beta1
 
     def f(t):
@@ -399,8 +401,8 @@ def optimize_joint_profit(
     """
     _nonnegative("loading box width", box[1] - box[0])
     d1, d2 = demands
-    l1, l2 = intensities
-    m1, m2 = mean_severities
+    l1, l2 = (_nonnegative("claim intensity", lam) for lam in intensities)
+    m1, m2 = (_positive("mean severity", mean) for mean in mean_severities)
     fixed = d1.fixed_cost + d2.fixed_cost
     if mode == "separate":
         r1 = profit_optimal_loading(d1, l1, m1)

@@ -92,6 +92,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99):
     """Wilson score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValidationError("wilson interval needs 0 <= successes <= trials, trials >= 1")
+    if not 0 < confidence < 1:
+        raise ValidationError(f"confidence must be strictly between 0 and 1, got {confidence}")
     z = float(ndtri(0.5 + confidence / 2.0))
     phat = successes / trials
     denom = 1.0 + z * z / trials

@@ -478,13 +478,38 @@ def test_load_config_reports_an_unreadable_path(tmp_path):
         assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 2
 
 
-def test_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.stats and scipy.signal each add about half a second to start-up
+def _fresh(code):
+    """Standard output of ``code`` run in a new interpreter that imports this checkout."""
     import lundberg
 
     env = dict(os.environ, PYTHONPATH=str(Path(lundberg.__file__).parents[1]))
-    code = ("import sys, lundberg; "
-            "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+_SCIPY_WATCHED = ("scipy.stats", "scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.fft")
+
+
+def _scipy_loaded_after(code):
+    return set(_fresh(f"import sys; {code}; "
+                      f"print(*[m for m in {_SCIPY_WATCHED!r} if m in sys.modules])").split())
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.stats and scipy.signal each add about half a second to start-up; the baselines are what
+    # numpy and the scipy modules lundberg needs load on their own in this scipy version
+    base = _scipy_loaded_after("import numpy, scipy.special")
+    base_fft = _scipy_loaded_after("import numpy, scipy.special, scipy.fft")
+    assert "scipy.fft" in base_fft and base_fft.isdisjoint({"scipy.stats", "scipy.signal"})
+    # public names load their submodule on first use, so simulating skips scipy.optimize,
+    # scipy.integrate and scipy.fft
+    assert _scipy_loaded_after("import lundberg") <= base
+    assert _scipy_loaded_after("import lundberg as lb; lb.SimConfig, lb.simulate_ruin, "
+                               "lb.simulate_bivariate_market, lb.decompose") <= base
+    solving = _scipy_loaded_after("import lundberg as lb; lb.solve_survival")
+    assert "scipy.fft" in solving and solving <= base_fft
+    # the CLI imports every command module up front, scipy.optimize with optimize
+    cli = _scipy_loaded_after("import lundberg.cli")
+    assert "scipy.optimize" in cli and cli.isdisjoint({"scipy.stats", "scipy.signal"})
+    # a submodule resolves as a package attribute before anything imported it
+    assert _fresh("import lundberg; print(lundberg.market.Decomposition.__name__)") == "Decomposition"

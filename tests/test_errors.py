@@ -81,6 +81,19 @@ _PROBES = {
     "joint profit reversed box": (
         lambda: lb.optimize_joint_profit(_DEMANDS, (800.0, 800.0), (1000.0, 1000.0), mode="common",
                                          box=(0.6, 0.2)), "loading box width"),
+    "ruin loading nan intensity": (lambda: lb.ruin_optimal_loading(_DEMANDS[0], _NAN, 1000.0),
+                                   "claim intensity"),
+    "ruin loading inf intensity": (lambda: lb.ruin_optimal_loading(_DEMANDS[0], _INF, 1000.0),
+                                   "claim intensity"),
+    "ruin loading nan mean severity": (lambda: lb.ruin_optimal_loading(_DEMANDS[0], 800.0, _NAN),
+                                       "mean severity"),
+    "profit loading nan intensity": (lambda: lb.profit_optimal_loading(_DEMANDS[0], _NAN, 1000.0),
+                                     "claim intensity"),
+    "joint profit nan intensity": (
+        lambda: lb.optimize_joint_profit(_DEMANDS, (_NAN, 800.0), (1000.0, 1000.0), mode="common"),
+        "claim intensity"),
+    "wilson confidence above one": (lambda: lb.wilson_interval(5, 10, confidence=1.5), "confidence"),
+    "wilson nan confidence": (lambda: lb.wilson_interval(5, 10, confidence=_NAN), "confidence"),
     "size scaling nan x0": (
         lambda: lb.size_scaling_experiment(_MARKET, lb.IndependenceCopula(), _NAN, 0.2, [0.1],
                                            decomposition=lb.decompose(_MARKET, 25.0)), "x0"),

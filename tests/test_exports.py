@@ -1,6 +1,7 @@
 import importlib
-import inspect
 import pkgutil
+
+import pytest
 
 import lundberg
 
@@ -12,7 +13,13 @@ def test_package_exports_exactly_the_module_public_names():
     modules = [importlib.import_module(f"lundberg.{name}") for name in names]
     assert all(hasattr(module, "__all__") for module in modules)
     declared = [name for module in modules for name in module.__all__]
-    assert len(declared) == len(set(declared))
-    exported = {name for name, value in vars(lundberg).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
-    assert exported == set(declared)
+    assert len(lundberg.__all__) == len(set(lundberg.__all__))
+    assert sorted(lundberg.__all__) == sorted(declared)
+    listed = dir(lundberg)
+    for module in modules:
+        for name in module.__all__:
+            # the package hands out the submodule's own binding, not a copy
+            assert getattr(lundberg, name) is getattr(module, name)
+            assert name in listed
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        lundberg.not_a_name
