@@ -225,7 +225,7 @@ def cmd_simulate(args) -> int:
     reserve = max(cfg.reserves)
     if cfg.is_single:
         lam, sev, c, _ = _single_model(cfg)
-        est = simulate_ruin(lam, sev, c, reserve, sim, return_times=args.dump_times)
+        est = simulate_ruin(lam, sev, c, reserve, sim)
     else:
         # the simulator builds its own copula samplers; no grid is needed
         market = cfg.market()
@@ -233,9 +233,7 @@ def cmd_simulate(args) -> int:
         _positive("company claim intensity",
                   shares.p1 * market.risk1.intensity + shares.p2 * market.risk2.intensity)
         est = simulate_bivariate_market(
-            market, shares, float(_premium_rate(market, cfg.demands, *cfg.loadings)), reserve, sim,
-            return_times=args.dump_times,
-        )
+            market, shares, float(_premium_rate(market, cfg.demands, *cfg.loadings)), reserve, sim)
     payload = {"estimate": est.to_dict(), "config": config_to_dict(cfg)}
     write_json(out / f"{stem}.json", payload)
     if args.dump_times:
@@ -261,12 +259,10 @@ def _write_sweep(path, thetas, profit, ruin, feasible, reserves):
 
 def _reproduce_single(name, cfg, out, sweep_step, grid_step):
     risk, demand = cfg.risks[0], cfg.demands[0]
-    reserves = sorted(cfg.reserves)
     thetas = _loading_grid(0.05, 1.0, sweep_step)
     sweep = sweep_single_loading(demand, risk.intensity, risk.severity, cfg.reserves, thetas, grid_step)
-    ruin = np.column_stack([sweep["ruin"][r] for r in reserves])
-    best = _write_sweep(out / f"{name}_sweep.csv", sweep["theta"], sweep["profit"], ruin,
-                        sweep["feasible"], reserves)
+    best = _write_sweep(out / f"{name}_sweep.csv", sweep["theta"], sweep["profit"], sweep["ruin"],
+                        sweep["feasible"], sweep["reserves"])
     ruin_res = ruin_optimal_loading(demand, risk.intensity, risk.severity.mean)
     profit_res = profit_optimal_loading(demand, risk.intensity, risk.severity.mean)
     return {
@@ -337,10 +333,10 @@ def cmd_reproduce(args) -> int:
         thetas = _loading_grid(0.2, 0.6, sweep_step)
         pairs = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
         ruin, profit, _ = company_ruin_at(
-            market, demands, cfg.acquisition, reserve, pairs, grid_step, decomposition
+            market, demands, cfg.acquisition, [reserve], pairs, grid_step, decomposition
         )
         write_csv(out / f"{name}_grid.csv", ["theta1", "theta2", "ruin", "profit"],
-                  zip(*pairs.T.tolist(), ruin.tolist(), profit.tolist()))
+                  zip(*pairs.T.tolist(), ruin[:, 0].tolist(), profit.tolist()))
         summary["results"] = {
             "ruin_optimum": list(res.loading), "min_ruin": res.value,
             "grid_optimum": list(res.grid_loading),

@@ -11,10 +11,11 @@ relation.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _positive
 
 __all__ = [
     "OrdinaryCopula",
@@ -71,9 +72,7 @@ class ClaytonCopula(OrdinaryCopula):
     family = "clayton"
 
     def __init__(self, omega: float):
-        if not omega > 0:
-            raise ValidationError(f"clayton parameter must be positive, got {omega}")
-        self.omega = float(omega)
+        self.omega = float(_positive("clayton parameter", omega))
 
     def _cdf(self, u, v):
         w = self.omega
@@ -92,8 +91,8 @@ class GumbelCopula(OrdinaryCopula):
     family = "gumbel"
 
     def __init__(self, omega: float):
-        if not omega >= 1:
-            raise ValidationError(f"gumbel parameter must be >= 1, got {omega}")
+        if not 1 <= omega < math.inf:
+            raise ValidationError(f"gumbel parameter must be >= 1 and finite, got {omega}")
         self.omega = float(omega)
 
     def _cdf(self, u, v):
@@ -114,8 +113,8 @@ class FrankCopula(OrdinaryCopula):
     family = "frank"
 
     def __init__(self, omega: float):
-        if omega == 0:
-            raise ValidationError("frank parameter must be nonzero")
+        if omega == 0 or not math.isfinite(omega):
+            raise ValidationError(f"frank parameter must be nonzero and finite, got {omega}")
         self.omega = float(omega)
 
     def _cdf(self, u, v):
@@ -146,9 +145,7 @@ class ClaytonLevyCopula:
     family = "clayton"
 
     def __init__(self, omega: float):
-        if not omega > 0:
-            raise ValidationError(f"clayton Levy parameter must be positive, got {omega}")
-        self.omega = float(omega)
+        self.omega = float(_positive("clayton Levy parameter", omega))
 
     def cdf(self, x, y):
         x = np.asarray(x, dtype=float)

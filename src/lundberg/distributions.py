@@ -238,7 +238,7 @@ class Mixture(SeverityModel):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) != len(components) or len(components) == 0:
             raise ValidationError("mixture needs one weight per component")
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):  # NaN fails too
             raise ValidationError(f"mixture weights must be nonnegative, got {weights}")
         if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValidationError(f"mixture weights must sum to 1, got {weights.sum()!r}")
@@ -320,14 +320,13 @@ class Gridded(SeverityModel):
         masses = np.asarray(masses, dtype=float)
         if atoms.ndim != 1 or atoms.shape != masses.shape or atoms.size == 0:
             raise ValidationError("gridded model needs matching atom and mass arrays")
-        if np.any(atoms <= 0):
-            raise ValidationError("gridded atoms must be strictly positive")
+        if not np.all((atoms > 0) & (atoms < np.inf)):
+            raise ValidationError("gridded atoms must be strictly positive and finite")
         if np.any(np.diff(atoms) <= 0):
             raise ValidationError("gridded atoms must be strictly increasing")
-        bad = masses < 0
-        if np.any(masses[bad] < -_WEIGHT_TOL):
+        if not np.all(masses >= -_WEIGHT_TOL):  # NaN fails too
             raise ValidationError(f"gridded masses must be nonnegative, min {masses.min()!r}")
-        masses = np.where(bad, 0.0, masses)
+        masses = np.where(masses < 0, 0.0, masses)
         total = float(masses.sum())
         if abs(total - 1.0) > _MASS_TOL:
             raise ValidationError(f"gridded masses must sum to 1 within {_MASS_TOL}, got {total!r}")
@@ -442,8 +441,8 @@ class JointGridded:
         """Rows ``a:b``, each checked nonnegative; a row may be overwritten by the next."""
         for row in self._rows(a, b):
             row = np.asarray(row, dtype=float)
-            low = row.min(initial=0.0)
-            if low < -1e-12:
+            low = row.min(initial=0.0)  # NaN if any cell is NaN
+            if not low >= -1e-12:
                 raise ValidationError(f"joint cell masses must be nonnegative, min {low!r}")
             # A fresh clamped copy: the source may be a caller's matrix.
             yield np.maximum(row, 0.0) if low < 0.0 else row

@@ -12,6 +12,8 @@ Two entries sweep loadings on a reserve grid of step ``grid_step``:
 :func:`sweep_single_loading` for one risk and :func:`company_ruin_at`
 for a batch of two-risk loading pairs (a common loading t is the pair
 (t, t)), through which :func:`optimize_joint_ruin` runs its sweep.
+Both give ruin as one table of shape (loadings, reserves): a row per
+loading and a column per reserve.
 
 The sweeps exploit the structure of the company claim model: the grid
 recursion coefficients are linear in the per-component exposure weights,
@@ -250,17 +252,17 @@ def company_ruin_at(
     market: MarketSpec,
     demands,
     acquisition: OrdinaryCopula,
-    reserve,
+    reserves,
     theta_pairs: np.ndarray,
     grid_step: float,
-    decomposition: Decomposition | None = None,
+    decomposition: Decomposition,
 ):
-    """Ruin probability at one or more reserves for a batch of loadings.
+    """Ruin probability at a list of reserves for a batch of P loading pairs.
 
-    Returns (ruin, profit, feasible) with ruin of shape (P,) for a
-    scalar reserve and (P, len(reserve)) otherwise.  Reserves snap to
-    the nearest grid node.  Infeasible pairs (premium at or below the
-    expected claim rate) carry ruin 1.0, the mathematically certain
+    Returns (ruin, profit, feasible), ruin of shape (P, len(reserves)) with
+    the reserves' columns in the order given; they snap to the nearest
+    grid node of the market's ``decomposition``.  Infeasible pairs (premium
+    at or below the expected claim rate) carry ruin 1.0, the certain
     value; pairs that destabilize the recursion return NaN.
 
     ``profit`` is the premium rate less the gridded model's mean claim
@@ -268,21 +270,16 @@ def company_ruin_at(
     end, about h/2 per claim, so it sits below the closed form of
     :func:`joint_expected_profit` less costs (1.25% at loading 0.4, h = 2).
     """
-    scalar_reserve = np.isscalar(reserve)
-    reserves = [float(reserve)] if scalar_reserve else [float(r) for r in reserve]
-    if decomposition is None:
-        decomposition = decompose(market, grid_step)
     ruin_at = _company_sweep(market, demands, acquisition, reserves, grid_step, decomposition)
-    ruin, profit, feasible = ruin_at(theta_pairs)
-    return (ruin[:, 0] if scalar_reserve else ruin), profit, feasible
+    return ruin_at(theta_pairs)
 
 
 def sweep_single_loading(demand, intensity, severity, reserves, thetas, grid_step):
     """Single-risk loading sweep: ruin at each reserve plus expected profit.
 
-    Returns a dict with ``theta``, ``profit``, ``feasible``, and one ruin
-    array per reserve under ``ruin`` (keyed by reserve).  The same
-    survival kernel as the two-risk sweeps runs with a single severity
+    Returns a dict with ``theta``, ``profit``, ``feasible``, the sorted
+    ``reserves`` and ``ruin`` of shape (len(thetas), len(reserves)).  The
+    same survival kernel as the two-risk sweeps runs with one severity
     component weighted by the demand-thinned intensity; points that
     leave the recursion's valid range carry NaN.
     """
@@ -292,8 +289,8 @@ def sweep_single_loading(demand, intensity, severity, reserves, thetas, grid_ste
     coef = (np.asarray(demand.take_rate(thetas), dtype=float) * intensity)[:, None]
     premium = np.asarray(demand.premium_rate(intensity, tails.mean, thetas), dtype=float)
     ruin, profit, feasible = _sweep([tails], reserves, grid_step)(coef, premium)
-    return {"theta": thetas, "profit": profit, "feasible": feasible,
-            "ruin": {r: ruin[:, j] for j, r in enumerate(reserves)}}
+    return {"theta": thetas, "profit": profit, "feasible": feasible, "reserves": reserves,
+            "ruin": ruin}
 
 
 def optimize_joint_ruin(
@@ -339,18 +336,18 @@ def optimize_joint_ruin(
         free = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
         names = ["theta1", "theta2"]
     ruin, profit, feasible = company_ruin_at(
-        market, demands, acquisition, reserve, free[:, [0, -1]], grid_step, decomposition
+        market, demands, acquisition, [reserve], free[:, [0, -1]], grid_step, decomposition
     )
-    sweep = dict(zip(names, free.T), ruin=ruin, profit=profit, feasible=feasible)
+    sweep = dict(zip(names, free.T), ruin=ruin[:, 0], profit=profit, feasible=feasible)
 
     def loading_of(x):
         return float(x[0]) if mode == "common" else (float(x[0]), float(x[1]))
 
-    (best,), usable = _sweep_argmin(ruin[:, None], feasible)
+    (best,), usable = _sweep_argmin(ruin, feasible)
     if not usable.any():
         raise ValidationError("net profit condition fails everywhere in the search box")
     x = free[best]
-    value = grid_value = float(ruin[best])
+    value = grid_value = float(ruin[best, 0])
     refined = False
     if refine:
         ruin_at = _company_sweep(market, demands, acquisition, [float(reserve)], grid_step, decomposition)
@@ -434,7 +431,8 @@ def size_scaling_experiment(
     theta: float,
     shares: np.ndarray,
     nodes_per_solve: int = 2000,
-    decomposition: Decomposition | None = None,
+    *,
+    decomposition: Decomposition,
 ) -> list:
     """Dependence error as company size shrinks.
 
@@ -446,9 +444,6 @@ def size_scaling_experiment(
     """
     _positive("x0", x0)
     _positive("theta", theta)
-    if decomposition is None:
-        decomposition = decompose(market, grid_step=min(
-            market.risk1.severity.mean, market.risk2.severity.mean) / 500.0)
     rows = []
     for p in np.asarray(shares, dtype=float):
         share = shares_from_take_rates(acquisition, float(p), float(p))

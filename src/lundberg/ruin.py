@@ -105,6 +105,10 @@ class RuinCurve:
         return 1.0 - self.survival
 
     def ruin_at(self, x):
+        """Ruin probability at reserves ``x`` in the grid [0, x[-1]], linear between nodes."""
+        xs = np.asarray(x, dtype=float)
+        if not np.all((xs >= 0) & (xs <= self.x[-1])):
+            raise ValidationError(f"reserve must be within the grid [0, {self.x[-1]:g}], got {x}")
         return 1.0 - np.interp(x, self.x, self.survival)
 
 

@@ -34,7 +34,7 @@ from . import _pool
 from .demand import AcquisitionShares
 from .distributions import SeverityModel
 from .errors import ValidationError, _count, _nonnegative, _positive
-from .market import Decomposition, MarketSpec
+from .market import Decomposition, MarketSpec, _company_streams
 
 __all__ = [
     "SimConfig",
@@ -137,7 +137,7 @@ def _run_block(n, rng, horizon, premium_rate, reserve, draw):
     return ruin_time
 
 
-def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_times, diagnostics):
+def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, diagnostics):
     """Run all paths in seeded blocks and return the estimate.
 
     ``rate`` is the total claim rate and ``mean_claim`` the mean claim
@@ -162,8 +162,7 @@ def _run_paths(config, rate, mean_claim, premium_rate, reserve, draw, return_tim
     blocks = list(_pool.map(run, starts))  # in path order
     all_times = np.concatenate(blocks) if blocks else np.full(total, np.nan)
     ruined_total = int(np.count_nonzero(~np.isnan(all_times)))
-    if return_times:
-        diagnostics["ruin_times"] = all_times
+    diagnostics["ruin_times"] = all_times
     lo, hi = wilson_interval(ruined_total, total)
     return RuinEstimate(
         probability=ruined_total / total, ci_low=lo, ci_high=hi, paths=total,
@@ -177,17 +176,16 @@ def simulate_ruin(
     premium_rate: float,
     reserve: float,
     config: SimConfig,
-    return_times: bool = False,
 ) -> RuinEstimate:
     """Estimate the ruin probability of one compound Poisson surplus process.
 
-    ``return_times`` adds per-path ruin times (NaN for survivors) to the
-    estimate diagnostics, for distributional tests and CSV dumps.
+    The estimate's ``diagnostics["ruin_times"]`` holds each path's ruin
+    time, NaN for survivors.
     """
     def draw(rng, shape):
         return rng.exponential(1.0 / intensity, shape), severity.sample(rng, shape)
 
-    return _run_paths(config, intensity, severity.mean, premium_rate, reserve, draw, return_times, {})
+    return _run_paths(config, intensity, severity.mean, premium_rate, reserve, draw, {})
 
 
 class _StreamSampler:
@@ -195,13 +193,11 @@ class _StreamSampler:
 
     def __init__(self, decomp: Decomposition, shares: AcquisitionShares):
         d = decomp
-        lam_b = d.lambda_both
         self.decomp = d
-        self.rates = np.array([
-            shares.p1 * d.lambda1_only + shares.only1 * lam_b,
-            shares.p2 * d.lambda2_only + shares.only2 * lam_b,
-            shares.both * lam_b,
-        ])
+        parts = [r for _, r in _company_streams(d, shares.p1, shares.p2, shares.only1, shares.only2,
+                                                shares.both)] + [0.0] * 3  # independent: two streams
+        # risk 1's exclusive and one-sided simultaneous claims, risk 2's, the summed pairs
+        self.rates = np.array([parts[0] + parts[2], parts[1] + parts[3], parts[4]])
         self.total_rate = float(self.rates.sum())
         self.type_cum = self.mean_claim = None
         if self.total_rate > 0:  # the last positive-rate stream takes all above its cut
@@ -210,8 +206,8 @@ class _StreamSampler:
             # share-weighted marginal cost rates: exact for any dependence
             cost_rate = shares.p1 * d.market.risk1.mean_claim_rate + shares.p2 * d.market.risk2.mean_claim_rate
             self.mean_claim = cost_rate / self.total_rate
-        self.w_excl1 = shares.p1 * d.lambda1_only / self.rates[0] if self.rates[0] > 0 else 0.0
-        self.w_excl2 = shares.p2 * d.lambda2_only / self.rates[1] if self.rates[1] > 0 else 0.0
+        self.w_excl1 = parts[0] / self.rates[0] if self.rates[0] > 0 else 0.0
+        self.w_excl2 = parts[1] / self.rates[1] if self.rates[1] > 0 else 0.0
 
     def _one_sided(self, rng, m, which):
         d = self.decomp
@@ -248,12 +244,11 @@ class _StreamSampler:
 
 def simulate_bivariate_market(
     market: MarketSpec,
-    shares: AcquisitionShares | None,
+    shares: AcquisitionShares,
     premium_rate: float,
     reserve: float,
     config: SimConfig,
     decomposition: Decomposition | None = None,
-    return_times: bool = False,
 ) -> RuinEstimate:
     """Estimate company ruin by simulating the decomposed claim streams.
 
@@ -261,16 +256,14 @@ def simulate_bivariate_market(
     each risk and simultaneous claims drawn as exact copula pairs (both
     coordinates added).  Severities come from the continuous copula
     inversion, not from the gridded mixtures, so this estimator is a
-    route independent of the grid solvers.  ``shares`` of None means the
-    whole market (a monopoly company).  Without a ``decomposition`` only
-    the stream intensities and the samplers are built, no grids.
+    route independent of the grid solvers.  Without a ``decomposition``
+    only the stream intensities and the samplers are built, no grids.
+    The estimate's ``diagnostics`` hold the ``stream_rates`` and ``ruin_times``.
     """
-    if shares is None:
-        shares = AcquisitionShares.monopoly()
     if decomposition is None:
         decomposition = Decomposition(market, grid_step=None)
     if market.levy is not None:  # built once, before the workers fork, and kept by the caller
         decomposition._inverse_tables()
     sampler = _StreamSampler(decomposition, shares)
     return _run_paths(config, sampler.total_rate, sampler.mean_claim, premium_rate, reserve,
-                      sampler.draw, return_times, {"stream_rates": sampler.rates.tolist()})
+                      sampler.draw, {"stream_rates": sampler.rates.tolist()})

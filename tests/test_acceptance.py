@@ -258,15 +258,16 @@ def test_criterion_11_profit_invariance(gamma_severity, decomposition, dep_marke
 def test_criterion_12_acquisition_dependence_ordering(dep_market, decomposition, demands, thetas):
     pairs = np.column_stack([thetas, thetas])
     curves = {"independent": company_ruin_at(
-        dep_market, demands, lb.IndependenceCopula(), RESERVE, pairs, GRID_STEP, decomposition)}
+        dep_market, demands, lb.IndependenceCopula(), [RESERVE], pairs, GRID_STEP, decomposition)}
     for fam in ("clayton", "gumbel"):
         for tau in (0.05, 0.25, 0.5):
             curves[(fam, tau)] = company_ruin_at(
-                dep_market, demands, make_ordinary(fam, tau=tau), RESERVE, pairs, GRID_STEP,
+                dep_market, demands, make_ordinary(fam, tau=tau), [RESERVE], pairs, GRID_STEP,
                 decomposition)
 
     def best(sweep):
         ruin, _, feasible = sweep
+        ruin = ruin[:, 0]
         vals = np.where(feasible & np.isfinite(ruin), ruin, np.inf)
         i = int(np.argmin(vals))
         return float(thetas[i]), float(ruin[i])

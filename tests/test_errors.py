@@ -49,6 +49,12 @@ def _solve(intensity, premium):
     return lb.solve_survival(intensity, _SEV, premium, lb.SolverConfig(grid_step=50.0, x_max=1000.0))
 
 
+def _joint_cells(cell):
+    """A 2 x 2 joint lattice whose last cell is ``cell``."""
+    masses = [[0.25, 0.25], [0.25, cell]]
+    return lb.JointGridded(1.0, 2, lambda a, b: iter(masses[a:b]))
+
+
 def _joint_ruin(box):
     return lb.optimize_joint_ruin(_MARKET, _DEMANDS, lb.IndependenceCopula(), 1000.0, grid_step=25.0,
                                   box=box, decomposition=lb.decompose(_MARKET, 25.0))
@@ -101,6 +107,21 @@ _PROBES = {
     "boolean paths": (lambda: lb.SimConfig(paths=True), "paths"),
     "fractional seed": (lambda: lb.SimConfig(seed=1.5), "seed"),
     "fractional series terms": (lambda: lb.SolverConfig(1.0, 10.0, series_terms=2.5), "series_terms"),
+    "gridded nan mass": (lambda: lb.Gridded([1.0, 2.0], [0.5, _NAN]), "gridded masses"),
+    "gridded nan atom": (lambda: lb.Gridded([1.0, _NAN], [0.5, 0.5]), "gridded atoms"),
+    "gridded inf atom": (lambda: lb.Gridded([1.0, _INF], [0.5, 0.5]), "gridded atoms"),
+    "mixture nan weight": (lambda: lb.Mixture([_NAN, 1.0], [_SEV, _SEV]), "mixture weights"),
+    "mixture helper nan weight": (lambda: lb.mixture([_NAN, 1.0], [_SEV, _SEV]), "mixture weights"),
+    "joint lattice nan cell": (lambda: list(_joint_cells(_NAN).rows(0, 2)), "joint cell masses"),
+    "sum distribution nan cell": (lambda: lb.sum_distribution(_joint_cells(_NAN)), "joint cell masses"),
+    "frank nan parameter": (lambda: lb.FrankCopula(_NAN), "frank parameter"),
+    "frank inf parameter": (lambda: lb.FrankCopula(_INF), "frank parameter"),
+    "clayton inf parameter": (lambda: lb.ClaytonCopula(_INF), "clayton parameter"),
+    "gumbel inf parameter": (lambda: lb.GumbelCopula(_INF), "gumbel parameter"),
+    "clayton levy inf parameter": (lambda: lb.ClaytonLevyCopula(_INF), "clayton Levy parameter"),
+    "ruin curve beyond the grid": (lambda: _solve(800.0, 1e6).ruin_at(5000.0), "reserve"),
+    "ruin curve negative reserve": (lambda: _solve(800.0, 1e6).ruin_at(-50.0), "reserve"),
+    "ruin curve nan reserve": (lambda: _solve(800.0, 1e6).ruin_at(_NAN), "reserve"),
 }
 
 

@@ -84,8 +84,8 @@ def test_single_ruin_argmin_reserve_invariant(demand1, gamma_severity):
         demand1, 800.0, gamma_severity, [100.0, 5000.0, 20_000.0], thetas, 4.0,
     )
     argmins = [
-        float(thetas[np.argmin(np.where(sweep["feasible"], sweep["ruin"][r], np.inf))])
-        for r in (100.0, 5000.0, 20_000.0)
+        float(thetas[np.argmin(np.where(sweep["feasible"], ruin, np.inf))])
+        for ruin in sweep["ruin"].T
     ]
     closed = ruin_optimal_loading(demand1, 800.0, 1000.0).loading
     for a in argmins:
@@ -112,8 +112,7 @@ def test_single_sweep_is_independent_of_chunking(demand1, gamma_severity, monkey
     feasible = int(runs[0]["feasible"].sum())
     assert 0 < feasible < thetas.size
     assert calls == [1] * feasible + [feasible]
-    for r in (1000.0, 5000.0):
-        assert np.array_equal(runs[0]["ruin"][r], runs[1]["ruin"][r], equal_nan=True)
+    assert np.array_equal(runs[0]["ruin"], runs[1]["ruin"], equal_nan=True)
 
 
 class _FlippedTails(lb.Exponential):
@@ -136,7 +135,8 @@ def test_sweeps_are_the_same_bytes_in_every_pool_mode(demands, gamma_severity, m
     monkeypatch.setattr(optimize, "_SWEEP_CELLS", 7 * 601)  # 7 rows a chunk: 57 full and one of 1
 
     def company():
-        return company_ruin_at(market, demands, lb.IndependenceCopula(), [1000.0, 3000.0], pairs, 5.0)
+        return company_ruin_at(market, demands, lb.IndependenceCopula(), [1000.0, 3000.0], pairs, 5.0,
+                               lb.decompose(market, 5.0))
 
     runs = pool_modes(company)
     ruin, _, feasible = runs[0]
@@ -152,8 +152,8 @@ def test_sweeps_are_the_same_bytes_in_every_pool_mode(demands, gamma_severity, m
 
     runs = pool_modes(single)
     for run in runs[1:]:
-        assert all(np.array_equal(run[key], runs[0][key]) for key in ("theta", "profit", "feasible"))
-        assert all(np.array_equal(run["ruin"][r], runs[0]["ruin"][r]) for r in (1000.0, 3000.0))
+        assert all(np.array_equal(run[key], runs[0][key])
+                   for key in ("theta", "profit", "feasible", "ruin"))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +275,11 @@ def test_optimize_joint_profit_modes(demands):
 
 def test_infeasible_points_report_certain_ruin(indep_market, demands):
     ruin, profit, feasible = company_ruin_at(
-        indep_market, demands, lb.IndependenceCopula(), 500.0, [[0.05, 0.05], [0.4, 0.4]], 4.0,
+        indep_market, demands, lb.IndependenceCopula(), [500.0], [[0.05, 0.05], [0.4, 0.4]], 4.0,
+        lb.decompose(indep_market, 4.0),
     )
-    assert not feasible[0] and ruin[0] == 1.0
-    assert feasible[1] and 0.0 < ruin[1] < 1.0
+    assert not feasible[0] and ruin[0, 0] == 1.0
+    assert feasible[1] and 0.0 < ruin[1, 0] < 1.0
 
 
 @pytest.mark.parametrize("reserves, step", [

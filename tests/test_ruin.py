@@ -122,9 +122,9 @@ def test_single_sweep_gives_nan_for_unstable_point(demand1, gamma_severity):
     from lundberg.optimize import sweep_single_loading
 
     broken = sweep_single_loading(demand1, 800.0, _BrokenTails(), [1000.0], [0.435], 5.0)
-    assert broken["feasible"][0] and np.isnan(broken["ruin"][1000.0][0])
+    assert broken["feasible"][0] and np.isnan(broken["ruin"][0, 0])
     sound = sweep_single_loading(demand1, 800.0, gamma_severity, [1000.0], [0.435], 5.0)
-    assert 0.0 < sound["ruin"][1000.0][0] < 1.0
+    assert 0.0 < sound["ruin"][0, 0] < 1.0
 
 
 def test_kernel_matches_direct_recursion(gamma_severity, dep_market, decomposition, demands,
@@ -428,19 +428,35 @@ def test_gap_bound_dominates_measured_gap(dep_market, decomposition, demands, sh
 # ---------------------------------------------------------------------------
 
 def test_batched_sweep_matches_single_solves(dep_market, decomposition, demands):
-    from lundberg.optimize import company_ruin_at
+    from lundberg.optimize import company_ruin_at, sweep_single_loading
 
     acq = lb.IndependenceCopula()
     pairs = [[0.3, 0.35], [0.4, 0.4], [0.5, 0.45]]
+    reserves = [5000.0, 1000.0]  # unsorted: the columns keep this order
     ruin, profit, feasible = company_ruin_at(
-        dep_market, demands, acq, 5000.0, pairs, 2.0, decomposition
+        dep_market, demands, acq, reserves, pairs, 2.0, decomposition
     )
+    assert ruin.shape == (len(pairs), len(reserves))
     cfg = SolverConfig(grid_step=2.0, x_max=5000.0)
-    for (t1, t2), r in zip(pairs, ruin):
+    for (t1, t2), row in zip(pairs, ruin):
         shares = lb.acquisition_shares(acq, demands[0], demands[1], t1, t2)
         exposure = lb.company_exposure(
             dep_market, shares, (t1, t2), demands, (5000.0,), decomposition=decomposition,
         )
         single = solve_survival(exposure.intensity, exposure.severity,
                                 exposure.premium_rate, cfg)
-        assert r == pytest.approx(single.ruin[-1], abs=1e-12)
+        for reserve, r in zip(reserves, row):
+            assert r == pytest.approx(single.ruin_at(reserve), abs=1e-12)
+
+    # the single-risk sweep sorts its reserves, and its columns follow them
+    demand, risk = demands[0], dep_market.risk1
+    thetas = [0.3, 0.4, 0.5]
+    sweep = sweep_single_loading(demand, risk.intensity, risk.severity, reserves, thetas, 2.0)
+    assert sweep["reserves"] == sorted(reserves)
+    assert sweep["ruin"].shape == (len(thetas), len(reserves))
+    for theta, row in zip(thetas, sweep["ruin"]):
+        single = solve_survival(
+            risk.intensity * float(demand.take_rate(theta)), risk.severity,
+            float(demand.premium_rate(risk.intensity, risk.severity.mean, theta)), cfg)
+        for reserve, r in zip(sweep["reserves"], row):
+            assert r == pytest.approx(single.ruin_at(reserve), abs=1e-12)

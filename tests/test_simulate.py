@@ -48,8 +48,8 @@ def test_wilson_validation():
 
 def test_identical_seeds_reproduce_bitwise(gamma_severity):
     cfg = lb.SimConfig(paths=20_000, seed=9)
-    a = lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg, return_times=True)
-    b = lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg, return_times=True)
+    a = lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg)
+    b = lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg)
     assert a.probability == b.probability
     assert a.ruined == b.ruined
     ta, tb = a.diagnostics["ruin_times"], b.diagnostics["ruin_times"]
@@ -152,11 +152,10 @@ def test_bivariate_reduces_to_aggregate_when_independent(indep_market, demands, 
     )
     cfg = lb.SimConfig(paths=30_000, seed=10)
     via_streams = lb.simulate_bivariate_market(
-        indep_market, shares_at_04, exposure.premium_rate, 2000.0, cfg, return_times=True,
+        indep_market, shares_at_04, exposure.premium_rate, 2000.0, cfg,
     )
     via_mixture = lb.simulate_ruin(
         exposure.intensity, exposure.severity, exposure.premium_rate, 2000.0, cfg,
-        return_times=True,
     )
     t1 = via_streams.diagnostics["ruin_times"]
     t2 = via_mixture.diagnostics["ruin_times"]
@@ -172,12 +171,12 @@ def test_bivariate_no_joint_clients_matches_marginal_model(dep_market, decomposi
     cfg = lb.SimConfig(paths=30_000, seed=11)
     via_streams = lb.simulate_bivariate_market(
         dep_market, shares, exposure.premium_rate, 2000.0, cfg,
-        decomposition=decomposition, return_times=True,
+        decomposition=decomposition,
     )
     # oracle: the exact marginal-only company law (no joint clients)
     hat = lb.Mixture([0.5, 0.5], [dep_market.risk1.severity, dep_market.risk2.severity])
     via_hat = lb.simulate_ruin(
-        exposure.intensity_indep, hat, exposure.premium_rate, 2000.0, cfg, return_times=True,
+        exposure.intensity_indep, hat, exposure.premium_rate, 2000.0, cfg,
     )
     t1 = via_streams.diagnostics["ruin_times"]
     t2 = via_hat.diagnostics["ruin_times"]
@@ -215,7 +214,7 @@ def _company_premium(demands):
 def test_bivariate_stream_is_pinned(dep_market, demands, shares_at_04, seed):
     est = lb.simulate_bivariate_market(
         dep_market, shares_at_04, _company_premium(demands), 2000.0,
-        lb.SimConfig(paths=9000, seed=seed), return_times=True,
+        lb.SimConfig(paths=9000, seed=seed),
     )
     digest = hashlib.sha256(est.diagnostics["ruin_times"].tobytes()).hexdigest()
     assert (est.ruined, digest) == _GOLDEN[seed]
@@ -225,8 +224,8 @@ def test_bivariate_own_decomposition_matches_gridded(dep_market, decomposition, 
                                                      shares_at_04):
     cfg = lb.SimConfig(paths=3000, seed=2)
     args = (dep_market, shares_at_04, _company_premium(demands), 2000.0, cfg)
-    own = lb.simulate_bivariate_market(*args, return_times=True)
-    given_ = lb.simulate_bivariate_market(*args, decomposition=decomposition, return_times=True)
+    own = lb.simulate_bivariate_market(*args)
+    given_ = lb.simulate_bivariate_market(*args, decomposition=decomposition)
     assert own.ruined == given_.ruined
     assert np.array_equal(own.diagnostics["ruin_times"], given_.diagnostics["ruin_times"],
                           equal_nan=True)
@@ -250,12 +249,11 @@ def simulators(gamma_severity, dep_market, decomposition, shares_at_04, demands)
     def single(cfg):
         # a short horizon bounds the time of each run, which the tests repeat per worker count
         cfg = lb.SimConfig(cfg.paths, 0.5, cfg.seed)
-        return lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg, return_times=True)
+        return lb.simulate_ruin(200.0, gamma_severity, 230_000.0, 1500.0, cfg)
 
     def company(cfg):
         return lb.simulate_bivariate_market(dep_market, shares_at_04, _company_premium(demands),
-                                            2000.0, cfg, decomposition=decomposition,
-                                            return_times=True)
+                                            2000.0, cfg, decomposition=decomposition)
 
     return {"single": single, "company": company}
 
