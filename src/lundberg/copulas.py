@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _as_unit(name, x):
     x = np.asarray(x, dtype=float)
     if np.any((x < 0) | (x > 1)):
@@ -76,9 +79,12 @@ class ClaytonCopula(OrdinaryCopula):
 
     def _cdf(self, u, v):
         w = self.omega
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s = np.power(u, -w) + np.power(v, -w) - 1.0
-            out = np.power(s, -1.0 / w)
+            # where s overflows: s = m^-w (1 + (m/M)^w - m^w) with m = min(u, v), M = max(u, v)
+            m = np.minimum(u, v)
+            stable = m * np.power(1.0 + np.power(m / np.maximum(u, v), w) - np.power(m, w), -1.0 / w)
+            out = np.where(np.isinf(s), stable, np.power(s, -1.0 / w))
         return np.where((u <= 0) | (v <= 0), 0.0, out)
 
     def describe(self):
@@ -98,9 +104,12 @@ class GumbelCopula(OrdinaryCopula):
     def _cdf(self, u, v):
         w = self.omega
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            a = np.power(-np.log(u), w)
-            b = np.power(-np.log(v), w)
-            out = np.exp(-np.power(a + b, 1.0 / w))
+            a, b = -np.log(u), -np.log(v)
+            s = np.power(a, w) + np.power(b, w)
+            # where s over- or underflows: s = A^w (1 + (B/A)^w) with A = max(a, b), B = min(a, b)
+            big = np.maximum(a, b)
+            stable = np.exp(-big * np.power(1.0 + np.power(np.minimum(a, b) / big, w), 1.0 / w))
+            out = np.where((s >= _TINY) & (s < np.inf), np.exp(-np.power(s, 1.0 / w)), stable)
         return np.where((u <= 0) | (v <= 0), 0.0, np.where((u >= 1), v, np.where(v >= 1, u, out)))
 
     def describe(self):

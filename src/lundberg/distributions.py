@@ -7,10 +7,15 @@ only through its survival function ``F̄`` and the two integrated tails
     ssbar(x) = integral of sbar(y) dy over [0, x]
 
 so every model here provides those either in closed form (exponential,
-gamma, and mixtures of them), exactly from atoms (gridded empirical
-models), or through adaptive quadrature as a fallback for custom
-subclasses.  All distributions live on [0, inf) with F(0) = 0: claims are
+gamma, and mixtures of them) or exactly from atoms (gridded empirical
+models).  All distributions live on [0, inf) with F(0) = 0: claims are
 strictly positive.
+
+A subclass of :class:`SeverityModel` implements ``cdf``, ``mean``,
+``sample`` and ``describe``, and may add ``sf``, ``isf`` and closed-form
+``_sbar``/``_ssbar``, which receive claim amounts clamped at 0
+(``_claims``).  A 0-d result is returned as a float (``_value``), and a
+tail a subclass does not state is ``sf`` integrated by adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -43,6 +48,16 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 _MASS_TOL = 1e-9
 _LATTICE_CHUNK = 256  # rows of the joint lattice per job of sum_distribution
+
+
+def _claims(x):
+    """Claim amounts as a float array, clamped at 0."""
+    return np.maximum(np.asarray(x, dtype=float), 0.0)
+
+
+def _value(out):
+    """A float for a 0-d result, else the array."""
+    return out if out.shape else float(out)
 
 
 class SeverityModel(abc.ABC):
@@ -87,8 +102,7 @@ class SeverityModel(abc.ABC):
             above = self.sf(mid) > q
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
-        out = 0.5 * (lo + hi)
-        return out if out.shape else float(out)
+        return _value(0.5 * (lo + hi))
 
     @abc.abstractmethod
     def describe(self) -> dict:
@@ -103,6 +117,18 @@ class SeverityModel(abc.ABC):
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
+
+    def _integrated_tails(self) -> IntegratedTails:
+        return IntegratedTails(sbar=lambda x: self._sbar(_claims(x)),
+                               ssbar=lambda x: self._ssbar(_claims(x)), mean=self.mean)
+
+    def _sbar(self, x):
+        """sbar at the clamped claim amounts ``x``."""
+        return _quadrature(lambda y, v: self.sf(y), x)
+
+    def _ssbar(self, x):
+        """ssbar at the clamped claim amounts ``x``."""
+        return _quadrature(lambda y, v: (v - y) * self.sf(y), x)
 
 
 @dataclass(frozen=True)
@@ -128,14 +154,10 @@ class Exponential(SeverityModel):
         self._mean = float(_positive("exponential mean", mean))
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = -np.expm1(-np.maximum(x, 0.0) / self._mean)
-        return out if out.shape else float(out)
+        return _value(-np.expm1(-_claims(x) / self._mean))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-np.maximum(x, 0.0) / self._mean)
-        return out if out.shape else float(out)
+        return _value(np.exp(-_claims(x) / self._mean))
 
     @property
     def mean(self) -> float:
@@ -145,25 +167,17 @@ class Exponential(SeverityModel):
         return rng.exponential(self._mean, size=size)
 
     def isf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = -self._mean * np.log(np.clip(q, 1e-300, 1.0))
-        return out if out.shape else float(out)
+        return _value(-self._mean * np.log(np.clip(q, 1e-300, 1.0)))
 
     def describe(self):
         return {"kind": "exponential", "mean": self._mean}
 
-    def _integrated_tails(self) -> IntegratedTails:
+    def _sbar(self, x):
+        return self._mean * -np.expm1(-x / self._mean)
+
+    def _ssbar(self, x):
         mu = self._mean
-
-        def sbar(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            return mu * -np.expm1(-x / mu)
-
-        def ssbar(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            return mu * x - mu * mu * -np.expm1(-x / mu)
-
-        return IntegratedTails(sbar=sbar, ssbar=ssbar, mean=mu)
+        return mu * x - mu * mu * -np.expm1(-x / mu)
 
 
 class Gamma(SeverityModel):
@@ -182,14 +196,10 @@ class Gamma(SeverityModel):
         self._k = float(_positive("gamma scale", scale))
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = special.gammainc(self._a, np.maximum(x, 0.0) / self._k)
-        return out if out.shape else float(out)
+        return _value(special.gammainc(self._a, _claims(x) / self._k))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = special.gammaincc(self._a, np.maximum(x, 0.0) / self._k)
-        return out if out.shape else float(out)
+        return _value(special.gammaincc(self._a, _claims(x) / self._k))
 
     @property
     def mean(self) -> float:
@@ -199,31 +209,24 @@ class Gamma(SeverityModel):
         return rng.gamma(self._a, self._k, size=size)
 
     def isf(self, q):
-        q = np.asarray(q, dtype=float)
-        out = self._k * special.gammainccinv(self._a, np.clip(q, 0.0, 1.0))
-        return out if out.shape else float(out)
+        return _value(self._k * special.gammainccinv(self._a, np.clip(q, 0.0, 1.0)))
 
     def describe(self):
         return {"kind": "gamma", "shape": self._a, "scale": self._k}
 
-    def _integrated_tails(self) -> IntegratedTails:
+    def _sbar(self, x):
         a, k = self._a, self._k
+        t = x / k
+        return a * k * special.gammainc(a + 1, t) + x * special.gammaincc(a, t)
 
-        def sbar(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            t = x / k
-            return a * k * special.gammainc(a + 1, t) + x * special.gammaincc(a, t)
-
-        def ssbar(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            t = x / k
-            return (
-                a * k * x * special.gammainc(a + 1, t)
-                - 0.5 * a * (a + 1) * k * k * special.gammainc(a + 2, t)
-                + 0.5 * x * x * special.gammaincc(a, t)
-            )
-
-        return IntegratedTails(sbar=sbar, ssbar=ssbar, mean=a * k)
+    def _ssbar(self, x):
+        a, k = self._a, self._k
+        t = x / k
+        return (
+            a * k * x * special.gammainc(a + 1, t)
+            - 0.5 * a * (a + 1) * k * k * special.gammainc(a + 2, t)
+            + 0.5 * x * x * special.gammaincc(a, t)
+        )
 
 
 class Mixture(SeverityModel):
@@ -245,18 +248,15 @@ class Mixture(SeverityModel):
         self._w = weights
         self._components = tuple(components)
         self._mean = float(np.dot(weights, [c.mean for c in components]))
+        self._parts = [(w, c) for w, c in zip(weights, self._components) if w > 0.0]
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * c.cdf(x) for w, c in zip(self._w, self._components) if w > 0.0)
-        out = np.asarray(out, dtype=float)
-        return out if out.shape else float(out)
+        x = _claims(x)
+        return _weighted(self._parts, lambda c: c.cdf(x))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = sum(w * c.sf(x) for w, c in zip(self._w, self._components) if w > 0.0)
-        out = np.asarray(out, dtype=float)
-        return out if out.shape else float(out)
+        x = _claims(x)
+        return _weighted(self._parts, lambda c: c.sf(x))
 
     @property
     def mean(self) -> float:
@@ -292,17 +292,15 @@ class Mixture(SeverityModel):
         return b"mixture|" + self._w.tobytes() + parts.encode()
 
     def _integrated_tails(self) -> IntegratedTails:
-        parts = [
-            (w, integrated_tails(c)) for w, c in zip(self._w, self._components) if w > 0.0
-        ]
+        parts = [(w, integrated_tails(c)) for w, c in self._parts]
+        return IntegratedTails(sbar=lambda x: _weighted(parts, lambda t: t.sbar(x)),
+                               ssbar=lambda x: _weighted(parts, lambda t: t.ssbar(x)),
+                               mean=self._mean)
 
-        def sbar(x):
-            return sum(w * t.sbar(x) for w, t in parts)
 
-        def ssbar(x):
-            return sum(w * t.ssbar(x) for w, t in parts)
-
-        return IntegratedTails(sbar=sbar, ssbar=ssbar, mean=self._mean)
+def _weighted(parts, value):
+    """The mixture sum of w * value(part) over the (w, part) pairs of positive weight w."""
+    return _value(np.asarray(sum(w * value(part) for w, part in parts), dtype=float))
 
 
 class Gridded(SeverityModel):
@@ -365,10 +363,8 @@ class Gridded(SeverityModel):
         return cls(nodes[1:], masses)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._atoms, x, side="right")
-        out = np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0)
-        return out if out.shape else float(out)
+        idx = np.searchsorted(self._atoms, _claims(x), side="right")
+        return _value(np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0))
 
     @property
     def mean(self) -> float:
@@ -380,11 +376,8 @@ class Gridded(SeverityModel):
         return self._atoms[idx]
 
     def isf(self, q):
-        q = np.asarray(q, dtype=float)
-        idx = np.searchsorted(self._cum, 1.0 - q, side="left")
-        idx = np.clip(idx, 0, self._atoms.size - 1)
-        out = self._atoms[idx]
-        return out if out.shape else float(out)
+        idx = np.searchsorted(self._cum, 1.0 - np.asarray(q, dtype=float), side="left")
+        return _value(self._atoms[np.clip(idx, 0, self._atoms.size - 1)])
 
     def describe(self):
         return {
@@ -396,26 +389,14 @@ class Gridded(SeverityModel):
     def _fingerprint_payload(self) -> bytes:
         return b"gridded|" + self._atoms.tobytes() + self._masses.tobytes()
 
-    def _segment(self, x):
-        idx = np.searchsorted(self._breaks, x, side="right") - 1
-        return np.clip(idx, 0, self._breaks.size - 1)
+    def _sbar(self, x):
+        j = np.searchsorted(self._breaks, x, side="right") - 1  # >= 0: x is clamped, breaks[0] = 0
+        return self._sb_breaks[j] + self._seg_sf[j] * (x - self._breaks[j])
 
-    def _integrated_tails(self) -> IntegratedTails:
-        breaks, seg_sf = self._breaks, self._seg_sf
-        sb, ssb = self._sb_breaks, self._ssb_breaks
-
-        def sbar(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            j = self._segment(x)
-            return sb[j] + seg_sf[j] * (x - breaks[j])
-
-        def ssbar(x):
-            x = np.maximum(np.asarray(x, dtype=float), 0.0)
-            j = self._segment(x)
-            d = x - breaks[j]
-            return ssb[j] + sb[j] * d + 0.5 * seg_sf[j] * d * d
-
-        return IntegratedTails(sbar=sbar, ssbar=ssbar, mean=self._mean)
+    def _ssbar(self, x):
+        j = np.searchsorted(self._breaks, x, side="right") - 1
+        d = x - self._breaks[j]
+        return self._ssb_breaks[j] + self._sb_breaks[j] * d + 0.5 * self._seg_sf[j] * d * d
 
 
 class JointGridded:
@@ -456,38 +437,24 @@ def integrated_tails(model: SeverityModel) -> IntegratedTails:
     tolerance, raising :class:`AccuracyError` if the integrator reports a
     larger estimated error.
     """
-    closed_form = getattr(model, "_integrated_tails", None)
-    if closed_form is not None:
-        return closed_form()
-    return _quadrature_tails(model)
+    return model._integrated_tails()
 
 
-def _quadrature_tails(model: SeverityModel) -> IntegratedTails:
+def _quadrature(integrand, x):
+    """Integral of ``integrand(y, v)`` dy over [0, v] at each clamped claim amount v in ``x``."""
     from scipy import integrate
 
-    def _one(fun, x):
-        if x <= 0:
+    def one(v):
+        if v <= 0:
             return 0.0
-        val, err = integrate.quad(fun, 0.0, x, epsabs=1e-12, epsrel=1e-12, limit=500)
+        val, err = integrate.quad(integrand, 0.0, v, args=(v,), epsabs=1e-12, epsrel=1e-12, limit=500)
         if err > max(1e-10, 1e-10 * abs(val)):
             raise AccuracyError(
-                f"integrated-tail quadrature did not converge at x={x:g} (err {err:g})"
+                f"integrated-tail quadrature did not converge at x={v:g} (err {err:g})"
             )
         return val
 
-    def sbar(x):
-        xs = np.asarray(x, dtype=float)
-        out = np.array([_one(model.sf, float(v)) for v in np.atleast_1d(xs)])
-        return out.reshape(xs.shape) if xs.shape else float(out[0])
-
-    def ssbar(x):
-        xs = np.asarray(x, dtype=float)
-        out = np.array(
-            [_one(lambda y, v=float(v): (v - y) * model.sf(y), float(v)) for v in np.atleast_1d(xs)]
-        )
-        return out.reshape(xs.shape) if xs.shape else float(out[0])
-
-    return IntegratedTails(sbar=sbar, ssbar=ssbar, mean=model.mean)
+    return _value(np.array([one(float(v)) for v in x.ravel()]).reshape(x.shape))
 
 
 def mixture(weights: Sequence[float], components: Sequence[SeverityModel]) -> SeverityModel:

@@ -425,7 +425,6 @@ def optimize_joint_profit(
 
 
 def size_scaling_experiment(
-    market: MarketSpec,
     acquisition: OrdinaryCopula,
     x0: float,
     theta: float,

@@ -291,10 +291,10 @@ def test_criterion_12_acquisition_dependence_ordering(dep_market, decomposition,
     )
 
 
-def test_criterion_13_small_company_immunity(dep_market, decomposition):
+def test_criterion_13_small_company_immunity(decomposition):
     shares = [1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4]
     rows = size_scaling_experiment(
-        dep_market, lb.IndependenceCopula(), x0=0.003, theta=0.4, shares=shares,
+        lb.IndependenceCopula(), x0=0.003, theta=0.4, shares=shares,
         nodes_per_solve=2000, decomposition=decomposition,
     )
     ratios = [r["gap_over_share_sum"] for r in rows]

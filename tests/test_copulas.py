@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -181,6 +182,21 @@ def test_make_ordinary_degrades_to_independence():
     assert isinstance(make_ordinary("gumbel", omega=1.0), lb.IndependenceCopula)
 
 
+_STRONG_GRID = np.array([1e-3, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999, 1.0])
+
+
+def _finite_bounded_with_uniform_margins(cop, grid):
+    """C on grid x grid is finite, within the Fréchet bounds, with margins C(u, 1) = u."""
+    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+    c = cop.cdf(u, v)
+    assert np.all(np.isfinite(c))
+    assert np.all(c >= np.maximum(u + v - 1.0, 0.0) - 1e-15)
+    assert np.all(c <= np.minimum(u, v) + 1e-15)
+    assert_allclose(cop.cdf(grid, np.ones_like(grid)), grid, rtol=0, atol=1e-15)
+    assert_allclose(cop.cdf(np.ones_like(grid), grid), grid, rtol=0, atol=1e-15)
+    return u, v, c
+
+
 @pytest.mark.parametrize("omega", [-30.0, -3.0, 5.74, 18.2, 38.3, 50.0])
 def test_frank_keeps_its_digits_near_the_upper_corner(omega):
     """Strong positive Frank dependence once lost every digit near (1, 1).
@@ -189,13 +205,27 @@ def test_frank_keeps_its_digits_near_the_upper_corner(omega):
     (Nelsen, An Introduction to Copulas, 2006), so the corner values are
     checked against values far from it.
     """
-    grid = np.array([1e-3, 0.01, 0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999, 1.0])
-    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
     cop = lb.FrankCopula(omega)
-    c = cop.cdf(u, v)
-    assert np.all(np.isfinite(c))
-    assert np.all(c >= np.maximum(u + v - 1.0, 0.0) - 1e-15)
-    assert np.all(c <= np.minimum(u, v) + 1e-15)
-    assert_allclose(cop.cdf(grid, np.ones_like(grid)), grid, rtol=0, atol=1e-15)
-    assert_allclose(cop.cdf(np.ones_like(grid), grid), grid, rtol=0, atol=1e-15)
+    u, v, c = _finite_bounded_with_uniform_margins(cop, _STRONG_GRID)
     assert_allclose(c, u + v - 1.0 + cop.cdf(1.0 - u, 1.0 - v), rtol=0, atol=1e-12)
+
+
+def _mp_cdf(family, omega, u, v):
+    """The Clayton or Gumbel copula at 60 digits."""
+    with mpmath.workdps(60):
+        u, v, w = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(omega)
+        if family == "clayton":
+            return float((u**-w + v**-w - 1) ** (-1 / w))
+        return float(mpmath.exp(-(((-mpmath.log(u)) ** w + (-mpmath.log(v)) ** w) ** (1 / w))))
+
+
+@pytest.mark.parametrize("family", ["clayton", "gumbel"])
+@pytest.mark.parametrize("tau", [0.5, 0.99, 0.999, 0.9999])
+def test_clayton_and_gumbel_keep_their_digits_at_strong_dependence(family, tau):
+    """u^-omega (Clayton) and (-ln u)^omega (Gumbel) once over- or underflowed to C = 0 or 1."""
+    cop = make_ordinary(family, tau=tau)
+    grid = np.concatenate((_STRONG_GRID, [0.4, 0.6, 0.7, 0.7000001]))
+    u, v, c = _finite_bounded_with_uniform_margins(cop, grid)
+    inner = (u < 1.0) & (v < 1.0)
+    expected = [_mp_cdf(family, cop.omega, a, b) for a, b in zip(u[inner], v[inner])]
+    assert_allclose(c[inner], expected, rtol=0, atol=1e-15)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -163,6 +165,73 @@ def test_quadrature_fallback_matches_closed_form():
     for x in (3.0, 250.0, 1600.0):
         assert_allclose(quad.sbar(x), exact.sbar(x), rtol=1e-9)
         assert_allclose(quad.ssbar(x), exact.ssbar(x), rtol=1e-9)
+
+
+def _pinned_models():
+    sev = lb.Gamma(2.0, 500.0)
+    risk = lb.CompoundPoissonSpec(800.0, sev)
+    grid = lb.decompose(lb.MarketSpec(risk, risk, lb.ClaytonLevyCopula(1.0)), 25.0).sev1_only
+    return {
+        "exponential": lb.Exponential(700.0),
+        "gamma": lb.Gamma(2.5, 400.0),
+        "mixture": lb.Mixture([0.3, 0.0, 0.7], [lb.Exponential(300.0), lb.Gamma(4.0, 50.0),
+                                                lb.Gamma(2.5, 400.0)]),
+        "gridded": grid,  # atoms 25, 50, ..., 15550
+        "gridded-mixture": lb.Mixture([0.4, 0.6], [grid, lb.Exponential(700.0)]),
+    }
+
+
+_PIN_X = np.array([-50.0, 0.0, 12.5, 25.0, 50.0, 137.5, 1000.0, 15550.0, 40000.0, 1e6])
+_PIN_Q = np.array([-0.5, 0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1.0, 1.5])
+# SHA-256 of the float64 values at _PIN_X (isf: at _PIN_Q), recorded on numpy 2.4.6 / scipy 1.17.1
+_SEVERITY_PINS = {
+    ("exponential", "cdf"): "dfd84c8de909abf159d86b638de6c8570120ae5b07ea1200f541079b87600f23",
+    ("exponential", "sf"): "055f8b3dbc2b747ea8e765bda1867989f01092dba7730bd176bb30a6d3cc5a80",
+    ("exponential", "isf"): "329f87f38ad9cd072db54b9f098afe2eb9f794cf2dccc55749a066066e4549ec",
+    ("exponential", "sbar"): "6e053c43147c9d4eaade3062dad5d34baee9254c6d787ae5642216eb6d1bb768",
+    ("exponential", "ssbar"): "99d73661bf08286fb50a179bea22feb1fc5204532aeef1be823557c92a6f0556",
+    ("gamma", "cdf"): "7b8725150d6ee6f75933dce2b9a52a3b45c8eb45c390e005d35a5e61fc7d8f7c",
+    ("gamma", "sf"): "deab35bbff93f4e360bf97d8c447bc8f2b594d3a0c5777c9be2fc047167a2615",
+    ("gamma", "isf"): "5cf2e839ec6d1420e0d8bc2bd7850280201d60e3aeda42749d0f8d350c9a75bd",
+    ("gamma", "sbar"): "903655b7c64abb7f7b739cb987eca5dc359b19b92f922ebf3178273174151c2f",
+    ("gamma", "ssbar"): "2427bf6f4071a4f7fbcc1b22dafc22cdb9ff9da5d645891a1a1f0ea6c0d5ceae",
+    ("mixture", "cdf"): "da6cd65fc0caa20bf5455cf7a0425762c044e938f26c4e9adb64ef0dc6a9b80a",
+    ("mixture", "sf"): "67f352a6566a21947438015ada57247d06a18e7ea24535835d294693f5620cb3",
+    ("mixture", "isf"): "27526b4255bda441cbba55bf15de915ae7e0e88314023f97141cb145c65a0899",
+    ("mixture", "sbar"): "7f700e1b68facebd8564fea5df98ad2526b5c34a2c49edf25c29c0cf032c8aa9",
+    ("mixture", "ssbar"): "7c1f1f41a2a63685c83ef421c2713284f5e6269944240d4ad170a26e27ab1671",
+    ("gridded", "cdf"): "9fa4d7a244b08b8dffc4355fa562140742abce98058a4660a7f1e1acfaeffc60",
+    ("gridded", "sf"): "fa073185729c9deea9ef4c500d923b24fdc04fd8440cec6c88104feecd16bae4",
+    ("gridded", "isf"): "43a9d182c23786afa91357b50ee200e3d83a6774f8ad3176d6bff907fd0692b0",
+    ("gridded", "sbar"): "cf713ce8b5eb45e9b14b7972c62138cdb2a5ee8db4f41c7c6970711f21a60f55",
+    ("gridded", "ssbar"): "74b8d55dae3a6f4f63a6e4c8b780614ec1a2f411e183753751227df9b8920aec",
+    ("gridded-mixture", "cdf"): "d35b558f77374725a4bda58abe4e6ddde0a33ae9e04433f2e00802095c0446f3",
+    ("gridded-mixture", "sf"): "92b394b4735a916b953713d83056227a77032fd21592b48f33bf83f0cd254e79",
+    ("gridded-mixture", "isf"): "8bc162dce996fe448520a677dc199de0a5a8c5f3d45e9a58edb47cd0fd90f7ae",
+    ("gridded-mixture", "sbar"): "7762f0154384292c130f133af10362f1ed898d61db5ee87d8c49b64ffca0350e",
+    ("gridded-mixture", "ssbar"): "293c47a62dab2719a31f939938d87315030049623cd0b8532d69a9d6ee0844fd",
+}
+
+
+@pytest.mark.parametrize("name", ["exponential", "gamma", "mixture", "gridded", "gridded-mixture"])
+def test_builtin_severity_values_are_pinned(name):
+    """Every built-in model's F, F̄, isf and integrated tails keep their bits.
+
+    The abscissas cover negative claims, 0, atoms of the gridded part and
+    points past its support; the probabilities cover q < 0, 0, 1 and q > 1.
+    A scalar input returns a float equal to that of a one-element array.
+    """
+    model = _pinned_models()[name]
+    tails = integrated_tails(model)
+    for method, f, args in [("cdf", model.cdf, _PIN_X), ("sf", model.sf, _PIN_X),
+                            ("isf", model.isf, _PIN_Q), ("sbar", tails.sbar, _PIN_X),
+                            ("ssbar", tails.ssbar, _PIN_X)]:
+        out = f(args)
+        assert out.dtype == np.float64 and out.shape == args.shape
+        assert hashlib.sha256(out.tobytes()).hexdigest() == _SEVERITY_PINS[name, method], method
+        for a in args:
+            value = f(float(a))
+            assert isinstance(value, float) and value == f(np.array([a]))[0], (method, a)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ _PROBES = {
     "wilson confidence above one": (lambda: lb.wilson_interval(5, 10, confidence=1.5), "confidence"),
     "wilson nan confidence": (lambda: lb.wilson_interval(5, 10, confidence=_NAN), "confidence"),
     "size scaling nan x0": (
-        lambda: lb.size_scaling_experiment(_MARKET, lb.IndependenceCopula(), _NAN, 0.2, [0.1],
+        lambda: lb.size_scaling_experiment(lb.IndependenceCopula(), _NAN, 0.2, [0.1],
                                            decomposition=lb.decompose(_MARKET, 25.0)), "x0"),
     "fractional paths": (lambda: lb.SimConfig(paths=2.5), "paths"),
     "boolean paths": (lambda: lb.SimConfig(paths=True), "paths"),

@@ -378,9 +378,9 @@ def test_joint_ruin_sweep_stays_inside_a_box_that_its_step_does_not_divide(dep_m
 # size scaling
 # ---------------------------------------------------------------------------
 
-def test_size_scaling_rows(dep_market, decomposition):
+def test_size_scaling_rows(decomposition):
     rows = size_scaling_experiment(
-        dep_market, lb.IndependenceCopula(), x0=0.003, theta=0.4,
+        lb.IndependenceCopula(), x0=0.003, theta=0.4,
         shares=[1.0, 0.3, 0.1], nodes_per_solve=800, decomposition=decomposition,
     )
     assert [r["share"] for r in rows] == [1.0, 0.3, 0.1]
