@@ -85,24 +85,24 @@ class SeverityModel(abc.ABC):
         """Draw claim sizes using the supplied generator."""
 
     def isf(self, q):
-        """Inverse survival function: smallest x with F̄(x) <= q.
+        """Inverse survival function: smallest x with F̄(x) <= q; 0 for q >= 1.
 
         Generic bisection fallback; subclasses override where a closed
-        form exists.
+        form exists.  Each element is bracketed on its own, so it equals
+        the scalar call at that q.
         """
         q = np.asarray(q, dtype=float)
-        hi = max(self.mean, 1.0)
-        qmin = max(float(np.min(q)), 1e-300)
-        while float(np.min(self.sf(hi))) > qmin and hi < 1e300:
-            hi *= 2.0
+        qmin = np.maximum(q, 1e-300)
+        hi = np.full(q.shape, max(self.mean, 1.0))
+        while np.any(grow := (self.sf(hi) > qmin) & (hi < 1e300)):
+            hi = np.where(grow, 2.0 * hi, hi)
         lo = np.zeros(q.shape)
-        hi = np.full(q.shape, hi)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             above = self.sf(mid) > q
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
-        return _value(0.5 * (lo + hi))
+        return _value(np.where(q >= 1.0, 0.0, 0.5 * (lo + hi)))
 
     @abc.abstractmethod
     def describe(self) -> dict:
@@ -119,8 +119,8 @@ class SeverityModel(abc.ABC):
         return f"{type(self).__name__}({self.describe()})"
 
     def _integrated_tails(self) -> IntegratedTails:
-        return IntegratedTails(sbar=lambda x: self._sbar(_claims(x)),
-                               ssbar=lambda x: self._ssbar(_claims(x)), mean=self.mean)
+        return IntegratedTails(sbar=_tail(self._sbar, self.mean), ssbar=_tail(self._ssbar, np.inf),
+                               mean=self.mean)
 
     def _sbar(self, x):
         """sbar at the clamped claim amounts ``x``."""
@@ -129,6 +129,20 @@ class SeverityModel(abc.ABC):
     def _ssbar(self, x):
         """ssbar at the clamped claim amounts ``x``."""
         return _quadrature(lambda y, v: (v - y) * self.sf(y), x)
+
+
+def _tail(f, limit):
+    """The tail x -> f(x) at the clamped claim amounts, reading ``limit`` at x = inf.
+
+    f is never evaluated at inf, where a closed form may give inf*0.
+    """
+    def at(x):
+        x = _claims(x)
+        top = x == np.inf
+        if not top.any():
+            return f(x)
+        return _value(np.where(top, limit, f(np.where(top, 0.0, x))))
+    return at
 
 
 @dataclass(frozen=True)
@@ -293,8 +307,8 @@ class Mixture(SeverityModel):
 
     def _integrated_tails(self) -> IntegratedTails:
         parts = [(w, integrated_tails(c)) for w, c in self._parts]
-        return IntegratedTails(sbar=lambda x: _weighted(parts, lambda t: t.sbar(x)),
-                               ssbar=lambda x: _weighted(parts, lambda t: t.ssbar(x)),
+        return IntegratedTails(sbar=_tail(lambda x: _weighted(parts, lambda t: t.sbar(x)), self._mean),
+                               ssbar=_tail(lambda x: _weighted(parts, lambda t: t.ssbar(x)), np.inf),
                                mean=self._mean)
 
 
@@ -310,7 +324,9 @@ class Gridded(SeverityModel):
     mass at the right endpoint, matching the forward-difference
     convention of the ruin-solver grid.  Survival is piecewise constant,
     so ``sbar`` is piecewise linear and ``ssbar`` piecewise quadratic;
-    both are evaluated exactly.
+    both are evaluated exactly.  The model keeps only its atoms, masses
+    and cdf; each evaluation of a tail rebuilds the piecewise integrals
+    at the atoms, so no atom-sized array outlives the call.
     """
 
     def __init__(self, atoms: Sequence[float], masses: Sequence[float]):
@@ -332,17 +348,6 @@ class Gridded(SeverityModel):
         self._masses = masses
         self._cum = np.cumsum(masses)
         self._mean = float(np.dot(masses, atoms))
-        # Piecewise pieces: breakpoints 0, x_1, ..., x_K with constant
-        # survival on each segment and (1 - total) beyond the last atom.
-        self._breaks = np.concatenate(([0.0], atoms))
-        self._seg_sf = np.concatenate(([1.0], 1.0 - self._cum))
-        widths = np.diff(self._breaks)
-        sb = np.concatenate(([0.0], np.cumsum(self._seg_sf[:-1] * widths)))
-        ssb = np.concatenate(
-            ([0.0], np.cumsum(sb[:-1] * widths + 0.5 * self._seg_sf[:-1] * widths**2))
-        )
-        self._sb_breaks = sb
-        self._ssb_breaks = ssb
 
     @classmethod
     def from_survival(cls, nodes: Sequence[float], survival: Sequence[float]) -> "Gridded":
@@ -389,14 +394,25 @@ class Gridded(SeverityModel):
     def _fingerprint_payload(self) -> bytes:
         return b"gridded|" + self._atoms.tobytes() + self._masses.tobytes()
 
+    def _segments(self):
+        """Breakpoints 0, x_1, ..., x_K, the survival on each segment ((1 - total)
+        beyond the last atom), the widths, and sbar at the breakpoints."""
+        breaks = np.concatenate(([0.0], self._atoms))
+        seg_sf = np.concatenate(([1.0], 1.0 - self._cum))
+        widths = np.diff(breaks)
+        return breaks, seg_sf, widths, np.concatenate(([0.0], np.cumsum(seg_sf[:-1] * widths)))
+
     def _sbar(self, x):
-        j = np.searchsorted(self._breaks, x, side="right") - 1  # >= 0: x is clamped, breaks[0] = 0
-        return self._sb_breaks[j] + self._seg_sf[j] * (x - self._breaks[j])
+        breaks, seg_sf, _, sb = self._segments()
+        j = np.searchsorted(breaks, x, side="right") - 1  # >= 0: x is clamped, breaks[0] = 0
+        return sb[j] + seg_sf[j] * (x - breaks[j])
 
     def _ssbar(self, x):
-        j = np.searchsorted(self._breaks, x, side="right") - 1
-        d = x - self._breaks[j]
-        return self._ssb_breaks[j] + self._sb_breaks[j] * d + 0.5 * self._seg_sf[j] * d * d
+        breaks, seg_sf, widths, sb = self._segments()
+        ssb = np.concatenate(([0.0], np.cumsum(sb[:-1] * widths + 0.5 * seg_sf[:-1] * widths**2)))
+        j = np.searchsorted(breaks, x, side="right") - 1
+        d = x - breaks[j]
+        return ssb[j] + sb[j] * d + 0.5 * seg_sf[j] * d * d
 
 
 class JointGridded:

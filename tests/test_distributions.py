@@ -197,7 +197,7 @@ _SEVERITY_PINS = {
     ("gamma", "ssbar"): "2427bf6f4071a4f7fbcc1b22dafc22cdb9ff9da5d645891a1a1f0ea6c0d5ceae",
     ("mixture", "cdf"): "da6cd65fc0caa20bf5455cf7a0425762c044e938f26c4e9adb64ef0dc6a9b80a",
     ("mixture", "sf"): "67f352a6566a21947438015ada57247d06a18e7ea24535835d294693f5620cb3",
-    ("mixture", "isf"): "27526b4255bda441cbba55bf15de915ae7e0e88314023f97141cb145c65a0899",
+    ("mixture", "isf"): "23aea51a879a334f902f553eebe7a67407ef595450feced075ba7c22c4370570",
     ("mixture", "sbar"): "7f700e1b68facebd8564fea5df98ad2526b5c34a2c49edf25c29c0cf032c8aa9",
     ("mixture", "ssbar"): "7c1f1f41a2a63685c83ef421c2713284f5e6269944240d4ad170a26e27ab1671",
     ("gridded", "cdf"): "9fa4d7a244b08b8dffc4355fa562140742abce98058a4660a7f1e1acfaeffc60",
@@ -207,7 +207,7 @@ _SEVERITY_PINS = {
     ("gridded", "ssbar"): "74b8d55dae3a6f4f63a6e4c8b780614ec1a2f411e183753751227df9b8920aec",
     ("gridded-mixture", "cdf"): "d35b558f77374725a4bda58abe4e6ddde0a33ae9e04433f2e00802095c0446f3",
     ("gridded-mixture", "sf"): "92b394b4735a916b953713d83056227a77032fd21592b48f33bf83f0cd254e79",
-    ("gridded-mixture", "isf"): "8bc162dce996fe448520a677dc199de0a5a8c5f3d45e9a58edb47cd0fd90f7ae",
+    ("gridded-mixture", "isf"): "488865387e13e592c90a28311af525ae9730dde3f0383a7619dd67c746ca933c",
     ("gridded-mixture", "sbar"): "7762f0154384292c130f133af10362f1ed898d61db5ee87d8c49b64ffca0350e",
     ("gridded-mixture", "ssbar"): "293c47a62dab2719a31f939938d87315030049623cd0b8532d69a9d6ee0844fd",
 }
@@ -232,6 +232,34 @@ def test_builtin_severity_values_are_pinned(name):
         for a in args:
             value = f(float(a))
             assert isinstance(value, float) and value == f(np.array([a]))[0], (method, a)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["exponential", "gamma", "mixture", "gridded", "gridded-mixture",
+                                  "quadrature"])
+def test_integrated_tails_at_infinity_are_the_mean_and_inf(name):
+    """sbar(inf) is E[Y] and ssbar(inf) is inf, scalar or in an array, with no warning.
+
+    The finite elements of an array keep the values of an all-finite call.
+    """
+    model = _OpaqueExponential(700.0) if name == "quadrature" else _pinned_models()[name]
+    tails = integrated_tails(model)
+    assert tails.sbar(np.inf) == model.mean
+    assert tails.ssbar(np.inf) == np.inf
+    x = np.array([np.inf, 12.5, 1000.0, np.inf, -np.inf])
+    finite = np.array([12.5, 1000.0, 0.0])
+    for f, limit in [(tails.sbar, model.mean), (tails.ssbar, np.inf)]:
+        out = f(x)
+        assert out.tobytes() == np.array([limit, *f(finite)[:2], limit, 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["mixture", "gridded-mixture"])
+def test_bisection_isf_of_each_element_is_its_scalar_call(name):
+    model = _pinned_models()[name]
+    assert model.isf(1.0) == model.isf(1.5) == 0.0
+    batch = model.isf(_PIN_Q)
+    assert batch.tobytes() == np.array([model.isf(float(q)) for q in _PIN_Q]).tobytes()
+    assert model.isf(np.array([1e-12, 1.0]))[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +327,16 @@ def test_gridded_sampling_matches_masses(rng):
     freq = np.array([(draws == a).mean() for a in model._atoms])
     assert_allclose(freq, model._masses, atol=3 * np.sqrt(0.5 * 0.5 / 200_000) + 1e-12)
     assert_allclose(draws.mean(), model.mean, rtol=0.01)
+
+
+def test_gridded_tails_are_the_same_bits_in_any_order():
+    model = _pinned_models()["gridded"]
+    x = np.concatenate((model._atoms[::7], model._atoms[::5] + 3.0, [0.0, 1e6]))
+    first = integrated_tails(model)
+    sb, ssb = first.sbar(x).tobytes(), first.ssbar(x).tobytes()
+    second = integrated_tails(model)
+    assert second.ssbar(x).tobytes() == ssb and second.sbar(x).tobytes() == sb
+    assert first.sbar(x).tobytes() == sb and first.ssbar(x).tobytes() == ssb
 
 
 def test_gridded_isf_inverts_survival():

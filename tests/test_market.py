@@ -167,6 +167,29 @@ def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
     assert 0 < sum(cells) <= (n + chunks) * (n + 1)
 
 
+def test_decomposition_retains_only_masses_and_cdf_per_component(dep_market):
+    """Each gridded component keeps its masses and cdf; its atoms are a view of the nodes.
+
+    Six components and the nodes make 13 node-sized float64 arrays; the
+    tails' piecewise integrals are rebuilt per call, not retained.
+    """
+    import gc
+    import tracemalloc
+
+    lb.decompose(dep_market, 25.0)  # first-use imports stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dec = lb.decompose(dep_market, 0.25, joint_step=25.0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    node_array = 8 * dec.nodes.size
+    assert dec.nodes.size > 60_000
+    assert retained <= 16 * node_array, retained / node_array
+    assert peak <= 24 * node_array, peak / node_array
+
+
 def test_degenerate_complete_dependence(gamma_severity):
     risk = lb.CompoundPoissonSpec(800.0, gamma_severity)
     market = lb.MarketSpec(risk, risk, lb.ClaytonLevyCopula(200.0))
