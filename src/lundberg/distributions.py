@@ -109,11 +109,14 @@ class SeverityModel(abc.ABC):
         """JSON-serializable description, used by configs and sidecars."""
 
     def fingerprint(self) -> str:
-        return hashlib.sha1(self._fingerprint_payload()).hexdigest()[:12]
+        digest = hashlib.sha1()
+        for part in self._fingerprint_payload():
+            digest.update(part)
+        return digest.hexdigest()[:12]
 
-    def _fingerprint_payload(self) -> bytes:
-        """Bytes that identify the model: its JSON description by default."""
-        return json.dumps(self.describe(), sort_keys=True, default=float).encode()
+    def _fingerprint_payload(self) -> tuple:
+        """Bytes-like parts that identify the model, hashed in turn: its JSON description by default."""
+        return (json.dumps(self.describe(), sort_keys=True, default=float).encode(),)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
@@ -296,14 +299,13 @@ class Mixture(SeverityModel):
             "components": [c.describe() for c in self._components],
         }
 
-    def _fingerprint_payload(self) -> bytes:
-        # Mixtures of closed-form kinds keep their JSON strings; gridded
-        # (or nested) parts are identified by their own fingerprints, so
-        # no atom is ever JSON-encoded.
+    def _fingerprint_payload(self) -> tuple:
+        # Mixtures of closed-form kinds keep their JSON strings; gridded (or nested)
+        # parts are identified by their own fingerprints, so no atom is JSON-encoded.
         if not any(isinstance(c, (Gridded, Mixture)) for c in self._components):
             return super()._fingerprint_payload()
         parts = "|".join(c.fingerprint() for c in self._components)
-        return b"mixture|" + self._w.tobytes() + parts.encode()
+        return b"mixture|", self._w.tobytes(), parts.encode()
 
     def _integrated_tails(self) -> IntegratedTails:
         parts = [(w, integrated_tails(c)) for w, c in self._parts]
@@ -324,9 +326,10 @@ class Gridded(SeverityModel):
     mass at the right endpoint, matching the forward-difference
     convention of the ruin-solver grid.  Survival is piecewise constant,
     so ``sbar`` is piecewise linear and ``ssbar`` piecewise quadratic;
-    both are evaluated exactly.  The model keeps only its atoms, masses
-    and cdf; each evaluation of a tail rebuilds the piecewise integrals
-    at the atoms, so no atom-sized array outlives the call.
+    both are evaluated exactly.  The model keeps the caller's float atoms and
+    masses, which must not change afterwards (negative masses are clamped in
+    a copy; ``from_survival`` makes one array, the masses).  The cdf is their
+    running sum, and a tail call builds its integrals in three arrays.
     """
 
     def __init__(self, atoms: Sequence[float], masses: Sequence[float]):
@@ -340,13 +343,13 @@ class Gridded(SeverityModel):
             raise ValidationError("gridded atoms must be strictly increasing")
         if not np.all(masses >= -_WEIGHT_TOL):  # NaN fails too
             raise ValidationError(f"gridded masses must be nonnegative, min {masses.min()!r}")
-        masses = np.where(masses < 0, 0.0, masses)
+        if np.any(masses < 0):  # clamped in a copy; else the model keeps the caller's array
+            masses = np.where(masses < 0, 0.0, masses)
         total = float(masses.sum())
         if abs(total - 1.0) > _MASS_TOL:
             raise ValidationError(f"gridded masses must sum to 1 within {_MASS_TOL}, got {total!r}")
         self._atoms = atoms
         self._masses = masses
-        self._cum = np.cumsum(masses)
         self._mean = float(np.dot(masses, atoms))
 
     @classmethod
@@ -363,25 +366,27 @@ class Gridded(SeverityModel):
         if nodes[0] != 0.0:
             raise ValidationError("cell grid must start at 0")
         survival = np.asarray(survival, dtype=float)
-        masses = -np.diff(survival)
+        masses = np.diff(survival)
+        np.negative(masses, out=masses)
         masses[-1] += survival[-1]
         return cls(nodes[1:], masses)
 
     def cdf(self, x):
         idx = np.searchsorted(self._atoms, _claims(x), side="right")
-        return _value(np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0))
+        return _value(np.where(idx > 0, np.cumsum(self._masses)[np.maximum(idx - 1, 0)], 0.0))
 
     @property
     def mean(self) -> float:
         return self._mean
 
     def sample(self, rng, size):
-        u = rng.random(size) * self._cum[-1]
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), self._atoms.size - 1)
+        cum = np.cumsum(self._masses)
+        u = rng.random(size) * cum[-1]
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), self._atoms.size - 1)
         return self._atoms[idx]
 
     def isf(self, q):
-        idx = np.searchsorted(self._cum, 1.0 - np.asarray(q, dtype=float), side="left")
+        idx = np.searchsorted(np.cumsum(self._masses), 1.0 - np.asarray(q, dtype=float), side="left")
         return _value(self._atoms[np.clip(idx, 0, self._atoms.size - 1)])
 
     def describe(self):
@@ -391,28 +396,37 @@ class Gridded(SeverityModel):
             "masses": [float(m) for m in self._masses],
         }
 
-    def _fingerprint_payload(self) -> bytes:
-        return b"gridded|" + self._atoms.tobytes() + self._masses.tobytes()
+    def _fingerprint_payload(self) -> tuple:
+        return b"gridded|", np.ascontiguousarray(self._atoms), self._masses
 
-    def _segments(self):
-        """Breakpoints 0, x_1, ..., x_K, the survival on each segment ((1 - total)
-        beyond the last atom), the widths, and sbar at the breakpoints."""
-        breaks = np.concatenate(([0.0], self._atoms))
-        seg_sf = np.concatenate(([1.0], 1.0 - self._cum))
-        widths = np.diff(breaks)
-        return breaks, seg_sf, widths, np.concatenate(([0.0], np.cumsum(seg_sf[:-1] * widths)))
+    def _segments(self, x):
+        """Segment j of each clamped x (breakpoints 0, x_1, ..., x_K), its offset d, the survival
+        on every segment ((1 - total) past x_K), and 0 and the widths, for the tails to overwrite."""
+        atoms = self._atoms
+        j = np.searchsorted(atoms, x, side="right")
+        d = x - np.where(j > 0, atoms[j - 1], 0.0)
+        seg_sf, widths = np.ones(atoms.size + 1), np.zeros(atoms.size + 1)
+        np.subtract(1.0, np.cumsum(self._masses, out=seg_sf[1:]), out=seg_sf[1:])
+        widths[1] = atoms[0]
+        np.subtract(atoms[1:], atoms[:-1], out=widths[2:])
+        return j, d, seg_sf, widths
 
     def _sbar(self, x):
-        breaks, seg_sf, _, sb = self._segments()
-        j = np.searchsorted(breaks, x, side="right") - 1  # >= 0: x is clamped, breaks[0] = 0
-        return sb[j] + seg_sf[j] * (x - breaks[j])
+        j, d, seg_sf, sb = self._segments(x)
+        np.cumsum(np.multiply(seg_sf[:-1], sb[1:], out=sb[1:]), out=sb[1:])
+        return sb[j] + seg_sf[j] * d
 
     def _ssbar(self, x):
-        breaks, seg_sf, widths, sb = self._segments()
-        ssb = np.concatenate(([0.0], np.cumsum(sb[:-1] * widths + 0.5 * seg_sf[:-1] * widths**2)))
-        j = np.searchsorted(breaks, x, side="right") - 1
-        d = x - breaks[j]
-        return ssb[j] + sb[j] * d + 0.5 * seg_sf[j] * d * d
+        # ssbar at the breakpoints: the prefix sums of sb * w + 0.5 * sf * w**2, in three arrays
+        j, d, seg_sf, ssb = self._segments(x)
+        sb = np.zeros(ssb.size)
+        np.cumsum(np.multiply(seg_sf[:-1], ssb[1:], out=sb[1:]), out=sb[1:])
+        sf_j, sb_j = seg_sf[j], sb[j]
+        sb[:-1] *= ssb[1:]
+        seg_sf[:-1] *= 0.5
+        seg_sf[:-1] *= np.square(ssb[1:], out=ssb[1:])
+        np.cumsum(np.add(sb[:-1], seg_sf[:-1], out=ssb[1:]), out=ssb[1:])
+        return ssb[j] + sb_j * d + 0.5 * sf_j * d * d
 
 
 class JointGridded:

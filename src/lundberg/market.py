@@ -101,9 +101,11 @@ class Decomposition:
     """Split of a coupled claim pair into independent component streams.
 
     Component severities are discretized on a uniform node grid (cells
-    carry their mass at the right endpoint).  Exact continuous samplers,
-    driven by the copula identities rather than the grid, back the Monte
-    Carlo cross-checks; ``grid_step`` None builds only them (grids None).
+    carry their mass at the right endpoint): each owns one node-sized
+    array, its masses, and views ``nodes`` as its atoms.  Exact continuous
+    samplers, driven by the copula identities rather than the grid, back
+    the Monte Carlo cross-checks (tables built on first use); ``grid_step``
+    None builds only them (grids None).
 
     Attributes:
         lambda1_only, lambda2_only, lambda_both: component intensities.
@@ -128,8 +130,7 @@ class Decomposition:
         lam1, lam2 = market.risk1.intensity, market.risk2.intensity
         self.lambda1, self.lambda2 = lam1, lam2
         self._tables = None
-        self.nodes = self.joint_both = None
-        self.sev1_both = self.sev2_both = self.sev_sum_both = None
+        self.nodes = self.joint_both = self.sev1_both = self.sev2_both = self.sev_sum_both = None
         levy = market.levy
         if levy is None:
             self.lambda_both = 0.0
@@ -157,21 +158,8 @@ class Decomposition:
         n = max(int(np.ceil(self._extent(_TAIL_MASS) / grid_step - 1e-9)), 2)
         self.nodes = nodes = grid_step * np.arange(n + 1)
 
-        u1, u2 = self._tail_integrals(nodes)
-        c1, c2 = self._simultaneous_tails(u1, u2)
-
-        self.sev1_both = Gridded.from_survival(nodes, c1 / lam_both)
-        self.sev2_both = Gridded.from_survival(nodes, c2 / lam_both)
-        self.sev1_gridded = Gridded.from_survival(nodes, u1 / lam1)
-        self.sev2_gridded = Gridded.from_survival(nodes, u2 / lam2)
-        if self.degenerate1:
-            self.sev1_only = self.sev1_gridded
-        else:
-            self.sev1_only = Gridded.from_survival(nodes, (u1 - c1) / self.lambda1_only)
-        if self.degenerate2:
-            self.sev2_only = self.sev2_gridded
-        else:
-            self.sev2_only = Gridded.from_survival(nodes, (u2 - c2) / self.lambda2_only)
+        self.sev1_both, self.sev1_gridded, self.sev1_only = self._components(0, nodes)
+        self.sev2_both, self.sev2_gridded, self.sev2_only = self._components(1, nodes)
 
         # Joint cell masses from rectangle increments of the composed tail
         # integral; the final column/row edge is closed at zero so residual
@@ -188,7 +176,8 @@ class Decomposition:
         joint_step = grid_step if joint_step is None else joint_step
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
         nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
-        e1, e2 = self._tail_integrals(joint_step * np.arange(nj + 1))
+        edges = joint_step * np.arange(nj + 1)
+        e1, e2 = (np.asarray(r.tail_integral(edges), dtype=float) for r in (market.risk1, market.risk2))
         e1[-1] = 0.0
         e2[-1] = 0.0
         harmonic = levy.omega == 1.0
@@ -223,16 +212,23 @@ class Decomposition:
         return max(float(self.market.risk1.severity.isf(tail_mass)),
                    float(self.market.risk2.severity.isf(tail_mass)))
 
-    def _tail_integrals(self, xs: np.ndarray):
-        """U_1(xs) and U_2(xs)."""
-        return (np.asarray(self.market.risk1.tail_integral(xs), dtype=float),
-                np.asarray(self.market.risk2.tail_integral(xs), dtype=float))
+    def _tails(self, i: int, xs: np.ndarray):
+        """Risk i + 1's U_i(xs) and C(U_1, lambda_2) or C(lambda_1, U_2) there, as new arrays."""
+        u = np.asarray((self.market.risk1, self.market.risk2)[i].tail_integral(xs), dtype=float)
+        pair = (u, self.lambda2) if i == 0 else (self.lambda1, u)
+        return u, np.asarray(self.market.levy.cdf(*pair), dtype=float)
 
-    def _simultaneous_tails(self, u1: np.ndarray, u2: np.ndarray):
-        """C(U_1, lambda_2) and C(lambda_1, U_2): the marginal tails of simultaneous claims."""
-        levy = self.market.levy
-        return (np.asarray(levy.cdf(u1, np.full_like(u1, self.lambda2)), dtype=float),
-                np.asarray(levy.cdf(np.full_like(u2, self.lambda1), u2), dtype=float))
+    def _components(self, i: int, nodes: np.ndarray):
+        """Risk i + 1's (simultaneous, input marginal, exclusive) severities from one (U_i, C_i) pair."""
+        u, c = self._tails(i, nodes)
+        gridded = only = Gridded.from_survival(nodes, u / (self.lambda1, self.lambda2)[i])
+        if not (self.degenerate1, self.degenerate2)[i]:
+            u -= c
+            u /= (self.lambda1_only, self.lambda2_only)[i]
+            only = Gridded.from_survival(nodes, u)
+        del u
+        c /= self.lambda_both
+        return Gridded.from_survival(nodes, c), gridded, only
 
     # ------------------------------------------------------------------
     # Exact continuous samplers (independent of the grid discretization)
@@ -244,22 +240,20 @@ class Decomposition:
             raise ValidationError("independent markets have no simultaneous-claim samplers")
         if self._tables is not None:
             return self._tables
-        lam_both = self.lambda_both
         xs = np.linspace(0.0, self._extent(1e-14), self._TABLE_SIZE)
-        u1, u2 = self._tail_integrals(xs)
-        c1, c2 = self._simultaneous_tails(u1, u2)
-        tables = {
-            "xs": xs[::-1].copy(),
-            "u1": u1[::-1].copy(), "u2": u2[::-1].copy(),
-            "both1": (c1 / lam_both)[::-1].copy(),
-            "both2": (c2 / lam_both)[::-1].copy(),
-        }
-        # u - C(u, lam) cancels to noise far out (below 1e-23 on the reference
-        # market); a running maximum keeps lookups independent of their order
-        if not self.degenerate1:
-            tables["only1"] = np.maximum.accumulate(((u1 - c1) / self.lambda1_only)[::-1])
-        if not self.degenerate2:
-            tables["only2"] = np.maximum.accumulate(((u2 - c2) / self.lambda2_only)[::-1])
+        tables = {"xs": xs[::-1].copy()}
+        # One risk at a time, each table written once.  u - C(u, lam) cancels to noise far out (below
+        # 1e-23 on the reference market); a running maximum keeps lookups independent of their order.
+        for i, only in enumerate((self.lambda1_only, self.lambda2_only)):
+            u, c = self._tails(i, xs)
+            tables[f"u{i + 1}"] = u[::-1].copy()
+            if not (self.degenerate1, self.degenerate2)[i]:
+                u -= c
+                u /= only
+                tables[f"only{i + 1}"] = np.maximum.accumulate(u[::-1], out=np.empty_like(u))
+            c /= self.lambda_both
+            tables[f"both{i + 1}"] = c[::-1].copy()
+            del u, c
         self._tables = tables
         return tables
 

@@ -198,10 +198,11 @@ def _sweep(tails, reserves, grid_step):
 
     A loading is a row of per-component claim intensities and a premium
     rate; the coefficients of ``tails`` serve every batch.  Infeasible rows
-    carry ruin 1.0, rows outside the recursion's valid range NaN.  Chunks of
-    ``_SWEEP_CELLS`` curve values (at least a row) with a feasible row are
-    jobs of ``_pool.map``.  A grid step that is not positive and finite, or
-    a reserve that is negative or not finite, raises ``ValidationError``.
+    carry ruin 1.0, rows outside the recursion's valid range NaN.  The
+    feasible rows, packed into chunks of ``_SWEEP_CELLS`` curve values (at
+    least a row), are jobs of ``_pool.map``.  A grid step that is not
+    positive and finite, or a reserve that is negative or not finite,
+    raises ``ValidationError``.
     """
     config = SolverConfig(grid_step, max(max(_nonnegative("reserve", r) for r in reserves), grid_step))
     n = config.n_cells
@@ -213,8 +214,8 @@ def _sweep(tails, reserves, grid_step):
         profit = premium - coef @ means
         feasible = profit > 0
         chunk = max(_SWEEP_CELLS // (n + 1), 1)
-        jobs = [live for start in range(0, coef.shape[0], chunk)
-                if (live := np.nonzero(feasible[start : start + chunk])[0] + start).size]
+        live = np.flatnonzero(feasible)
+        jobs = [live[start : start + chunk] for start in range(0, live.size, chunk)]
 
         def chunk_ruin(live):
             vbar, ok = survival_batch(coef[live] / premium[live, None], coefficients, n)

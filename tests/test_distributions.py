@@ -339,6 +339,103 @@ def test_gridded_tails_are_the_same_bits_in_any_order():
     assert first.sbar(x).tobytes() == sb and first.ssbar(x).tobytes() == ssb
 
 
+def test_gridded_owns_one_atom_array():
+    """A gridded model retains at most one atom-sized array beyond its inputs.
+
+    It keeps the caller's float atoms and masses; ``from_survival`` adds
+    one array, the masses, and keeps a view of the nodes as its atoms.
+    """
+    import gc
+    import tracemalloc
+
+    nodes = np.linspace(0.0, 1e6, 10**6 + 1)
+    survival = np.exp(-nodes / 2e5)
+    masses = -np.diff(survival)
+    masses[-1] += survival[-1]
+    atom_array = 8 * (nodes.size - 1)
+    for build in (lambda: lb.Gridded(nodes[1:], masses), lambda: lb.Gridded.from_survival(nodes, survival)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = build()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(model._atoms, nodes)
+        assert retained <= 1.05 * atom_array, retained / atom_array
+
+
+def _stored_cdf_reference(model):
+    """cdf, sf, isf, sample, sbar and ssbar of ``model`` from a stored cdf ``np.cumsum(masses)``,
+    with the expressions a gridded model used when it kept that array."""
+    atoms, cum = model._atoms, np.cumsum(model._masses)
+    breaks = np.concatenate(([0.0], atoms))
+    seg_sf = np.concatenate(([1.0], 1.0 - cum))
+    widths = np.diff(breaks)
+    sb = np.concatenate(([0.0], np.cumsum(seg_sf[:-1] * widths)))
+    ssb = np.concatenate(([0.0], np.cumsum(sb[:-1] * widths + 0.5 * seg_sf[:-1] * widths**2)))
+
+    def cdf(x):
+        idx = np.searchsorted(atoms, np.maximum(x, 0.0), side="right")
+        return np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+
+    def sample(rng, size):
+        u = rng.random(size) * cum[-1]
+        return atoms[np.minimum(np.searchsorted(cum, u, side="right"), atoms.size - 1)]
+
+    def tail(x, value, at_inf):
+        top = x == np.inf
+        x = np.where(top, 0.0, np.maximum(x, 0.0))
+        j = np.searchsorted(breaks, x, side="right") - 1
+        return np.where(top, at_inf, value(j, x - breaks[j]))
+
+    return {
+        "cdf": cdf,
+        "sf": lambda x: 1.0 - cdf(x),
+        "isf": lambda q: atoms[np.clip(np.searchsorted(cum, 1.0 - q, side="left"), 0, atoms.size - 1)],
+        "sample": sample,
+        "sbar": lambda x: tail(x, lambda j, d: sb[j] + seg_sf[j] * d, model.mean),
+        "ssbar": lambda x: tail(x, lambda j, d: ssb[j] + sb[j] * d + 0.5 * seg_sf[j] * d * d, np.inf),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gaps=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=40),
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+                     min_size=40, max_size=40),
+    scale=st.sampled_from([1e-3, 1.0, 25.0, 1e4]),
+    probes=st.lists(st.floats(min_value=-10.0, max_value=1e5), max_size=20),
+    qs=st.lists(st.floats(min_value=-0.5, max_value=1.5), max_size=20),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(gaps=[1.0], weights=[1.0] + [0.0] * 39, scale=1.0, probes=[], qs=[], seed=0)
+def test_gridded_values_equal_a_stored_cdf_bit_for_bit(gaps, weights, scale, probes, qs, seed):
+    """Every value of a gridded model is the one a stored ``np.cumsum(masses)`` gives.
+
+    Covers zero masses and claims at an atom, between atoms, below 0, at 0,
+    beyond the last atom and at inf.
+    """
+    atoms = np.cumsum(gaps) * scale
+    weights = np.array(weights[: atoms.size])
+    if not weights.sum() > 0:
+        weights[-1] = 1.0
+    model = lb.Gridded(atoms, weights / weights.sum())
+    x = np.concatenate((atoms, 0.5 * (atoms[1:] + atoms[:-1]), [-1.0, 0.0, atoms[-1] * 1.5, 1e12, np.inf],
+                        np.asarray(probes) * scale))
+    cum = np.cumsum(model._masses)
+    q = np.concatenate(([0.0, 1.0, 1e-300], 1.0 - cum, cum, qs))
+    ref = _stored_cdf_reference(model)
+    tails = integrated_tails(model)
+    finite = x[np.isfinite(x)]
+    for name, f, args in [("cdf", model.cdf, x), ("sf", model.sf, x), ("isf", model.isf, q),
+                          ("sbar", tails.sbar, x), ("ssbar", tails.ssbar, x),
+                          ("sbar", tails.sbar, finite), ("ssbar", tails.ssbar, finite)]:
+        assert f(args).tobytes() == ref[name](args).tobytes(), name
+    got = model.sample(np.random.default_rng(seed), 64)
+    assert got.tobytes() == ref["sample"](np.random.default_rng(seed), 64).tobytes()
+
+
 def test_gridded_isf_inverts_survival():
     model = lb.Gridded([1.0, 2.0, 5.0], [0.2, 0.5, 0.3])
     assert model.isf(0.9) == 1.0

@@ -190,6 +190,34 @@ def test_decomposition_retains_only_masses_and_cdf_per_component(dep_market):
     assert peak <= 24 * node_array, peak / node_array
 
 
+def test_decomposition_keeps_one_array_per_component(dep_market):
+    """The six gridded components own one node-sized array each, their masses.
+
+    With the nodes that makes 7 node-sized float64 arrays retained (the
+    summed claim's lattice is coarse here); building them keeps at most
+    one risk's tail pair and a component's temporaries alive at once.
+    """
+    import gc
+    import tracemalloc
+
+    lb.decompose(dep_market, 25.0)  # first-use imports stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dec = lb.decompose(dep_market, 0.25, joint_step=25.0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    node_array = 8 * dec.nodes.size
+    assert dec.nodes.size > 60_000
+    assert retained <= 8 * node_array, retained / node_array
+    assert peak <= 12 * node_array, peak / node_array
+    for sev in (dec.sev1_only, dec.sev2_only, dec.sev1_both, dec.sev2_both, dec.sev1_gridded,
+                dec.sev2_gridded):
+        assert np.shares_memory(sev._atoms, dec.nodes)
+        assert [k for k, v in vars(sev).items() if isinstance(v, np.ndarray)] == ["_atoms", "_masses"]
+
+
 def test_degenerate_complete_dependence(gamma_severity):
     risk = lb.CompoundPoissonSpec(800.0, gamma_severity)
     market = lb.MarketSpec(risk, risk, lb.ClaytonLevyCopula(200.0))

@@ -115,6 +115,30 @@ def test_single_sweep_is_independent_of_chunking(demand1, gamma_severity, monkey
     assert np.array_equal(runs[0]["ruin"], runs[1]["ruin"], equal_nan=True)
 
 
+def test_single_sweep_packs_feasible_rows_into_full_jobs(demand1, gamma_severity, monkeypatch):
+    """Every kernel call but the last gets a full chunk of feasible rows, whatever their positions."""
+    from lundberg import _pool, optimize
+
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: 1)  # kernel calls are counted in this process
+    thetas = np.arange(0.05, 1.0 + 0.0025, 0.025)  # fig1's range: starts infeasible
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return survival_batch(*args)
+
+    monkeypatch.setattr(optimize, "survival_batch", counted)
+    whole = sweep_single_loading(demand1, 800.0, gamma_severity, [1000.0, 5000.0], thetas, 5.0)
+    n_nodes = int(round(5000.0 / 5.0)) + 1
+    monkeypatch.setattr(optimize, "_SWEEP_CELLS", 7 * n_nodes)
+    calls.clear()
+    packed = sweep_single_loading(demand1, 800.0, gamma_severity, [1000.0, 5000.0], thetas, 5.0)
+    feasible = int(packed["feasible"].sum())
+    assert feasible > 7 and feasible % 7
+    assert calls == [7] * (feasible // 7) + [feasible % 7]
+    assert np.array_equal(packed["ruin"], whole["ruin"], equal_nan=True)
+
+
 class _FlippedTails(lb.Exponential):
     """An exponential claim whose first integrated tail has the wrong sign: unstable sweep rows."""
 
