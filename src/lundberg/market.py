@@ -226,7 +226,7 @@ class Decomposition:
             u -= c
             u /= (self.lambda1_only, self.lambda2_only)[i]
             only = Gridded.from_survival(nodes, u)
-        del u
+        del u  # freed before the last component: one node array less at the peak
         c /= self.lambda_both
         return Gridded.from_survival(nodes, c), gridded, only
 
@@ -253,7 +253,7 @@ class Decomposition:
                 tables[f"only{i + 1}"] = np.maximum.accumulate(u[::-1], out=np.empty_like(u))
             c /= self.lambda_both
             tables[f"both{i + 1}"] = c[::-1].copy()
-            del u, c
+            del u, c  # freed before the next risk's pair is made
         self._tables = tables
         return tables
 
