@@ -23,17 +23,6 @@ _task = None  # the job function of a worker process, set at fork
 def _init_worker(task):
     global _task
     _task = task
-    # glibc unmaps freed blocks from 128 KiB up, so each sweep job would fault in its 2 MiB FFT
-    # temporaries afresh: keep 1 GiB of freed heap (M_TRIM_THRESHOLD), blocks to 32 MiB (M_MMAP_THRESHOLD)
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
-        glibc = None
-    if glibc:
-        import ctypes
-
-        for param, value in ((-1, 1 << 30), (-3, 32 << 20)):
-            ctypes.CDLL(None).mallopt(param, value)
 
 
 def _run_job(job):

@@ -11,8 +11,8 @@ gamma, and mixtures of them) or exactly from atoms (gridded empirical
 models).  All distributions live on [0, inf) with F(0) = 0: claims are
 strictly positive.
 
-A subclass of :class:`SeverityModel` implements ``cdf``, ``mean``,
-``sample`` and ``describe``, and may add ``sf``, ``isf`` and closed-form
+A subclass of :class:`SeverityModel` implements ``cdf``, ``mean``, ``sample``
+and ``describe``, and may add ``sf``, ``isf``, ``sampler`` and closed-form
 ``_sbar``/``_ssbar``, which receive claim amounts clamped at 0
 (``_claims``).  A 0-d result is returned as a float (``_value``), and a
 tail a subclass does not state is ``sf`` integrated by adaptive quadrature.
@@ -83,6 +83,10 @@ class SeverityModel(abc.ABC):
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size):
         """Draw claim sizes using the supplied generator."""
+
+    def sampler(self):
+        """A function (rng, size) drawing as ``sample`` does, with its tables built once."""
+        return self.sample
 
     def isf(self, q):
         """Inverse survival function: smallest x with F̄(x) <= q; 0 for q >= 1.
@@ -280,17 +284,20 @@ class Mixture(SeverityModel):
         return self._mean
 
     def sample(self, rng, size):
-        size = (size,) if np.isscalar(size) else tuple(size)
-        u = rng.random(size)
-        idx = np.searchsorted(np.cumsum(self._w), u, side="right")
-        idx = np.minimum(idx, len(self._components) - 1)
-        out = np.empty(size, dtype=float)
-        for j, comp in enumerate(self._components):
-            mask = idx == j
-            n = int(mask.sum())
-            if n:
-                out[mask] = comp.sample(rng, n)
-        return out
+        return self.sampler()(rng, size)
+
+    def sampler(self):
+        cum, parts = np.cumsum(self._w), [c.sampler() for c in self._components]
+
+        def sample(rng, size):
+            size = (size,) if np.isscalar(size) else tuple(size)
+            idx = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), len(parts) - 1)
+            out = np.empty(size, dtype=float)
+            for j, part in enumerate(parts):
+                if n := int(np.count_nonzero(mask := idx == j)):
+                    out[mask] = part(rng, n)
+            return out
+        return sample
 
     def describe(self):
         return {
@@ -326,10 +333,10 @@ class Gridded(SeverityModel):
     mass at the right endpoint, matching the forward-difference
     convention of the ruin-solver grid.  Survival is piecewise constant,
     so ``sbar`` is piecewise linear and ``ssbar`` piecewise quadratic;
-    both are evaluated exactly.  The model keeps the caller's float atoms and
-    masses, which must not change afterwards (negative masses are clamped in
-    a copy; ``from_survival`` makes one array, the masses).  The cdf is their
-    running sum, and a tail call builds its integrals in three arrays.
+    both are evaluated exactly.  The model keeps the caller's float atoms and masses,
+    which must not change afterwards (they are copied only where negative masses are
+    clamped or an array is strided; ``from_survival`` makes one array, the masses).
+    The cdf is their running sum; a tail call builds its integrals in three arrays.
     """
 
     def __init__(self, atoms: Sequence[float], masses: Sequence[float]):
@@ -348,8 +355,7 @@ class Gridded(SeverityModel):
         total = float(masses.sum())
         if abs(total - 1.0) > _MASS_TOL:
             raise ValidationError(f"gridded masses must sum to 1 within {_MASS_TOL}, got {total!r}")
-        self._atoms = atoms
-        self._masses = masses
+        self._atoms, self._masses = np.ascontiguousarray(atoms), np.ascontiguousarray(masses)
         self._mean = float(np.dot(masses, atoms))
 
     @classmethod
@@ -380,10 +386,15 @@ class Gridded(SeverityModel):
         return self._mean
 
     def sample(self, rng, size):
-        cum = np.cumsum(self._masses)
-        u = rng.random(size) * cum[-1]
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), self._atoms.size - 1)
-        return self._atoms[idx]
+        return self.sampler()(rng, size)
+
+    def sampler(self):
+        cum = np.cumsum(self._masses)  # the cdf, held by the sampler only
+
+        def sample(rng, size):
+            u = rng.random(size) * cum[-1]
+            return self._atoms[np.minimum(np.searchsorted(cum, u, side="right"), self._atoms.size - 1)]
+        return sample
 
     def isf(self, q):
         idx = np.searchsorted(np.cumsum(self._masses), 1.0 - np.asarray(q, dtype=float), side="left")
@@ -397,7 +408,7 @@ class Gridded(SeverityModel):
         }
 
     def _fingerprint_payload(self) -> tuple:
-        return b"gridded|", np.ascontiguousarray(self._atoms), self._masses
+        return b"gridded|", self._atoms, self._masses
 
     def _segments(self, x):
         """Segment j of each clamped x (breakpoints 0, x_1, ..., x_K), its offset d, the survival
@@ -417,14 +428,14 @@ class Gridded(SeverityModel):
         return sb[j] + seg_sf[j] * d
 
     def _ssbar(self, x):
-        # ssbar at the breakpoints: the prefix sums of sb * w + 0.5 * sf * w**2, in three arrays
+        # prefix sums of sb * w + 0.5 * sf * w**2 (w: widths, in ssb[1:]) in three arrays, in that order
         j, d, seg_sf, ssb = self._segments(x)
         sb = np.zeros(ssb.size)
-        np.cumsum(np.multiply(seg_sf[:-1], ssb[1:], out=sb[1:]), out=sb[1:])
-        sf_j, sb_j = seg_sf[j], sb[j]
-        sb[:-1] *= ssb[1:]
+        np.cumsum(np.multiply(seg_sf[:-1], ssb[1:], out=sb[1:]), out=sb[1:])  # sbar at the breakpoints
+        sf_j, sb_j = seg_sf[j], sb[j]  # read before sf and sb are overwritten
+        sb[:-1] *= ssb[1:]  # sb * w
         seg_sf[:-1] *= 0.5
-        seg_sf[:-1] *= np.square(ssb[1:], out=ssb[1:])
+        seg_sf[:-1] *= np.square(ssb[1:], out=ssb[1:])  # (0.5 * sf) * w**2
         np.cumsum(np.add(sb[:-1], seg_sf[:-1], out=ssb[1:]), out=ssb[1:])
         return ssb[j] + sb_j * d + 0.5 * sf_j * d * d
 

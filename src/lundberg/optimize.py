@@ -198,11 +198,10 @@ def _sweep(tails, reserves, grid_step):
 
     A loading is a row of per-component claim intensities and a premium
     rate; the coefficients of ``tails`` serve every batch.  Infeasible rows
-    carry ruin 1.0, rows outside the recursion's valid range NaN.  The
-    feasible rows, packed into chunks of ``_SWEEP_CELLS`` curve values (at
-    least a row), are jobs of ``_pool.map``.  A grid step that is not
-    positive and finite, or a reserve that is negative or not finite,
-    raises ``ValidationError``.
+    carry ruin 1.0, rows outside the recursion's valid range NaN.  The feasible
+    rows, packed into chunks of ``_SWEEP_CELLS`` curve values (at least a row),
+    are jobs of ``_pool.map``.  A grid step that is not positive and finite, or
+    a reserve that is negative or not finite, raises ``ValidationError``.
     """
     config = SolverConfig(grid_step, max(max(_nonnegative("reserve", r) for r in reserves), grid_step))
     n = config.n_cells

@@ -182,8 +182,9 @@ def simulate_ruin(
     The estimate's ``diagnostics["ruin_times"]`` holds each path's ruin
     time, NaN for survivors.
     """
+    sample = severity.sampler()  # its tables once per run, not once per draw
     def draw(rng, shape):
-        return rng.exponential(1.0 / intensity, shape), severity.sample(rng, shape)
+        return rng.exponential(1.0 / intensity, shape), sample(rng, shape)
 
     return _run_paths(config, intensity, severity.mean, premium_rate, reserve, draw, {})
 
@@ -208,12 +209,12 @@ class _StreamSampler:
             self.mean_claim = cost_rate / self.total_rate
         self.w_excl1 = parts[0] / self.rates[0] if self.rates[0] > 0 else 0.0
         self.w_excl2 = parts[1] / self.rates[1] if self.rates[1] > 0 else 0.0
+        self.risk_samplers = (d.market.risk1.severity.sampler(), d.market.risk2.severity.sampler())
 
     def _one_sided(self, rng, m, which):
         d = self.decomp
         if d.lambda_both == 0.0:
-            sev = d.market.risk1.severity if which == 1 else d.market.risk2.severity
-            return sev.sample(rng, m)
+            return self.risk_samplers[which - 1](rng, m)
         w_excl, only, both = ((self.w_excl1, d.sample_only1, d.sample_both1) if which == 1
                               else (self.w_excl2, d.sample_only2, d.sample_both2))
         excl = rng.random(m) < w_excl

@@ -434,6 +434,20 @@ def test_gridded_values_equal_a_stored_cdf_bit_for_bit(gaps, weights, scale, pro
         assert f(args).tobytes() == ref[name](args).tobytes(), name
     got = model.sample(np.random.default_rng(seed), 64)
     assert got.tobytes() == ref["sample"](np.random.default_rng(seed), 64).tobytes()
+    got = model.sampler()(np.random.default_rng(seed), (4, 16))
+    assert got.tobytes() == ref["sample"](np.random.default_rng(seed), (4, 16)).tobytes()
+
+
+def test_gridded_from_strided_columns_fingerprints_and_solves():
+    """Atoms and masses read as columns of a table are hashed and solved like copies of them."""
+    table = np.column_stack(([50.0, 120.0, 400.0, 900.0], [0.1, 0.4, 0.3, 0.2]))
+    strided = lb.Gridded(table[:, 0], table[:, 1])
+    copied = lb.Gridded(table[:, 0].copy(), table[:, 1].copy())
+    assert strided.fingerprint() == copied.fingerprint()
+    config = lb.SolverConfig(grid_step=10.0, x_max=2000.0)
+    for solve in (lb.solve_survival, lb.solve_series):
+        got, want = (solve(0.5, model, 200.0, config) for model in (strided, copied))
+        assert got.survival.tobytes() == want.survival.tobytes()
 
 
 def test_gridded_isf_inverts_survival():

@@ -136,6 +136,23 @@ def test_single_risk_estimate_brackets_solver(demand1, gamma_severity):
 # decomposed market simulation
 # ---------------------------------------------------------------------------
 
+def test_simulate_ruin_builds_the_severity_sampler_once(monkeypatch):
+    """A gridded part's running sum is taken once per run, not once per draw of a block."""
+    built, draws, sampler = [], [], lb.Gridded.sampler
+
+    def counted(self):
+        built.append(self)
+        sample = sampler(self)
+        return lambda rng, size: draws.append(size) or sample(rng, size)
+
+    monkeypatch.setattr(lb.Gridded, "sampler", counted)
+    model = lb.Gridded([50.0, 120.0, 400.0, 900.0], [0.1, 0.4, 0.3, 0.2])
+    mix = lb.Mixture([0.5, 0.5], [model, lb.Exponential(300.0)])
+    est = lb.simulate_ruin(0.5, mix, 200.0, 2000.0, lb.SimConfig(paths=500, seed=3))
+    assert built == [model] and len(draws) > 1, len(draws)
+    assert 0 < est.ruined < est.paths
+
+
 def test_company_exposure_simulate_shortcut(dep_market, decomposition, demands, shares_at_04):
     exposure = lb.company_exposure(
         dep_market, shares_at_04, (0.4, 0.4), demands, (2000.0,), decomposition=decomposition,
