@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Four commands drive the library against JSON model configurations:
+Four commands drive the library against JSON model configurations; ``reproduce``
+writes the tables and the summary that :func:`lundberg.reproduce_figure` returns:
 
     lundberg solve      path/to/config.json   # ruin curve CSV + sidecar
     lundberg optimize   path/to/config.json   # loading optimization
@@ -28,28 +29,17 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import ModelConfig, config_to_dict, load_config, parse_config
+from .config import ModelConfig, config_to_dict, load_config
 from .demand import acquisition_shares
 from .errors import (AccuracyError, ConfigError, InstabilityError, LundbergError, NetProfitError,
                      ValidationError, _positive)
+from .figures import reproduce_figure
 from .market import _premium_rate, company_exposure, decompose
-from .copulas import make_ordinary
-from .optimize import (
-    _loading_grid,
-    _sweep_argmin,
-    company_ruin_at,
-    optimize_joint_profit,
-    optimize_joint_ruin,
-    profit_optimal_loading,
-    ruin_optimal_loading,
-    sweep_single_loading,
-    weighted_average_loading,
-)
-from .presets import figure_config
-from .ruin import RuinCurve, solve_series, solve_survival
+# bench/spans.py and bench/tests read cli.sweep_single_loading and cli.company_ruin_at (ROADMAP item 8)
+from .optimize import (company_ruin_at, optimize_joint_profit, optimize_joint_ruin, profit_optimal_loading,
+                       ruin_optimal_loading, sweep_single_loading)
+from .ruin import solve_series, solve_survival
 from .simulate import simulate_bivariate_market, simulate_ruin
 
 _FLOAT_FMT = "%.12g"
@@ -85,9 +75,7 @@ def _out_dir(args) -> Path:
 
 
 def _sidecar(cfg: ModelConfig, extra: dict) -> dict:
-    payload = {"config": config_to_dict(cfg), "generated_at": datetime.now(timezone.utc).isoformat()}
-    payload.update(extra)
-    return payload
+    return {"config": config_to_dict(cfg), "generated_at": datetime.now(timezone.utc).isoformat(), **extra}
 
 
 def _single_model(cfg: ModelConfig):
@@ -116,10 +104,6 @@ def _given_flags(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _curve_rows(curve: RuinCurve):
-    return zip(curve.x.tolist(), curve.survival.tolist(), curve.ruin.tolist())
-
-
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     solver = replace(cfg.solver, **_given_flags(args, "grid_step", "x_max"))
@@ -146,20 +130,13 @@ def cmd_solve(args) -> int:
             "lambda_both": exposure.lambda_both,
         })
         if args.dump_decomposition:
-            nodes = decomposition.nodes
-            write_csv(
-                out / f"{stem}_decomposition.csv",
-                ["x", "sf_only1", "sf_only2", "sf_both1", "sf_both2", "sf_sum_both"],
-                zip(
-                    nodes.tolist(),
-                    decomposition.sev1_only.sf(nodes).tolist(),
-                    decomposition.sev2_only.sf(nodes).tolist(),
-                    decomposition.sev1_both.sf(nodes).tolist(),
-                    decomposition.sev2_both.sf(nodes).tolist(),
-                    decomposition.sev_sum_both.sf(nodes).tolist(),
-                ),
-            )
-    write_csv(out / f"{stem}.csv", ["x", "survival", "ruin"], _curve_rows(curve))
+            nodes, d = decomposition.nodes, decomposition
+            columns = {"sf_only1": d.sev1_only, "sf_only2": d.sev2_only, "sf_both1": d.sev1_both,
+                       "sf_both2": d.sev2_both, "sf_sum_both": d.sev_sum_both}
+            write_csv(out / f"{stem}_decomposition.csv", ["x", *columns],
+                      zip(nodes.tolist(), *(sev.sf(nodes).tolist() for sev in columns.values())))
+    write_csv(out / f"{stem}.csv", ["x", "survival", "ruin"],
+              zip(curve.x.tolist(), curve.survival.tolist(), curve.ruin.tolist()))
     write_json(out / f"{stem}.json", _sidecar(cfg, {
         "fingerprint": curve.fingerprint,
         "solver": curve.solver,
@@ -245,115 +222,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_sweep(path, thetas, profit, ruin, feasible, reserves):
-    """Write a theta,profit,ruin_at_* CSV; return (theta, ruin) at each reserve's minimum.
-
-    ``ruin`` holds one column per sorted reserve; ``_sweep_argmin`` picks the minima.
-    """
-    header = ["theta", "profit"] + [f"ruin_at_{_FLOAT_FMT % r}" for r in reserves]
-    write_csv(path, header, zip(thetas.tolist(), profit.tolist(), *ruin.T.tolist()))
-    best, _ = _sweep_argmin(ruin, feasible)
-    return {_FLOAT_FMT % r: (float(thetas[k]), float(ruin[k, j]))
-            for j, (r, k) in enumerate(zip(reserves, best))}
-
-
-def _reproduce_single(name, cfg, out, sweep_step, grid_step):
-    risk, demand = cfg.risks[0], cfg.demands[0]
-    thetas = _loading_grid(0.05, 1.0, sweep_step)
-    sweep = sweep_single_loading(demand, risk.intensity, risk.severity, cfg.reserves, thetas, grid_step)
-    best = _write_sweep(out / f"{name}_sweep.csv", sweep["theta"], sweep["profit"], sweep["ruin"],
-                        sweep["feasible"], sweep["reserves"])
-    ruin_res = ruin_optimal_loading(demand, risk.intensity, risk.severity.mean)
-    profit_res = profit_optimal_loading(demand, risk.intensity, risk.severity.mean)
-    return {
-        "theta_ruin": ruin_res.loading,
-        "theta_profit": profit_res.loading,
-        "max_expected_profit": profit_res.value,
-        "sweep_argmin_by_reserve": {r: theta for r, (theta, _) in best.items()},
-    }
-
-
-def _reproduce_common(name, cfg, out, sweep_step, grid_step, acquisition=None, label="",
-                      decomposition=None):
-    market = cfg.market()
-    if decomposition is None:
-        decomposition = decompose(market, grid_step)
-    thetas = _loading_grid(0.05, 1.0, sweep_step)
-    reserves = sorted(cfg.reserves)
-    ruin, profit, feasible = company_ruin_at(
-        market, tuple(cfg.demands), acquisition or cfg.acquisition, reserves,
-        np.column_stack([thetas, thetas]), grid_step, decomposition,
-    )
-    best = _write_sweep(out / f"{name}_sweep{label}.csv", thetas, profit, ruin, feasible, reserves)
-    return {r: {"argmin": theta, "min_ruin": value} for r, (theta, value) in best.items()}
-
-
 def cmd_reproduce(args) -> int:
-    name = args.figure
-    raw = figure_config(name)
-    cfg = parse_config(raw)
-    out = _out_dir(args) / name
-    sweep_step = args.sweep_step
-    if sweep_step is None:
-        sweep_step = 0.005 if name.startswith(("fig1", "fig2")) else 0.01
-    grid_step = cfg.solver.grid_step if args.grid_step is None else args.grid_step
-    summary = {"figure": name, "preset": raw}
-
-    if name.startswith(("fig1", "fig2")):
-        summary["results"] = _reproduce_single(name, cfg, out, sweep_step, grid_step)
-        summary["results"]["weighted_average_hint"] = None
-    elif name.startswith("fig3"):
-        indep_cfg = parse_config({**raw, "levy_copula": {"family": "independence"}})
-        dep = _reproduce_common(name, cfg, out, sweep_step, grid_step, label="_dependent")
-        ind = _reproduce_common(name, indep_cfg, out, sweep_step, grid_step, label="_independent")
-        r1 = ruin_optimal_loading(cfg.demands[0], cfg.risks[0].intensity, cfg.risks[0].severity.mean)
-        r2 = ruin_optimal_loading(cfg.demands[1], cfg.risks[1].intensity, cfg.risks[1].severity.mean)
-        ref = 0.4
-        summary["results"] = {
-            "dependent": dep,
-            "independent": ind,
-            "theta_weighted": weighted_average_loading(
-                r1.loading, r2.loading,
-                float(cfg.demands[0].take_rate(ref)), float(cfg.demands[1].take_rate(ref)),
-            ),
-        }
-    elif name in ("fig4", "fig5"):
-        market = cfg.market()
-        demands = tuple(cfg.demands)
-        reserve = max(cfg.reserves)
-        decomposition = decompose(market, grid_step)
-        res = optimize_joint_ruin(
-            market, demands, cfg.acquisition, reserve, mode="separate", grid_step=grid_step,
-            sweep_step=sweep_step, decomposition=decomposition,
-        )
-        profit_res = optimize_joint_profit(
-            demands, (market.risk1.intensity, market.risk2.intensity),
-            (market.risk1.severity.mean, market.risk2.severity.mean), mode="separate",
-        )
-        thetas = _loading_grid(0.2, 0.6, sweep_step)
-        pairs = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
-        ruin, profit, _ = company_ruin_at(
-            market, demands, cfg.acquisition, [reserve], pairs, grid_step, decomposition
-        )
-        write_csv(out / f"{name}_grid.csv", ["theta1", "theta2", "ruin", "profit"],
-                  zip(*pairs.T.tolist(), ruin[:, 0].tolist(), profit.tolist()))
-        summary["results"] = {
-            "ruin_optimum": list(res.loading), "min_ruin": res.value,
-            "grid_optimum": list(res.grid_loading),
-            "profit_optimum": list(profit_res.loading),
-        }
-    else:  # fig6
-        decomposition = decompose(cfg.market(), grid_step)
-        acquisitions = {"independent": ("_independent", make_ordinary("independence"))}
-        for family in ("clayton", "gumbel"):
-            for tau in (0.05, 0.25, 0.5):
-                acquisitions[f"{family}_tau_{tau}"] = (f"_{family}_tau{tau}", make_ordinary(family, tau=tau))
-        summary["results"] = {
-            key: _reproduce_common(name, cfg, out, sweep_step, grid_step, acquisition=acq,
-                                   label=label, decomposition=decomposition)
-            for key, (label, acq) in acquisitions.items()
-        }
-
+    out = _out_dir(args) / args.figure
+    tables, summary = reproduce_figure(args.figure, args.sweep_step, args.grid_step)
+    for file_name, (header, rows) in tables.items():
+        write_csv(out / file_name, header, rows)
     write_json(out / "summary.json", summary)
     print(f"wrote {out / 'summary.json'}")
     return 0

@@ -157,22 +157,26 @@ class ClaytonLevyCopula:
         self.omega = float(_positive("clayton Levy parameter", omega))
 
     def cdf(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if np.any(x < 0) or np.any(y < 0):
             raise ValidationError("Levy copula arguments must be nonnegative")
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
+        lo, hi, w = np.minimum(x, y), np.maximum(x, y), self.omega
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.omega == 1.0:
+            if w == 1.0:
                 out = np.where(lo > 0, lo * hi / (lo + hi), 0.0)
-            else:
-                ratio = np.where(hi > 0, lo / hi, 0.0)
-                out = lo * np.power(1.0 + np.power(ratio, self.omega), -1.0 / self.omega)
-        out = np.where(lo <= 0, 0.0, out)
-        out = np.where(np.isinf(lo), np.inf, out)
-        # one argument at infinity: uniform margin
-        out = np.where(np.isinf(hi) & np.isfinite(lo), lo, out)
+            else:  # in place; the fixups below run only where a zero, inf or NaN can need them
+                out = np.divide(lo, hi, out=np.empty(lo.shape))
+                np.power(out, w, out=out)
+                out += 1.0
+                np.power(out, -1.0 / w, out=out)
+                out *= lo
+                if not lo.min(initial=np.inf) > 0:
+                    out[lo <= 0] = 0.0
+            # an infinite argument gives the uniform margin lo; a NaN gives lo * 1 (0 when harmonic)
+            if not hi.max(initial=0.0) < np.inf:
+                if w != 1.0:
+                    np.copyto(out, lo * 1.0, where=np.isnan(hi))
+                np.copyto(out, lo, where=np.isinf(hi))
         return out if out.shape else float(out)
 
     def describe(self):

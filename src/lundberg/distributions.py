@@ -88,25 +88,33 @@ class SeverityModel(abc.ABC):
         """A function (rng, size) drawing as ``sample`` does, with its tables built once."""
         return self.sample
 
+    def _survival(self):
+        """A function x -> ``sf(x)`` with its tables built once, for repeated calls."""
+        return self.sf
+
+    _top = np.inf  # the end of the support
+
     def isf(self, q):
         """Inverse survival function: smallest x with F̄(x) <= q; 0 for q >= 1.
 
         Generic bisection fallback; subclasses override where a closed
-        form exists.  Each element is bracketed on its own, so it equals
-        the scalar call at that q.
+        form exists.  Each element is bracketed on its own, so it equals the scalar
+        call at that q; a bracket stops at the support's end, read by q <= 0.
         """
         q = np.asarray(q, dtype=float)
+        sf = self._survival()
         qmin = np.maximum(q, 1e-300)
         hi = np.full(q.shape, max(self.mean, 1.0))
-        while np.any(grow := (self.sf(hi) > qmin) & (hi < 1e300)):
+        while np.any(grow := (sf(hi) > qmin) & (hi < min(self._top, 1e300))):
             hi = np.where(grow, 2.0 * hi, hi)
+        beyond = (q <= 0.0) | (sf(hi) > qmin)
         lo = np.zeros(q.shape)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            above = self.sf(mid) > q
+            above = sf(mid) > q
             lo = np.where(above, mid, lo)
             hi = np.where(above, hi, mid)
-        return _value(np.where(q >= 1.0, 0.0, 0.5 * (lo + hi)))
+        return _value(np.where(q >= 1.0, 0.0, np.where(beyond, self._top, 0.5 * (lo + hi))))
 
     @abc.abstractmethod
     def describe(self) -> dict:
@@ -188,7 +196,7 @@ class Exponential(SeverityModel):
         return rng.exponential(self._mean, size=size)
 
     def isf(self, q):
-        return _value(-self._mean * np.log(np.clip(q, 1e-300, 1.0)))
+        return _value(np.where(np.less_equal(q, 0.0), np.inf, -self._mean * np.log(np.clip(q, 1e-300, 1.0))))
 
     def describe(self):
         return {"kind": "exponential", "mean": self._mean}
@@ -270,14 +278,17 @@ class Mixture(SeverityModel):
         self._components = tuple(components)
         self._mean = float(np.dot(weights, [c.mean for c in components]))
         self._parts = [(w, c) for w, c in zip(weights, self._components) if w > 0.0]
+        self._top = max(c._top for _, c in self._parts)
 
-    def cdf(self, x):
-        x = _claims(x)
+    def cdf(self, x):  # each part clamps its claims
         return _weighted(self._parts, lambda c: c.cdf(x))
 
     def sf(self, x):
-        x = _claims(x)
-        return _weighted(self._parts, lambda c: c.sf(x))
+        return self._survival()(x)
+
+    def _survival(self):
+        parts = [(w, c._survival()) for w, c in self._parts]
+        return lambda x: _weighted(parts, lambda sf: sf(x))
 
     @property
     def mean(self) -> float:
@@ -356,7 +367,7 @@ class Gridded(SeverityModel):
         if abs(total - 1.0) > _MASS_TOL:
             raise ValidationError(f"gridded masses must sum to 1 within {_MASS_TOL}, got {total!r}")
         self._atoms, self._masses = np.ascontiguousarray(atoms), np.ascontiguousarray(masses)
-        self._mean = float(np.dot(masses, atoms))
+        self._mean, self._top = float(np.dot(masses, atoms)), float(atoms[-1])
 
     @classmethod
     def from_survival(cls, nodes: Sequence[float], survival: Sequence[float]) -> "Gridded":
@@ -378,8 +389,15 @@ class Gridded(SeverityModel):
         return cls(nodes[1:], masses)
 
     def cdf(self, x):
+        return self._cdf(np.cumsum(self._masses), x)
+
+    def _cdf(self, cum, x):
         idx = np.searchsorted(self._atoms, _claims(x), side="right")
-        return _value(np.where(idx > 0, np.cumsum(self._masses)[np.maximum(idx - 1, 0)], 0.0))
+        return _value(np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0))
+
+    def _survival(self):
+        cum = np.cumsum(self._masses)  # the cdf, held by the returned function only
+        return lambda x: 1.0 - self._cdf(cum, x)
 
     @property
     def mean(self) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lundberg import optimize
-from lundberg.cli import _write_sweep, main
+from lundberg.cli import main
 from lundberg.config import config_to_dict, load_config, parse_config
 from lundberg.errors import ConfigError
 from lundberg.presets import figure_config, preset_names
@@ -321,16 +321,6 @@ def test_two_risk_simulate_without_claims_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["simulate", str(path), "--paths", "100", "--out-dir", str(tmp_path)]) == 2
     assert "company claim intensity must be positive and finite" in capsys.readouterr().err
-
-
-def test_sweep_minimum_skips_infeasible_and_nan_points_and_keeps_the_first_tie(tmp_path):
-    thetas = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-    ruin = np.array([[0.01, 0.5], [np.nan, 0.25], [0.2, 0.3], [0.2, 0.3], [0.3, 0.6]])
-    feasible = np.array([False, True, True, True, True])
-    best = _write_sweep(tmp_path / "s.csv", thetas, thetas, ruin, feasible, [100.0, 2000.0])
-    assert best == {"100": (0.3, 0.2), "2000": (0.2, 0.25)}
-    lines = (tmp_path / "s.csv").read_text().splitlines()
-    assert lines[:3] == ["theta,profit,ruin_at_100,ruin_at_2000", "0.1,0.1,0.01,0.5", "0.2,0.2,nan,0.25"]
 
 
 def test_series_accuracy_failure_exits_4(fig1_config, tmp_path):

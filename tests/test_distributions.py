@@ -183,11 +183,12 @@ def _pinned_models():
 
 _PIN_X = np.array([-50.0, 0.0, 12.5, 25.0, 50.0, 137.5, 1000.0, 15550.0, 40000.0, 1e6])
 _PIN_Q = np.array([-0.5, 0.0, 1e-300, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1.0, 1.5])
-# SHA-256 of the float64 values at _PIN_X (isf: at _PIN_Q), recorded on numpy 2.4.6 / scipy 1.17.1
+# SHA-256 of the float64 values at _PIN_X (isf: at _PIN_Q), recorded on numpy 2.4.6 / scipy 1.17.1;
+# the exponential, mixture and gridded-mixture isf pins since q <= 0 reads the end of the support
 _SEVERITY_PINS = {
     ("exponential", "cdf"): "dfd84c8de909abf159d86b638de6c8570120ae5b07ea1200f541079b87600f23",
     ("exponential", "sf"): "055f8b3dbc2b747ea8e765bda1867989f01092dba7730bd176bb30a6d3cc5a80",
-    ("exponential", "isf"): "329f87f38ad9cd072db54b9f098afe2eb9f794cf2dccc55749a066066e4549ec",
+    ("exponential", "isf"): "c572c1ef93fda4546715d8c936b4add3b9f89d7dd7c17e7e813fea52c1cd4101",
     ("exponential", "sbar"): "6e053c43147c9d4eaade3062dad5d34baee9254c6d787ae5642216eb6d1bb768",
     ("exponential", "ssbar"): "99d73661bf08286fb50a179bea22feb1fc5204532aeef1be823557c92a6f0556",
     ("gamma", "cdf"): "7b8725150d6ee6f75933dce2b9a52a3b45c8eb45c390e005d35a5e61fc7d8f7c",
@@ -197,7 +198,7 @@ _SEVERITY_PINS = {
     ("gamma", "ssbar"): "2427bf6f4071a4f7fbcc1b22dafc22cdb9ff9da5d645891a1a1f0ea6c0d5ceae",
     ("mixture", "cdf"): "da6cd65fc0caa20bf5455cf7a0425762c044e938f26c4e9adb64ef0dc6a9b80a",
     ("mixture", "sf"): "67f352a6566a21947438015ada57247d06a18e7ea24535835d294693f5620cb3",
-    ("mixture", "isf"): "23aea51a879a334f902f553eebe7a67407ef595450feced075ba7c22c4370570",
+    ("mixture", "isf"): "1a6ba5d3d8fa9630bcb1727bb31ba81716ac3a8305f1e4debea134dfddc6d764",
     ("mixture", "sbar"): "7f700e1b68facebd8564fea5df98ad2526b5c34a2c49edf25c29c0cf032c8aa9",
     ("mixture", "ssbar"): "7c1f1f41a2a63685c83ef421c2713284f5e6269944240d4ad170a26e27ab1671",
     ("gridded", "cdf"): "9fa4d7a244b08b8dffc4355fa562140742abce98058a4660a7f1e1acfaeffc60",
@@ -207,7 +208,7 @@ _SEVERITY_PINS = {
     ("gridded", "ssbar"): "74b8d55dae3a6f4f63a6e4c8b780614ec1a2f411e183753751227df9b8920aec",
     ("gridded-mixture", "cdf"): "d35b558f77374725a4bda58abe4e6ddde0a33ae9e04433f2e00802095c0446f3",
     ("gridded-mixture", "sf"): "92b394b4735a916b953713d83056227a77032fd21592b48f33bf83f0cd254e79",
-    ("gridded-mixture", "isf"): "488865387e13e592c90a28311af525ae9730dde3f0383a7619dd67c746ca933c",
+    ("gridded-mixture", "isf"): "914e2ca2aeac5397c5a32204f3e9459842feed9130b0d4c119edca450b5aa580",
     ("gridded-mixture", "sbar"): "7762f0154384292c130f133af10362f1ed898d61db5ee87d8c49b64ffca0350e",
     ("gridded-mixture", "ssbar"): "293c47a62dab2719a31f939938d87315030049623cd0b8532d69a9d6ee0844fd",
 }
@@ -260,6 +261,38 @@ def test_bisection_isf_of_each_element_is_its_scalar_call(name):
     batch = model.isf(_PIN_Q)
     assert batch.tobytes() == np.array([model.isf(float(q)) for q in _PIN_Q]).tobytes()
     assert model.isf(np.array([1e-12, 1.0]))[1] == 0.0
+
+
+def test_isf_reads_the_end_of_the_support_where_no_claim_size_reaches_q():
+    """q <= 0, and a q below what F̄ keeps past the last atom, read the end of the support."""
+    assert lb.Exponential(700.0).isf(0.0) == lb.Gamma(2.0, 500.0).isf(-0.5) == np.inf
+    assert np.all(_pinned_models()["gridded-mixture"].isf(np.array([-0.5, 0.0])) == np.inf)
+    atoms = 25.0 * np.arange(1.0, 101.0)
+    masses = np.full(100, 0.01 * (1.0 - 5e-10))  # within the gridded tolerance of 1
+    short = lb.Mixture([0.5, 0.5], [lb.Gridded(atoms, masses), lb.Gridded(2.0 * atoms, masses)])
+    assert short.isf(np.array([-1.0, 0.0, 1e-12])).tolist() == [5000.0] * 3
+    assert 0.0 < short.isf(0.3) < 5000.0
+    risk = lb.CompoundPoissonSpec(800.0, short)
+    decomposition = lb.decompose(lb.MarketSpec(risk, risk, lb.ClaytonLevyCopula(1.0)), 25.0)
+    assert decomposition.nodes[-1] <= 5000.0
+
+
+def test_bisection_isf_takes_one_running_sum_per_gridded_part(monkeypatch):
+    grid = _pinned_models()["gridded"]
+    model = lb.Mixture([0.5, 0.5], [grid, lb.Gridded(2.0 * grid._atoms, grid._masses)])
+    want = model.isf(_PIN_Q)
+    sums, cumsum = [], np.cumsum
+
+    def counted(a, *args, **kwargs):
+        sums.append(np.size(a))
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    assert model.isf(_PIN_Q).tobytes() == want.tobytes()
+    assert sums == [grid._atoms.size] * 2
+    sums.clear()
+    model.isf(1e-3)
+    assert sums == [grid._atoms.size] * 2
 
 
 # ---------------------------------------------------------------------------
