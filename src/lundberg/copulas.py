@@ -160,6 +160,7 @@ class ClaytonLevyCopula:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if np.any(x < 0) or np.any(y < 0):
             raise ValidationError("Levy copula arguments must be nonnegative")
+        # symmetric in its arguments bit for bit, which an exchangeable Decomposition relies on
         lo, hi, w = np.minimum(x, y), np.maximum(x, y), self.omega
         with np.errstate(divide="ignore", invalid="ignore"):
             if w == 1.0:

@@ -283,8 +283,8 @@ class Mixture(SeverityModel):
     def cdf(self, x):  # each part clamps its claims
         return _weighted(self._parts, lambda c: c.cdf(x))
 
-    def sf(self, x):
-        return self._survival()(x)
+    def sf(self, x):  # one part at a time: a gridded part's running sum ends with its term
+        return _weighted(self._parts, lambda c: c.sf(x))
 
     def _survival(self):
         parts = [(w, c._survival()) for w, c in self._parts]

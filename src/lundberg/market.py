@@ -117,6 +117,8 @@ class Decomposition:
             the same grid (used by the independence approximation).
         degenerate1, degenerate2: True when the matching exclusive
             stream has zero intensity (complete dependence).
+        exchangeable: True when both risks have one intensity and one
+            claim law; risk 2's grids and sampler tables are then risk 1's.
     """
 
     _TABLE_SIZE = 1 << 18
@@ -129,6 +131,10 @@ class Decomposition:
         self.market = market
         lam1, lam2 = market.risk1.intensity, market.risk2.intensity
         self.lambda1, self.lambda2 = lam1, lam2
+        # one intensity and one claim law: C is symmetric, so risk 2's parts are bit for bit risk 1's
+        sev1, sev2 = market.risk1.severity, market.risk2.severity
+        self.exchangeable = lam1 == lam2 and (sev1 is sev2 or (
+            type(sev1) is type(sev2) and sev1.fingerprint() == sev2.fingerprint()))
         self._tables = None
         self.nodes = self.joint_both = self.sev1_both = self.sev2_both = self.sev_sum_both = None
         levy = market.levy
@@ -159,7 +165,9 @@ class Decomposition:
         self.nodes = nodes = grid_step * np.arange(n + 1)
 
         self.sev1_both, self.sev1_gridded, self.sev1_only = self._components(0, nodes)
-        self.sev2_both, self.sev2_gridded, self.sev2_only = self._components(1, nodes)
+        self.sev2_both, self.sev2_gridded, self.sev2_only = (
+            (self.sev1_both, self.sev1_gridded, self.sev1_only) if self.exchangeable
+            else self._components(1, nodes))
 
         # Joint cell masses from rectangle increments of the composed tail
         # integral; the final column/row edge is closed at zero so residual
@@ -177,9 +185,9 @@ class Decomposition:
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
         nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
         edges = joint_step * np.arange(nj + 1)
-        e1, e2 = (np.asarray(r.tail_integral(edges), dtype=float) for r in (market.risk1, market.risk2))
-        e1[-1] = 0.0
-        e2[-1] = 0.0
+        e1 = np.asarray(market.risk1.tail_integral(edges), dtype=float)
+        e2 = e1 if self.exchangeable else np.asarray(market.risk2.tail_integral(edges), dtype=float)
+        e1[-1] = e2[-1] = 0.0
         harmonic = levy.omega == 1.0
 
         def rows(a: int, b: int):
@@ -242,9 +250,10 @@ class Decomposition:
             return self._tables
         xs = np.linspace(0.0, self._extent(1e-14), self._TABLE_SIZE)
         tables = {"xs": xs[::-1].copy()}
-        # One risk at a time, each table written once.  u - C(u, lam) cancels to noise far out (below
-        # 1e-23 on the reference market); a running maximum keeps lookups independent of their order.
-        for i, only in enumerate((self.lambda1_only, self.lambda2_only)):
+        # One risk at a time, each table written once; an exchangeable pair's risk 2 reads risk 1's.
+        # u - C(u, lam) cancels to noise far out (below 1e-23 on the reference market); a running
+        # maximum keeps lookups independent of their order.
+        for i, only in enumerate((self.lambda1_only, self.lambda2_only)[: 2 - self.exchangeable]):
             u, c = self._tails(i, xs)
             tables[f"u{i + 1}"] = u[::-1].copy()
             if not (self.degenerate1, self.degenerate2)[i]:
@@ -254,6 +263,8 @@ class Decomposition:
             c /= self.lambda_both
             tables[f"both{i + 1}"] = c[::-1].copy()
             del u, c  # freed before the next risk's pair is made
+        if self.exchangeable:
+            tables.update({key[:-1] + "2": table for key, table in tables.items() if key != "xs"})
         self._tables = tables
         return tables
 

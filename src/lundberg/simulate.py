@@ -209,7 +209,8 @@ class _StreamSampler:
             self.mean_claim = cost_rate / self.total_rate
         self.w_excl1 = parts[0] / self.rates[0] if self.rates[0] > 0 else 0.0
         self.w_excl2 = parts[1] / self.rates[1] if self.rates[1] > 0 else 0.0
-        self.risk_samplers = (d.market.risk1.severity.sampler(), d.market.risk2.severity.sampler())
+        first = d.market.risk1.severity.sampler()
+        self.risk_samplers = (first, first if d.exchangeable else d.market.risk2.severity.sampler())
 
     def _one_sided(self, rng, m, which):
         d = self.decomp

@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import trapezoid
 
@@ -164,6 +166,23 @@ def test_levy_cdf_is_the_where_guarded_formula_bit_for_bit(omega):
     for bad in [(-1.0, 2.0), (np.array([np.nan, -1.0]), 1.0), (1.0, np.array([np.nan, -0.5]))]:
         with pytest.raises(ValidationError, match="nonnegative"):
             cop.cdf(*bad)
+
+
+_LEVY_ARGS = st.one_of(st.floats(min_value=0.0), st.sampled_from([0.0, -0.0, np.inf, np.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1e3)),
+       pairs=st.lists(st.tuples(_LEVY_ARGS, _LEVY_ARGS), min_size=1, max_size=12),
+       lam=_LEVY_ARGS)
+def test_levy_cdf_is_symmetric_bit_for_bit(omega, pairs, lam):
+    """C(x, y) and C(y, x) are the same bits, so an exchangeable pair's risk 2 may reuse risk 1's tails."""
+    x, y = np.array(pairs).T
+    cop = lb.ClaytonLevyCopula(omega)
+    with np.errstate(over="ignore"):
+        assert cop.cdf(x, y).tobytes() == cop.cdf(y, x).tobytes()
+        assert cop.cdf(x, lam).tobytes() == cop.cdf(lam, x).tobytes()
+        assert np.float64(cop.cdf(x[0], y[0])).tobytes() == np.float64(cop.cdf(y[0], x[0])).tobytes()
 
 
 @pytest.mark.parametrize("omega", [0.5, 2.5])

@@ -167,55 +167,134 @@ def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
     assert 0 < sum(cells) <= (n + chunks) * (n + 1)
 
 
+def _traced_decompose(market):
+    """``decompose(market, 0.25, joint_step=25.0)`` and its tracemalloc (retained, peak) in node arrays."""
+    import gc
+    import tracemalloc
+
+    lb.decompose(market, 25.0)  # first-use imports stay out of the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dec = lb.decompose(market, 0.25, joint_step=25.0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.nodes.size > 60_000
+    node_array = 8 * dec.nodes.size
+    return dec, retained / node_array, peak / node_array
+
+
+def _asymmetric_market(dep_market, intensity=800.0, scale=500.0):
+    """``dep_market`` with risk 2 given its own intensity or Gamma scale."""
+    return lb.MarketSpec(dep_market.risk1,
+                         lb.CompoundPoissonSpec(intensity, lb.Gamma(2.0, scale)), dep_market.levy)
+
+
+def _assert_one_array_per_component(dec):
+    for sev in (dec.sev1_only, dec.sev2_only, dec.sev1_both, dec.sev2_both, dec.sev1_gridded,
+                dec.sev2_gridded):
+        assert np.shares_memory(sev._atoms, dec.nodes)
+        assert [k for k, v in vars(sev).items() if isinstance(v, np.ndarray)] == ["_atoms", "_masses"]
+
+
 def test_decomposition_retains_only_masses_and_cdf_per_component(dep_market):
     """Each gridded component keeps its masses and cdf; its atoms are a view of the nodes.
 
     Six components and the nodes make 13 node-sized float64 arrays; the
     tails' piecewise integrals are rebuilt per call, not retained.
     """
-    import gc
-    import tracemalloc
-
-    lb.decompose(dep_market, 25.0)  # first-use imports stay out of the count
-    gc.collect()
-    tracemalloc.start()
-    try:
-        dec = lb.decompose(dep_market, 0.25, joint_step=25.0)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    node_array = 8 * dec.nodes.size
-    assert dec.nodes.size > 60_000
-    assert retained <= 16 * node_array, retained / node_array
-    assert peak <= 24 * node_array, peak / node_array
+    _, retained, peak = _traced_decompose(dep_market)
+    assert retained <= 16, retained
+    assert peak <= 24, peak
 
 
 def test_decomposition_keeps_one_array_per_component(dep_market):
-    """The six gridded components own one node-sized array each, their masses.
+    """An exchangeable pair's three gridded components own one node-sized array each.
 
-    With the nodes that makes 7 node-sized float64 arrays retained (the
-    summed claim's lattice is coarse here); building them keeps at most
-    one risk's tail pair and a component's temporaries alive at once.
+    Risk 2 (same intensity, same claim law) reuses risk 1's components, so
+    with the nodes 4 node-sized float64 arrays are retained (the summed
+    claim's lattice is coarse here); building them keeps one tail pair and
+    a component's temporaries alive at once.
     """
-    import gc
-    import tracemalloc
+    dec, retained, peak = _traced_decompose(dep_market)
+    assert retained <= 5, retained
+    assert peak <= 8, peak
+    _assert_one_array_per_component(dec)
 
-    lb.decompose(dep_market, 25.0)  # first-use imports stay out of the count
-    gc.collect()
-    tracemalloc.start()
-    try:
-        dec = lb.decompose(dep_market, 0.25, joint_step=25.0)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    node_array = 8 * dec.nodes.size
-    assert dec.nodes.size > 60_000
-    assert retained <= 8 * node_array, retained / node_array
-    assert peak <= 12 * node_array, peak / node_array
-    for sev in (dec.sev1_only, dec.sev2_only, dec.sev1_both, dec.sev2_both, dec.sev1_gridded,
-                dec.sev2_gridded):
-        assert np.shares_memory(sev._atoms, dec.nodes)
-        assert [k for k, v in vars(sev).items() if isinstance(v, np.ndarray)] == ["_atoms", "_masses"]
+
+def test_asymmetric_decomposition_keeps_one_array_per_component(dep_market):
+    """Six gridded components and the nodes: 7 node-sized arrays, built one risk at a time."""
+    dec, retained, peak = _traced_decompose(_asymmetric_market(dep_market, intensity=600.0))
+    assert not dec.exchangeable
+    assert retained <= 8, retained
+    assert peak <= 12, peak
+    _assert_one_array_per_component(dec)
+
+
+def _risk2_parts(dec):
+    return (dec.sev2_both, dec.sev2_gridded, dec.sev2_only)
+
+
+def _assert_tables_are_risk2s_own(dec):
+    """The risk-2 inverse tables hold the bits of risk 2's tails at the table abscissae."""
+    tables = dec._inverse_tables()
+    u, c = dec._tails(1, tables["xs"][::-1].copy())
+    assert np.array_equal(tables["u2"], u[::-1])
+    assert np.array_equal(tables["both2"], (c / dec.lambda_both)[::-1])
+    assert np.array_equal(tables["only2"], np.maximum.accumulate(((u - c) / dec.lambda2_only)[::-1]))
+
+
+def test_exchangeable_pair_decomposes_risk_one_once(decomposition):
+    dec = decomposition
+    assert dec.exchangeable
+    assert all(a is b for a, b in zip(_risk2_parts(dec), (dec.sev1_both, dec.sev1_gridded, dec.sev1_only)))
+    tables = dec._inverse_tables()
+    for key in ("u", "only", "both"):
+        assert tables[key + "2"] is tables[key + "1"]
+    # the shared parts are the bits risk 2's own evaluation gives
+    for shared, direct in zip(_risk2_parts(dec), dec._components(1, dec.nodes)):
+        assert np.array_equal(shared._masses, direct._masses)
+    xs = np.linspace(0.0, dec._extent(1e-14), 4097)
+    for first, second in zip(dec._tails(0, xs), dec._tails(1, xs)):
+        assert np.array_equal(first, second)
+    _assert_tables_are_risk2s_own(dec)
+
+
+def test_independent_exchangeable_pair_holds_one_risk_sampler(indep_market, shares_at_04):
+    sampler = _StreamSampler(lb.decompose(indep_market, 2.0), shares_at_04)
+    assert sampler.risk_samplers[0] is sampler.risk_samplers[1]
+
+
+def test_equal_laws_in_distinct_objects_share(decomposition):
+    """Two Gamma(2, 500) objects, as a two-risk preset's config builds them, share too."""
+    from lundberg.config import parse_config
+    from lundberg.presets import figure_config
+
+    cfg = parse_config(figure_config("fig5"))
+    risk1, risk2 = cfg.risks
+    assert risk1.severity is not risk2.severity
+    dec = lb.decompose(lb.MarketSpec(risk1, risk2, cfg.levy), 2.0)
+    assert dec.exchangeable
+    assert all(a is b for a, b in zip(_risk2_parts(dec), (dec.sev1_both, dec.sev1_gridded, dec.sev1_only)))
+    for name in ("sev1_only", "sev2_only", "sev1_both", "sev2_both", "sev1_gridded", "sev_sum_both"):
+        assert np.array_equal(getattr(dec, name)._masses, getattr(decomposition, name)._masses), name
+
+
+@pytest.mark.parametrize("changes", [{"intensity": 600.0}, {"scale": 400.0}])
+def test_non_exchangeable_pair_shares_nothing(dep_market, changes, shares_at_04):
+    dec = lb.decompose(_asymmetric_market(dep_market, **changes), 2.0)
+    assert not dec.exchangeable
+    for first, second in zip((dec.sev1_both, dec.sev1_gridded, dec.sev1_only), _risk2_parts(dec)):
+        assert first is not second
+    for part, direct in zip(_risk2_parts(dec), dec._components(1, dec.nodes)):
+        assert np.array_equal(part._masses, direct._masses)
+    tables = dec._inverse_tables()
+    assert all(tables[key + "2"] is not tables[key + "1"] for key in ("u", "only", "both"))
+    _assert_tables_are_risk2s_own(dec)
+    sampler = _StreamSampler(lb.decompose(lb.MarketSpec(dec.market.risk1, dec.market.risk2), 2.0),
+                             shares_at_04)
+    assert sampler.risk_samplers[0] is not sampler.risk_samplers[1]
 
 
 def test_degenerate_complete_dependence(gamma_severity):
