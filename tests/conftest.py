@@ -1,10 +1,12 @@
 import concurrent.futures
+import json
 
 import numpy as np
 import pytest
 
 import lundberg as lb
 from lundberg import _pool
+from lundberg.presets import figure_config
 
 # Reference market: two gamma(2, 500) risks at intensity 800, logit demand
 # with slopes 4.0 / 4.5, fixed cost 64000 per risk, Clayton-coupled claims.
@@ -67,6 +69,27 @@ def shares_at_04(demands):
 
 def pure_premium(intensity, severity):
     return intensity * severity.mean
+
+
+# small single-risk and two-risk configs of the presets, written as JSON files
+@pytest.fixture()
+def fig1_config(tmp_path):
+    cfg = figure_config("fig1")
+    cfg["solver"]["x_max"] = 4000.0
+    cfg["reserves"] = [100.0, 2000.0]
+    path = tmp_path / "fig1.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.fixture()
+def two_risk_config(tmp_path):
+    cfg = figure_config("fig3")
+    cfg["solver"]["x_max"] = 3000.0
+    cfg["reserves"] = [3000.0]
+    path = tmp_path / "fig3.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 @pytest.fixture(scope="session")

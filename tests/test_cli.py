@@ -15,26 +15,6 @@ from lundberg.errors import ConfigError
 from lundberg.presets import figure_config, preset_names
 
 
-@pytest.fixture()
-def fig1_config(tmp_path):
-    cfg = figure_config("fig1")
-    cfg["solver"]["x_max"] = 4000.0
-    cfg["reserves"] = [100.0, 2000.0]
-    path = tmp_path / "fig1.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
-@pytest.fixture()
-def two_risk_config(tmp_path):
-    cfg = figure_config("fig3")
-    cfg["solver"]["x_max"] = 3000.0
-    cfg["reserves"] = [3000.0]
-    path = tmp_path / "fig3.json"
-    path.write_text(json.dumps(cfg))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -279,6 +259,75 @@ def test_reproduce_bytes_are_pinned(name, tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / name).iterdir()}
     assert written == _REPRODUCE_SHA256[name]
+
+
+def _sha256(path):
+    """SHA-256 of a written file; a sidecar is hashed without its generated_at line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return hashlib.sha256(b"".join(line for line in lines if not line.startswith(b'  "generated_at": '))
+                          ).hexdigest()
+
+
+# Runs of solve, optimize and simulate on the fig1 and fig3 configs (the fixtures): the config,
+# the flags, the SHA-256 of every file written, and the standard output with {out} for the output
+# directory.  Moving a command's work into the library must leave these bytes alone.
+_COMMAND_RUNS = {
+    "solve-grid": ("fig1_config", ["solve", "--solver", "grid", "--grid-step", "10"], {
+        "ruin_curve.csv":
+            "d463b46b25dda38bf46098eab11533980b0dcf8422ef40917e3b81f3f952fa46",
+        "ruin_curve.json":
+            "01615839cdf572a8ff40d291d9d51539dc9ea46f0d36b39a578dda2d54696749",
+    }, "wrote {out}/ruin_curve.csv (401 nodes)"),
+    "solve-series": ("fig1_config", ["solve", "--solver", "series", "--x-max", "2000"], {
+        "ruin_curve.csv":
+            "bde97b83ede2f32b652b947babdb291298e667e8ec6760070e058b6267a0cfd6",
+        "ruin_curve.json":
+            "91d74a2b6ec4be81385bcaf5ff420e2dd560d573ec44d36f772292dbef03e43f",
+    }, "wrote {out}/ruin_curve.csv (1001 nodes)"),
+    "solve-decomposition": ("two_risk_config", ["solve", "--dump-decomposition", "--grid-step", "10"], {
+        "ruin_curve.csv":
+            "7deb8fedeec9fb6901b67629f958bcce196e7f3f08ff8c01287c82adea580791",
+        "ruin_curve.json":
+            "2a40933ea2d18273141e2685f0a7e858f9bdbd6e9fa0773174ec1f2491a7e75b",
+        "ruin_curve_decomposition.csv":
+            "65f9b88c426a4252a43fe627e42a93f5c99dd2d9b876216a9ca4d3ebfc1fa165",
+    }, "wrote {out}/ruin_curve.csv (301 nodes)"),
+    "optimize-single-ruin": ("fig1_config", ["optimize", "--mode", "single", "--criterion", "ruin"], {
+        "optimize_ruin_single.json":
+            "5d620a0b457d1cc654481ed71c5b66e66fbb54152d8f3d4858b0ecd40362ad4e",
+    }, "wrote {out}/optimize_ruin_single.json: 0.434858570797"),
+    "optimize-single-profit": ("fig1_config", ["optimize", "--mode", "single", "--criterion", "profit"], {
+        "optimize_profit_single.json":
+            "f06ab4dc5e0f377090962021d113c0f109028b23120812aa58c0c004806d846c",
+    }, "wrote {out}/optimize_profit_single.json: 0.358553786016"),
+    "optimize-common": ("two_risk_config", ["optimize", "--mode", "common", "--no-refine",
+                                            "--sweep-step", "0.05"], {
+        "optimize_ruin_common.json":
+            "4370792562d169711075c2802a0ba47a80b1e7a26b978d0ba10bd839284bd762",
+        "optimize_ruin_common_sweep.csv":
+            "b85eca3d6091d1007b824221fdef8b9127d28739d67422a2116266be5e0e143a",
+    }, "wrote {out}/optimize_ruin_common.json: loading=0.4"),
+    "optimize-separate-profit": ("two_risk_config", ["optimize", "--mode", "separate",
+                                                     "--criterion", "profit"], {
+        "optimize_profit_separate.json":
+            "983854cd20236b2e79376f6fa794e8fce4889ae5c7ad1270a9e74a3898ad51b0",
+    }, "wrote {out}/optimize_profit_separate.json: loading=(0.35855378601587434, 0.31871447645855494)"),
+    "simulate-times": ("fig1_config", ["simulate", "--paths", "500", "--seed", "7", "--dump-times"], {
+        "simulate.json":
+            "dc59c784c81b91b950c66561e25a33ac9aaed3027d07ce135e9411a14210e72e",
+        "simulate_times.csv":
+            "7e6768f92263098ab776148624d69dceb8ce230ce7d270b1a44ea176805c4c05",
+    }, "wrote {out}/simulate.json: p=0.704000 [0.649020, 0.753637]"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_COMMAND_RUNS))
+def test_command_bytes_are_pinned(run, request, tmp_path, capsys):
+    config, (command, *flags), files, stdout = _COMMAND_RUNS[run]
+    out = tmp_path / "out"
+    assert main([command, str(request.getfixturevalue(config)), *flags, "--out-dir", str(out)]) == 0
+    assert {p.name: _sha256(p) for p in out.iterdir()} == files
+    assert capsys.readouterr().out == stdout.format(out=out) + "\n"
 
 
 def test_reproduce_optimizes_at_the_requested_grid_step(tmp_path, monkeypatch):
