@@ -30,7 +30,7 @@ _EXPORTS = {
     "ruin": ["SolverConfig", "RuinCurve", "solve_survival", "solve_series",
              "independence_gap_bound"],
     "config": ["ModelConfig", "parse_config", "load_config", "config_to_dict"],
-    "figures": ["reproduce_figure"],
+    "figures": ["solve_config", "optimize_config", "simulate_config", "reproduce_figure"],
     "presets": ["figure_config", "preset_names"],
     "simulate": ["SimConfig", "RuinEstimate", "wilson_interval", "simulate_ruin",
                  "simulate_bivariate_market"],

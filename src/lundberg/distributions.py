@@ -287,7 +287,7 @@ class Mixture(SeverityModel):
         return _weighted(self._parts, lambda c: c.sf(x))
 
     def _survival(self):
-        parts = [(w, c._survival()) for w, c in self._parts]
+        parts = _once(self._parts, lambda c: c._survival())
         return lambda x: _weighted(parts, lambda sf: sf(x))
 
     @property
@@ -298,7 +298,8 @@ class Mixture(SeverityModel):
         return self.sampler()(rng, size)
 
     def sampler(self):
-        cum, parts = np.cumsum(self._w), [c.sampler() for c in self._components]
+        cum = np.cumsum(self._w)
+        parts = [sample for _, sample in _once(list(zip(self._w, self._components)), lambda c: c.sampler())]
 
         def sample(rng, size):
             size = (size,) if np.isscalar(size) else tuple(size)
@@ -326,15 +327,29 @@ class Mixture(SeverityModel):
         return b"mixture|", self._w.tobytes(), parts.encode()
 
     def _integrated_tails(self) -> IntegratedTails:
-        parts = [(w, integrated_tails(c)) for w, c in self._parts]
+        parts = _once(self._parts, integrated_tails)
         return IntegratedTails(sbar=_tail(lambda x: _weighted(parts, lambda t: t.sbar(x)), self._mean),
                                ssbar=_tail(lambda x: _weighted(parts, lambda t: t.ssbar(x)), np.inf),
                                mean=self._mean)
 
 
+def _once(parts, make):
+    """The pairs (w, make(part)) of the (w, part) pairs, with ``make`` called once for each distinct part."""
+    made = {key: make(part) for key, part in {id(part): part for _, part in parts}.items()}
+    return [(w, made[id(part)]) for w, part in parts]
+
+
 def _weighted(parts, value):
-    """The mixture sum of w * value(part) over the (w, part) pairs of positive weight w."""
-    return _value(np.asarray(sum(w * value(part) for w, part in parts), dtype=float))
+    """The mixture sum of w * value(part) over the (w, part) pairs of positive weight w, in order;
+    a part that repeats is evaluated once and its value held until its last weight."""
+    last = {id(part): k for k, (_, part) in enumerate(parts)}
+    held, total = {}, 0
+    for k, (w, part) in enumerate(parts):
+        v = held.pop(id(part)) if id(part) in held else value(part)
+        if last[id(part)] > k:
+            held[id(part)] = v
+        total = total + w * v
+    return _value(np.asarray(total, dtype=float))
 
 
 class Gridded(SeverityModel):

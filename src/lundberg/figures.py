@@ -1,21 +1,127 @@
-"""Figure recipes: the tables and the summary behind each ``lundberg reproduce`` preset.
-
-A preset runs the recipe of its family (``fig1-alt`` is a fig1); :mod:`lundberg.presets` lists them.
+"""Command recipes: each returns the ``(tables, sidecar)`` that a ``lundberg`` command writes, and
+writes nothing.  ``tables`` maps each CSV file name (from ``stem``, the ``--out`` flag) to its
+(header, rows); the sidecar echoes the config as given, not the settings passed beside it.  A preset
+runs the figure recipe of its family (``fig1-alt`` is a fig1); :mod:`lundberg.presets` lists them.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from .config import parse_config
+from .config import ModelConfig, config_to_dict, parse_config
 from .copulas import make_ordinary
-from .market import decompose
+from .demand import acquisition_shares
+from .errors import ConfigError, _positive
+from .market import _premium_rate, company_exposure, decompose
 from .optimize import (_loading_grid, _sweep_argmin, company_ruin_at, optimize_joint_profit,
                        optimize_joint_ruin, profit_optimal_loading, ruin_optimal_loading,
                        sweep_single_loading, weighted_average_loading)
 from .presets import figure_config
+from .ruin import solve_series, solve_survival
+from .simulate import simulate_bivariate_market, simulate_ruin
 
-__all__ = ["reproduce_figure"]
+__all__ = ["solve_config", "optimize_config", "simulate_config", "reproduce_figure"]
+
+
+def _single_model(cfg: ModelConfig):
+    """Company-level (intensity, severity, premium rate, loading) of a single-risk config."""
+    risk = cfg.risks[0]
+    if cfg.premium_rate is not None:
+        return risk.intensity, risk.severity, cfg.premium_rate, None
+    if cfg.loadings is None:
+        raise ConfigError("single-risk solve needs loadings with demand pricing", field="loadings")
+    theta, demand = cfg.loadings[0], cfg.demands[0]
+    return (risk.intensity * float(demand.take_rate(theta)), risk.severity,
+            float(demand.premium_rate(risk.intensity, risk.severity.mean, theta)), theta)
+
+
+def _company_shares(cfg: ModelConfig):
+    """Acquisition shares of a two-risk config at its loadings."""
+    if cfg.loadings is None:
+        raise ConfigError("two-risk solve needs loadings", field="loadings")
+    return acquisition_shares(cfg.acquisition, *cfg.demands, *cfg.loadings)
+
+
+def solve_config(cfg: ModelConfig, settings=None, solver="grid", dump_decomposition=False, stem="ruin_curve"):
+    """``lundberg solve``: the ruin curve of ``cfg`` by the ``"grid"`` or ``"series"`` solver on the
+    :class:`SolverConfig` ``settings`` (``cfg.solver`` by default); for two risks, on request, the
+    company model's decomposition."""
+    settings = cfg.solver if settings is None else settings
+    solve = solve_series if solver == "series" else solve_survival
+    tables = {}
+    if cfg.is_single:
+        lam, sev, c, theta = _single_model(cfg)
+        curve = solve(lam, sev, c, settings)
+        extra = {"loading": theta}
+    else:
+        market = cfg.market()
+        d = decompose(market, settings.grid_step)
+        exposure = company_exposure(market, _company_shares(cfg), tuple(cfg.loadings), tuple(cfg.demands),
+                                    tuple(cfg.reserves), decomposition=d)
+        curve = solve(exposure.intensity, exposure.severity, exposure.premium_rate, settings)
+        extra = {"loadings": list(exposure.loadings), "intensity": exposure.intensity,
+                 "intensity_independent": exposure.intensity_indep, "lambda_both": exposure.lambda_both}
+        if dump_decomposition:
+            columns = {"sf_only1": d.sev1_only, "sf_only2": d.sev2_only, "sf_both1": d.sev1_both,
+                       "sf_both2": d.sev2_both, "sf_sum_both": d.sev_sum_both}
+            tables[f"{stem}_decomposition.csv"] = (["x", *columns], list(zip(
+                d.nodes.tolist(), *(sev.sf(d.nodes).tolist() for sev in columns.values()))))
+    tables[f"{stem}.csv"] = (["x", "survival", "ruin"],
+                             list(zip(curve.x.tolist(), curve.survival.tolist(), curve.ruin.tolist())))
+    return tables, {"config": config_to_dict(cfg), "fingerprint": curve.fingerprint, "solver": curve.solver,
+                    "intensity": curve.intensity, "premium_rate": curve.premium_rate, **extra}
+
+
+def optimize_config(cfg: ModelConfig, criterion="ruin", mode="single", reserve=None, sweep_step=0.01,
+                    refine=True, stem=None):
+    """``lundberg optimize``: the ``"ruin"`` or ``"profit"`` optimal loadings of ``cfg``, each risk's
+    (``mode`` ``"single"``) or joint (``"common"``, ``"separate"``), and a joint ruin optimization's
+    sweep at ``reserve`` (``cfg``'s largest by default), ``{stem}_sweep.csv``."""
+    stem = stem or f"optimize_{criterion}_{mode}"
+    reserve = max(cfg.reserves) if reserve is None else reserve
+    if cfg.demands is None:
+        raise ConfigError("optimization needs demand curves", field="demand")
+    sidecar = {"config": config_to_dict(cfg), "criterion": criterion, "mode": mode, "reserve": reserve}
+    if mode == "single" or cfg.is_single:
+        fn = ruin_optimal_loading if criterion == "ruin" else profit_optimal_loading
+        results = (fn(d, r.intensity, r.severity.mean) for r, d in zip(cfg.risks, cfg.demands))
+        sidecar["results"] = [dict(loading=res.loading, value=res.value, expected_profit=res.expected_profit)
+                              for res in results]
+        return {}, sidecar
+    demands, tables = tuple(cfg.demands), {}
+    if criterion == "profit":
+        res = optimize_joint_profit(demands, tuple(r.intensity for r in cfg.risks),
+                                    tuple(r.severity.mean for r in cfg.risks), mode=mode)
+    else:
+        res = optimize_joint_ruin(cfg.market(), demands, cfg.acquisition, reserve, mode=mode,
+                                  grid_step=cfg.solver.grid_step, sweep_step=sweep_step, refine=refine)
+        sweep = dict(res.sweep, feasible=res.sweep["feasible"].astype(int))
+        tables[f"{stem}_sweep.csv"] = (list(sweep), list(zip(*(c.tolist() for c in sweep.values()))))
+    sidecar.update(loading=res.loading, value=res.value, grid_loading=res.grid_loading,
+                   expected_profit=res.expected_profit, diagnostics=res.diagnostics)
+    return tables, sidecar
+
+
+def simulate_config(cfg: ModelConfig, settings=None, dump_times=False, stem="simulate"):
+    """``lundberg simulate``: the Monte Carlo ruin estimate of ``cfg`` at its largest reserve on the
+    :class:`SimConfig` ``settings`` (``cfg.sim`` by default), and on request each path's ruin time."""
+    settings = cfg.sim if settings is None else settings
+    reserve = max(cfg.reserves)
+    if cfg.is_single:
+        lam, sev, c, _ = _single_model(cfg)
+        est = simulate_ruin(lam, sev, c, reserve, settings)
+    else:
+        # the simulator builds its own copula samplers; no grid is needed
+        market, shares = cfg.market(), _company_shares(cfg)
+        _positive("company claim intensity",
+                  shares.p1 * market.risk1.intensity + shares.p2 * market.risk2.intensity)
+        est = simulate_bivariate_market(
+            market, shares, float(_premium_rate(market, cfg.demands, *cfg.loadings)), reserve, settings)
+    times = est.diagnostics["ruin_times"]
+    tables = ({f"{stem}_times.csv": (["path", "ruin_time"], list(enumerate(times.tolist())))}
+              if dump_times else {})
+    return tables, {"estimate": est.to_dict(), "config": config_to_dict(cfg)}
+
 
 # (summary key, file label, config changes) of each sweep of a common-loading figure
 _CLAIM_VARIANTS = [("dependent", "_dependent", {}), ("independent", "_independent", {"levy": None})]
@@ -101,14 +207,10 @@ _FIGURES = {"fig1": (_single, 0.005), "fig2": (_single, 0.005), "fig3": (_claim_
 
 
 def reproduce_figure(name: str, sweep_step: float | None = None, grid_step: float | None = None):
-    """The tables and the summary of the preset figure ``name``; nothing is written.
-
-    Returns ``(tables, summary)``: ``tables`` maps each CSV file name to its
-    (header, rows), and ``summary`` is the ``summary.json`` payload (``figure``,
-    ``preset`` and ``results``).  The steps default to the family's loading step
-    and the preset's grid step.  An unknown name raises ``ConfigError``, a step
-    that is not positive and finite ``ValidationError``.
-    """
+    """``lundberg reproduce``: the tables and the summary (``figure``, ``preset`` and ``results``) of
+    the preset figure ``name``.  The steps default to the family's loading step and the preset's grid
+    step.  An unknown name raises ``ConfigError``, a step that is not positive and finite
+    ``ValidationError``."""
     raw = figure_config(name)
     cfg = parse_config(raw)
     recipe, default_step = _FIGURES[name.split("-")[0]]

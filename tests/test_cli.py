@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lundberg import optimize
+from lundberg import market, optimize
 from lundberg.cli import main
 from lundberg.config import config_to_dict, load_config, parse_config
+from lundberg.distributions import Gridded
 from lundberg.errors import ConfigError
 from lundberg.presets import figure_config, preset_names
 
@@ -350,11 +351,13 @@ def test_reproduce_optimizes_at_the_requested_grid_step(tmp_path, monkeypatch):
 def test_two_risk_simulate_is_pinned_and_builds_no_grid(tmp_path, monkeypatch):
     # simulate.json of fig5 at 20,000 paths and seed 3 (p = 0.601350); the estimate was
     # recorded while the command still built the grid decomposition that it never read,
-    # and the echoed config was re-recorded when the sim entry lost "antithetic": false
+    # and the echoed config was re-recorded when the sim entry lost "antithetic": false.
+    # No gridded severity or joint lattice may be made, wherever the call comes from.
     def no_grid(*args, **kwargs):
-        raise AssertionError("lundberg simulate built a grid decomposition")
+        raise AssertionError("lundberg simulate built a grid")
 
-    monkeypatch.setattr("lundberg.cli.decompose", no_grid)
+    monkeypatch.setattr(Gridded, "from_survival", no_grid)
+    monkeypatch.setattr(market, "sum_distribution", no_grid)
     path = tmp_path / "fig5.json"
     path.write_text(json.dumps(figure_config("fig5")))
     assert main(["simulate", str(path), "--paths", "20000", "--seed", "3",

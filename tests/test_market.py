@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -390,6 +392,28 @@ def test_company_claim_model_weights(decomposition, shares_at_04):
         s.p1 * 400, s.p2 * 400, s.only1 * 400, s.only2 * 400, s.both * 400,
     ]) / lam_t
     assert_allclose(sev_t._w, expected_w, rtol=1e-12)
+
+
+def test_company_model_evaluates_each_distinct_gridded_part_once(decomposition, shares_at_04, monkeypatch):
+    # an exchangeable pair's mixture holds sev1_only and sev1_both twice each; a solve lays out each
+    # distinct part's segments once for sbar and once for ssbar, and a sampler builds its table once
+    calls = collections.Counter()
+
+    def counted(name):
+        method = getattr(lb.Gridded, name)
+
+        def call(self, *args):
+            calls[name, id(self)] += 1
+            return method(self, *args)
+        return call
+
+    for name in ("_segments", "sampler"):
+        monkeypatch.setattr(lb.Gridded, name, counted(name))
+    lam, sev, _, _ = _company_claim_model(decomposition, shares_at_04)
+    lb.solve_survival(lam, sev, 1.1 * lam * sev.mean, lb.SolverConfig(grid_step=2.0, x_max=4000.0))
+    sev.sampler()
+    parts = [id(decomposition.sev1_only), id(decomposition.sev1_both), id(decomposition.sev_sum_both)]
+    assert calls == {**{("_segments", k): 2 for k in parts}, **{("sampler", k): 1 for k in parts}}
 
 
 def stream_claim_counts(decomposition, shares, horizon, paths, seed):
