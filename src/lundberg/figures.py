@@ -42,11 +42,10 @@ def _company_shares(cfg: ModelConfig):
     return acquisition_shares(cfg.acquisition, *cfg.demands, *cfg.loadings)
 
 
-def solve_config(cfg: ModelConfig, settings=None, solver="grid", dump_decomposition=False, stem="ruin_curve"):
+def solve_config(cfg: ModelConfig, settings, solver="grid", dump_decomposition=False, stem="ruin_curve"):
     """``lundberg solve``: the ruin curve of ``cfg`` by the ``"grid"`` or ``"series"`` solver on the
-    :class:`SolverConfig` ``settings`` (``cfg.solver`` by default); for two risks, on request, the
-    company model's decomposition."""
-    settings = cfg.solver if settings is None else settings
+    :class:`SolverConfig` ``settings`` (``cfg.solver`` with any flags applied); for two risks, on
+    request, the company model's decomposition."""
     solve = solve_series if solver == "series" else solve_survival
     tables = {}
     if cfg.is_single:
@@ -102,10 +101,10 @@ def optimize_config(cfg: ModelConfig, criterion="ruin", mode="single", reserve=N
     return tables, sidecar
 
 
-def simulate_config(cfg: ModelConfig, settings=None, dump_times=False, stem="simulate"):
+def simulate_config(cfg: ModelConfig, settings, dump_times=False, stem="simulate"):
     """``lundberg simulate``: the Monte Carlo ruin estimate of ``cfg`` at its largest reserve on the
-    :class:`SimConfig` ``settings`` (``cfg.sim`` by default), and on request each path's ruin time."""
-    settings = cfg.sim if settings is None else settings
+    :class:`SimConfig` ``settings`` (``cfg.sim`` with any flags applied), and on request each path's
+    ruin time."""
     reserve = max(cfg.reserves)
     if cfg.is_single:
         lam, sev, c, _ = _single_model(cfg)
