@@ -61,11 +61,12 @@ def write_json(path: Path, payload: dict):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
 
 
-def _write(args, tables: dict, name, sidecar: dict, stamp: bool = False) -> Path:
-    """Write a recipe's sidecar (stamped on request) as the output directory's ``name``, tables beside it."""
-    path = Path(args.out_dir or os.environ.get("LUNDBERG_OUTDIR") or ".", name)
+def _write(args, tables: dict, name: str, sidecar: dict, stamp: bool = False, folder: str = "") -> Path:
+    """Write a recipe's tables and its sidecar (stamped on request) as ``name`` in the output ``folder``."""
+    out = Path(args.out_dir or os.environ.get("LUNDBERG_OUTDIR") or ".", folder)
     for file_name, (header, rows) in tables.items():
-        write_csv(path.with_name(file_name), header, rows)
+        write_csv(out / file_name, header, rows)
+    path = out / name
     if stamp:
         sidecar = {**sidecar, "generated_at": datetime.now(timezone.utc).isoformat()}
     write_json(path, sidecar)
@@ -82,8 +83,8 @@ def cmd_solve(args):
     solver = replace(cfg.solver, **_given_flags(args, "grid_step", "x_max"))
     stem = args.out or "ruin_curve"
     tables, sidecar = solve_config(cfg, solver, args.solver, args.dump_decomposition, stem)
-    curve = _write(args, tables, f"{stem}.json", sidecar, stamp=True).with_suffix(".csv")
-    print(f"wrote {curve} ({len(tables[curve.name][1])} nodes)")
+    path = _write(args, tables, f"{stem}.json", sidecar, stamp=True)
+    print(f"wrote {path.with_suffix('.csv')} ({len(tables[f'{stem}.csv'][1])} nodes)")
 
 
 def cmd_optimize(args):
@@ -109,7 +110,7 @@ def cmd_simulate(args):
 
 def cmd_reproduce(args):
     tables, summary = reproduce_figure(args.figure, args.sweep_step, args.grid_step)
-    print(f"wrote {_write(args, tables, Path(args.figure, 'summary.json'), summary)}")
+    print(f"wrote {_write(args, tables, 'summary.json', summary, folder=args.figure)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

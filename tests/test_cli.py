@@ -62,6 +62,11 @@ def test_solve_two_risk_decomposes_at_the_requested_grid_step(two_risk_config, t
     assert np.array_equal(x, 40.0 * np.arange(x.size))
 
 
+def test_out_stem_may_name_a_subdirectory(fig1_config, tmp_path):
+    assert main(["solve", str(fig1_config), "--out", "runs/a", "--out-dir", str(tmp_path)]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["a.csv", "a.json"]
+
+
 def test_solve_series_solver_flag(fig1_config, tmp_path):
     out = tmp_path / "out"
     rc = main(["solve", str(fig1_config), "--out-dir", str(out), "--solver", "series",
