@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 
-# The work floor of a pool, in operations of about 10 ns: a lattice cell, or
+# The work floor of a pool, in operations of about 10 ns: a lattice cell formed, or
 # a sweep curve value per bit of its node count.  Break-evens on a 2-core x86
 # machine (medians of interleaved runs, in two workers against one process):
 # lattice row stream 3-6 ms faster at 2^22.5 cells, 4-14 ms faster at 2^23 and

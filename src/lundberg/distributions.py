@@ -482,19 +482,27 @@ class JointGridded:
     (j*step, (j+1)*step], assigned to the upper-right corner.  The
     ``rows`` callable given at construction yields them as 1-D arrays
     and may reuse one buffer for every row.
+
+    A builder whose lattice is symmetric (cell (j, i) holds the mass of
+    cell (i, j), as for an exchangeable pair) says so with ``symmetric``;
+    its callable then takes a third argument, ``half``, and with it true
+    yields row i from the diagonal on, its cells j >= i only.
     """
 
-    def __init__(self, step: float, ncells: int, rows: Callable[[int, int], Iterable[np.ndarray]]):
+    def __init__(self, step: float, ncells: int, rows: Callable[..., Iterable[np.ndarray]],
+                 symmetric: bool = False):
         _positive("joint grid step", step)
         if ncells < 1:
             raise ValidationError(f"joint grid needs at least one cell, got {ncells}")
         self.step = float(step)
         self.ncells = int(ncells)
+        self.symmetric = symmetric
         self._rows = rows
 
-    def rows(self, a: int, b: int) -> Iterator[np.ndarray]:
-        """Rows ``a:b``, each checked nonnegative; a row may be overwritten by the next."""
-        for row in self._rows(a, b):
+    def rows(self, a: int, b: int, half: bool = False) -> Iterator[np.ndarray]:
+        """Rows ``a:b``, each checked nonnegative; a row may be overwritten by the next.  With
+        ``half`` (a symmetric lattice only) row i holds its cells j >= i, ncells - i of them."""
+        for row in self._rows(a, b, True) if half else self._rows(a, b):
             row = np.asarray(row, dtype=float)
             low = row.min(initial=0.0)  # NaN if any cell is NaN
             if not low >= -1e-12:
@@ -551,23 +559,34 @@ def sum_distribution(joint: JointGridded) -> Gridded:
     chunk of ``_LATTICE_CHUNK`` rows (anti-diagonals start at offset i),
     and each buffer is added into the result once, in chunk order: every
     lattice point is summed row by row within a chunk, then chunk by
-    chunk.  The chunks are jobs of :func:`lundberg._pool.map`, in forked
-    workers from 10^7 cells on; each buffer is added as it arrives.
+    chunk.  A symmetric lattice is formed only from the diagonal on, half
+    the cells: row i starts at anti-diagonal 2i, its diagonal cell added
+    once and each other cell twice (as the cell and its mirror).  The
+    chunks are jobs of :func:`lundberg._pool.map`, in forked workers from
+    10^7 cells formed on; each buffer is added as it arrives.
     """
     n = joint.ncells
     h = joint.step
+    half = joint.symmetric
+    first = 2 if half else 1  # row i's first cell lies on anti-diagonal first * i
 
     def chunk_sum(a):
         b = min(a + _LATTICE_CHUNK, n)
-        acc = np.zeros(b - a + n - 1)
-        for i, row in enumerate(joint.rows(a, b)):
-            acc[i : i + n] += row
+        acc = np.zeros(b + n - 1 - first * a)
+        twice = np.empty(n - a) if half else None
+        for i, row in enumerate(joint.rows(a, b, half)):
+            if half:  # the diagonal cell once, each other cell twice
+                m = row.size
+                np.multiply(row, 2.0, out=twice[:m])
+                twice[0] = row[0]
+                row = twice[:m]
+            acc[first * i : first * i + row.size] += row
         return acc
 
     out = np.zeros(2 * n - 1)
     starts = range(0, n, _LATTICE_CHUNK)
-    for a, acc in zip(starts, _pool.map(chunk_sum, starts, n * n)):
-        out[a : a + acc.size] += acc
+    for a, acc in zip(starts, _pool.map(chunk_sum, starts, n * (n + 1) // 2 if half else n * n)):
+        out[first * a : first * a + acc.size] += acc
     total = float(out.sum())
     if abs(total - 1.0) > _MASS_TOL:
         raise ValidationError(f"joint cell masses must sum to 1 within {_MASS_TOL}, got {total!r}")

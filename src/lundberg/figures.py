@@ -1,10 +1,11 @@
 """Command recipes: each returns the ``(tables, sidecar)`` that a ``lundberg`` command writes, and
 writes nothing.  ``tables`` maps each CSV file name (from ``stem``, the ``--out`` flag) to its
-(header, rows); the sidecar echoes the config as given, not the settings passed beside it.  A preset
-runs the figure recipe of its family (``fig1-alt`` is a fig1); :mod:`lundberg.presets` lists them.
+(header, rows); the sidecar echoes the config as given, and a ``solve`` sidecar records beside it the
+``settings`` that made its curve.  A preset runs the figure recipe of its family (``fig1-alt`` is a
+fig1); :mod:`lundberg.presets` lists them.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -67,8 +68,9 @@ def solve_config(cfg: ModelConfig, settings, solver="grid", dump_decomposition=F
                 d.nodes.tolist(), *(sev.sf(d.nodes).tolist() for sev in columns.values()))))
     tables[f"{stem}.csv"] = (["x", "survival", "ruin"],
                              list(zip(curve.x.tolist(), curve.survival.tolist(), curve.ruin.tolist())))
-    return tables, {"config": config_to_dict(cfg), "fingerprint": curve.fingerprint, "solver": curve.solver,
-                    "intensity": curve.intensity, "premium_rate": curve.premium_rate, **extra}
+    return tables, {"config": config_to_dict(cfg), "settings": asdict(settings), "solver": curve.solver,
+                    "fingerprint": curve.fingerprint, "intensity": curve.intensity,
+                    "premium_rate": curve.premium_rate, **extra}
 
 
 def optimize_config(cfg: ModelConfig, criterion="ruin", mode="single", reserve=None, sweep_step=0.01,

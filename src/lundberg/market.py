@@ -180,7 +180,11 @@ class Decomposition:
         # the corner rows C(e1[i+1], e2) - C(e1[i], e2).  A chunk's rows
         # are streamed one at a time through a few buffers that stay in
         # cache, carrying the previous corner row, so each corner row is
-        # evaluated once (and once more where a chunk starts).
+        # evaluated once (and once more where a chunk starts).  An
+        # exchangeable pair's lattice is symmetric (e2 is e1, and C is
+        # symmetric bit for bit), so sum_distribution asks for half rows:
+        # row i from its first column i on, on the corner columns e2[i:],
+        # the carried corner row dropping one column per row.
         joint_step = grid_step if joint_step is None else joint_step
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
         nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
@@ -190,29 +194,31 @@ class Decomposition:
         e1[-1] = e2[-1] = 0.0
         harmonic = levy.omega == 1.0
 
-        def rows(a: int, b: int):
+        def rows(a: int, b: int, half: bool = False):
             corners = np.empty(nj + 1), np.empty(nj + 1)
             d0 = np.empty(nj + 1)
-            upper, lower = d0[1:], d0[:-1]
             rect = np.empty(nj)
             for k, x in enumerate(e1[a : b + 1].tolist()):
+                first = a + max(k - 1, 0) if half else 0  # row a + k - 1's first column (row a's at k = 0)
+                cols = e2[first:]
+                m = cols.size
                 if not harmonic:
-                    high = np.asarray(levy.cdf(x, e2), dtype=float)
+                    high = np.asarray(levy.cdf(x, cols), dtype=float)
                 elif x == 0.0:
                     # x*e2/(x+e2) is 0, and 0 (not 0/0) where both tails are 0.
-                    high = corners[k % 2]
+                    high = corners[k % 2][:m]
                     high.fill(0.0)
                 else:
-                    high = np.multiply(x, e2, out=corners[k % 2])
-                    high /= np.add(x, e2, out=d0)
+                    high = np.multiply(x, cols, out=corners[k % 2][:m])
+                    high /= np.add(x, cols, out=d0[:m])
                 if k:
-                    np.subtract(high, low, out=d0)
-                    np.subtract(upper, lower, out=rect)
-                    rect /= lam_both
-                    yield np.maximum(rect, 0.0, out=rect)
-                low = high
+                    np.subtract(high, low[first - low_first:], out=d0[:m])
+                    row = np.subtract(d0[1:m], d0[: m - 1], out=rect[: m - 1])
+                    row /= lam_both
+                    yield np.maximum(row, 0.0, out=row)
+                low, low_first = high, first
 
-        self.joint_both = JointGridded(joint_step, nj, rows)
+        self.joint_both = JointGridded(joint_step, nj, rows, symmetric=self.exchangeable)
         self.sev_sum_both = sum_distribution(self.joint_both)
 
     def _extent(self, tail_mass: float) -> float:

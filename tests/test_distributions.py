@@ -547,6 +547,20 @@ def joint_from_matrix(step, matrix):
     return JointGridded(step, matrix.shape[0], lambda a, b: matrix[a:b])
 
 
+def symmetric_from_matrix(step, matrix, formed=None):
+    """A symmetric joint lattice over a whole matrix: its rows, or with ``half`` each row from the
+    diagonal on; the size of each row it yields is appended to ``formed``."""
+    matrix = np.asarray(matrix, dtype=float)
+
+    def rows(a, b, half=False):
+        for i in range(a, b):
+            row = matrix[i, i:] if half else matrix[i]
+            if formed is not None:
+                formed.append(row.size)
+            yield row
+    return JointGridded(step, matrix.shape[0], rows, symmetric=True)
+
+
 def row_masses(joint, a, b):
     """Rows ``a:b`` of the lattice stacked into a new (b - a) x n array."""
     block = np.empty((b - a, joint.ncells))
@@ -605,6 +619,37 @@ def test_sum_distribution_matches_bincount_reference_bit_for_bit(n, chunk, seed)
     ref = reference_sum_distribution(joint, chunk=chunk)
     assert np.array_equal(new._masses, ref._masses)
     assert np.array_equal(new._atoms, ref._atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    chunk=st.sampled_from([1, 3, 8, 256]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=1, chunk=1, seed=0)
+@example(n=2, chunk=1, seed=4)
+@example(n=257, chunk=256, seed=2)
+def test_symmetric_lattice_sums_its_half_rows_to_the_full_sum(n, chunk, seed):
+    # each off-diagonal cell counts twice, in another order than the full walk: equal to rounding
+    matrix = row_masses(_random_lattice(n, seed), 0, n)
+    matrix = (matrix + matrix.T) / 2.0
+    formed = []
+    with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture would span every example
+        patch.setattr(distributions, "_LATTICE_CHUNK", chunk)
+        half = sum_distribution(symmetric_from_matrix(0.5, matrix, formed))
+    assert sum(formed) == n * (n + 1) // 2
+    ref = reference_sum_distribution(joint_from_matrix(0.5, matrix), chunk=chunk)
+    assert_allclose(half._masses, ref._masses, rtol=1e-13, atol=0.0)
+    assert np.array_equal(half._atoms, ref._atoms)
+
+
+def test_symmetric_lattice_checks_its_half_rows():
+    matrix = row_masses(_random_lattice(20, 5), 0, 20)
+    matrix = (matrix + matrix.T) / 2.0
+    matrix[7, 11] = matrix[11, 7] = -1e-9  # in half row 7
+    with pytest.raises(ValidationError, match="nonnegative"):
+        sum_distribution(symmetric_from_matrix(0.5, matrix))
 
 
 def test_sum_distribution_rejects_negative_cell():

@@ -122,9 +122,9 @@ def _reference_joint(dec):
     return joint_from_matrix(joint.step, np.maximum(rect, 0.0))
 
 
-def _lattice_market(omega):
+def _lattice_market(omega, exchangeable=False):
     risk1 = lb.CompoundPoissonSpec(800.0, lb.Gamma(2.0, 500.0))
-    risk2 = lb.CompoundPoissonSpec(500.0, lb.Exponential(700.0))
+    risk2 = risk1 if exchangeable else lb.CompoundPoissonSpec(500.0, lb.Exponential(700.0))
     return lb.MarketSpec(risk1, risk2, lb.ClaytonLevyCopula(omega))
 
 
@@ -137,22 +137,48 @@ def test_summed_simultaneous_claim_is_bit_identical_to_reference(omega):
     assert np.array_equal(dec.sev_sum_both._atoms, expected._atoms)
 
 
-@pytest.mark.parametrize("omega", [0.5, 1.0])
-def test_summed_simultaneous_claim_is_the_same_bytes_in_every_pool_mode(omega, pool_modes,
+@pytest.mark.parametrize("step", [100.0, 40.0, 25.0])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.5])
+def test_exchangeable_summed_simultaneous_claim_is_the_full_lattice_to_rounding(omega, step):
+    # the half lattice: mirrored cells subtract their corners in another order, and the
+    # anti-diagonals add in another order; one chunk (100), and a short last chunk (40, 25)
+    dec = lb.decompose(_lattice_market(omega, exchangeable=True), grid_step=step)
+    assert dec.exchangeable and dec.joint_both.symmetric
+    assert dec.joint_both.ncells < 256 if step == 100.0 else dec.joint_both.ncells % 256 != 0
+    expected = reference_sum_distribution(_reference_joint(dec))
+    assert_allclose(dec.sev_sum_both._masses, expected._masses, rtol=1e-14, atol=0.0)
+    assert np.array_equal(dec.sev_sum_both._atoms, expected._atoms)
+    # full rows still stream for the marginals, bit for bit those of the reference
+    for mine, full in zip(marginal_masses(dec.joint_both), marginal_masses(_reference_joint(dec))):
+        assert np.array_equal(mine, full)
+
+
+@pytest.mark.parametrize("exchangeable, omega", [
+    pytest.param(False, 0.5, id="0.5"), pytest.param(False, 1.0, id="1.0"),
+    pytest.param(True, 0.5, id="exchangeable-0.5"), pytest.param(True, 1.0, id="exchangeable-1.0"),
+])
+def test_summed_simultaneous_claim_is_the_same_bytes_in_every_pool_mode(exchangeable, omega, pool_modes,
                                                                         monkeypatch):
     # 37 rows per chunk, which leaves a short last chunk: every chunk, in a
-    # worker or not, restarts its carried corner row
+    # worker or not, restarts its carried corner row.  An exchangeable pair's
+    # half lattice sums in another order than the reference, so its runs must
+    # match the first run's bytes and the reference to rounding.
     monkeypatch.setattr(distributions, "_LATTICE_CHUNK", 37)
-    runs = pool_modes(lambda: lb.decompose(_lattice_market(omega), grid_step=40.0))
+    runs = pool_modes(lambda: lb.decompose(_lattice_market(omega, exchangeable), grid_step=40.0))
     assert runs[0].joint_both.ncells % 37 != 0
+    assert runs[0].joint_both.symmetric == exchangeable
     expected = reference_sum_distribution(_reference_joint(runs[0]), chunk=37)
+    if exchangeable:
+        assert_allclose(runs[0].sev_sum_both._masses, expected._masses, rtol=1e-14, atol=0.0)
+        expected = runs[0].sev_sum_both
     for run in runs:
         assert np.array_equal(run.sev_sum_both._masses, expected._masses)
         assert np.array_equal(run.sev_sum_both._atoms, expected._atoms)
 
 
-def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
-    dec = lb.decompose(_lattice_market(2.5), grid_step=40.0)
+def _corner_cells(market, monkeypatch):
+    """The lattice's cell count n, its chunk count at 37 rows, and the copula cells its sum evaluates."""
+    dec = lb.decompose(market, grid_step=40.0)
     cells = []
     cdf = lb.ClaytonLevyCopula.cdf
 
@@ -165,8 +191,19 @@ def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
     n, chunk = dec.joint_both.ncells, 37
     monkeypatch.setattr(distributions, "_LATTICE_CHUNK", chunk)
     sum_distribution(dec.joint_both)
-    chunks = -(-n // chunk)
-    assert 0 < sum(cells) <= (n + chunks) * (n + 1)
+    return n, -(-n // chunk), sum(cells)
+
+
+def test_lattice_evaluates_each_corner_row_once_per_chunk(monkeypatch):
+    n, chunks, cells = _corner_cells(_lattice_market(2.5), monkeypatch)
+    assert 0 < cells <= (n + chunks) * (n + 1)
+
+
+def test_exchangeable_lattice_evaluates_half_the_corner_cells(monkeypatch):
+    # corner row i + 1 on the columns i:, once per row and once more where a chunk starts
+    n, chunks, cells = _corner_cells(_lattice_market(2.5, exchangeable=True), monkeypatch)
+    assert 0 < cells <= (n + 2 * chunks + 2) * (n + 1) / 2
+    assert cells < 0.55 * (n + chunks) * (n + 1)
 
 
 def _traced_decompose(market):
