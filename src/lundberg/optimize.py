@@ -5,8 +5,8 @@ ruin-minimizing loading solves d/dtheta of lambda*p(theta)/c(theta) = 0
 directly, and the profit-maximizing loading is the unique positive root
 of 1 + e^(b0+b1*t) - b1*t*e^(b0+b1*t).  Joint two-risk loadings have no
 closed form; they are found by sweeping the company ruin probability on
-a loading grid and polishing the grid argmin with a quasi-Newton
-refinement driven by finite differences.
+a loading grid and polishing the grid argmin with L-BFGS-B on forward
+differences, each point and its neighbours solved as one kernel batch.
 
 Two entries sweep loadings on a reserve grid of step ``grid_step``:
 :func:`sweep_single_loading` for one risk and :func:`company_ruin_at`
@@ -293,6 +293,24 @@ def sweep_single_loading(demand, intensity, severity, reserves, thetas, grid_ste
             "ruin": ruin}
 
 
+def _forward_difference(values, bounds, step):
+    """``x -> (f(x), gradient)``: ``values`` of x and its x.size forward neighbours in one call,
+    stepped as scipy's 2-point ``approx_derivative(abs_step=step, bounds=bounds)`` steps."""
+    lb, ub = np.array(bounds, dtype=float).T
+
+    def objective(x):
+        fallback = np.finfo(float).eps ** 0.5 * ((x >= 0) * 2.0 - 1.0) * np.maximum(1.0, np.abs(x))
+        h = np.where((x + step) - x == 0, fallback, step)
+        lower, upper = x - lb, ub - x
+        fitting = np.abs(h) <= np.maximum(lower, upper)
+        h = np.where(((x + h < lb) | (x + h > ub)) & fitting, -h, h)
+        h = np.where(fitting, h, np.where(upper >= lower, upper, -lower))
+        f = values(np.vstack([x, x + np.diag(h)]))
+        return float(f[0]), (f[1:] - f[0]) / ((x + h) - x)
+
+    return objective
+
+
 def optimize_joint_ruin(
     market: MarketSpec,
     demands,
@@ -308,12 +326,14 @@ def optimize_joint_ruin(
     """Minimize company ruin at a reserve over one or two loadings.
 
     A coarse sweep over the search box locates the basin (plateau ties
-    break toward the smallest loading); a bounded quasi-Newton refinement
-    with finite differences then polishes the argmin.  The refined point
-    is kept whenever its value is finite and at most the grid value plus
-    1e-12, whatever the optimizer's success flag says: its line search
-    can stop ``ABNORMAL`` at the objective's rounding floor after it has
-    found a better point.  Otherwise the grid argmin is returned, and the
+    break toward the smallest loading); L-BFGS-B on forward differences at
+    step 1e-3 then polishes the argmin, each point and its x.size neighbours
+    one kernel batch (:func:`_forward_difference`, scipy's own iterates; a
+    box of zero width has nothing to refine).  The refined point is kept
+    whenever its value is finite and at most the grid value plus 1e-12,
+    whatever the optimizer's success flag says: its line search can stop
+    ``ABNORMAL`` at the objective's rounding floor after it has found a
+    better point.  Otherwise the grid argmin is returned, and the
     diagnostic flag ``refined`` says which.
     Both modes search a vector of free loadings, one in common mode and
     two in separate mode (the row-major grid of the box), mapped to the
@@ -349,18 +369,17 @@ def optimize_joint_ruin(
     x = free[best]
     value = grid_value = float(ruin[best, 0])
     refined = False
-    if refine:
+    if refine and box[0] < box[1]:
         ruin_at = _company_sweep(market, demands, acquisition, [float(reserve)], grid_step, decomposition)
 
-        def objective(x):
-            r, _, feas = ruin_at([[x[0], x[-1]]])
-            return float(r[0, 0]) if feas[0] and np.isfinite(r[0, 0]) else 2.0
+        def values(points):
+            r, _, feas = ruin_at(points[:, [0, -1]])
+            return np.where(feas & np.isfinite(r[:, 0]), r[:, 0], 2.0)
 
-        span = 2.0 * sweep_step
+        bounds = [(max(box[0], v - 2.0 * sweep_step), min(box[1], v + 2.0 * sweep_step)) for v in x]
         res = sciopt.minimize(
-            objective, x0=x, method="L-BFGS-B",
-            bounds=[(max(box[0], v - span), min(box[1], v + span)) for v in x],
-            options={"eps": 1e-3, "maxiter": 60, "ftol": 1e-12},
+            _forward_difference(values, bounds, 1e-3), x0=x, jac=True, method="L-BFGS-B",
+            bounds=bounds, options={"maxiter": 60, "ftol": 1e-12},
         )
         if np.isfinite(res.fun) and res.fun <= grid_value + 1e-12:
             x, value, refined = res.x, float(res.fun), True

@@ -343,7 +343,7 @@ def test_joint_ruin_keeps_a_better_refinement_whatever_its_success_flag(dep_mark
     start = []
 
     def unconverged(fun, x0, **kwargs):
-        start.append(fun(x0))
+        start.append(fun(x0)[0])  # the objective gives (value, gradient)
         return sciopt.OptimizeResult(x=np.asarray(x0) + 0.01, fun=start[0] + shift, success=False,
                                      message="ABNORMAL")
 
@@ -359,6 +359,114 @@ def test_joint_ruin_keeps_a_better_refinement_whatever_its_success_flag(dep_mark
         assert res.value == start[0] + shift and res.loading == res.grid_loading + 0.01
     else:
         assert res.value == res.diagnostics["grid_value"] and res.loading == res.grid_loading
+
+
+def _joint_ruin_refinement(dep_market, demands, mode, monkeypatch):
+    """Run the pinned test model's refinement; returns the result, the minimize calls
+    (kwargs and result) and the rows of each kernel call made inside them."""
+    from lundberg import _pool, optimize
+
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: 1)  # kernel calls run in this process
+    calls, rows, inside = [], [], []
+    minimize = sciopt.minimize  # optimize.sciopt is scipy.optimize itself
+
+    def recorded(fun, x0, **kwargs):
+        inside.append(True)
+        res = minimize(fun, x0, **kwargs)
+        inside.pop()
+        calls.append((np.array(x0), kwargs, res))
+        return res
+
+    def counted(a, *args):
+        if inside:
+            rows.append(a.shape[0])
+        return survival_batch(a, *args)
+
+    monkeypatch.setattr(optimize.sciopt, "minimize", recorded)
+    monkeypatch.setattr(optimize, "survival_batch", counted)
+    res = optimize_joint_ruin(
+        dep_market, demands, lb.ClaytonCopula(0.5), 2000.0, mode=mode, grid_step=25.0,
+        box=(0.2, 0.6), sweep_step=0.05, decomposition=lb.decompose(dep_market, 25.0),
+    )
+    return res, calls, rows
+
+
+@pytest.mark.parametrize("mode", ["common", "separate"])
+def test_batched_refinement_takes_scipys_finite_difference_iterates(dep_market, demands, mode,
+                                                                    monkeypatch):
+    # one kernel batch per point gives L-BFGS-B the floats of scipy's own 2-point differencing
+    from lundberg.optimize import _company_sweep
+
+    res, [(x0, kwargs, batched)], _ = _joint_ruin_refinement(dep_market, demands, mode, monkeypatch)
+    ruin_at = _company_sweep(dep_market, demands, lb.ClaytonCopula(0.5), [2000.0], 25.0,
+                             lb.decompose(dep_market, 25.0))
+
+    def one_row_objective(x):
+        r, _, feas = ruin_at([[x[0], x[-1]]])
+        return float(r[0, 0]) if feas[0] and np.isfinite(r[0, 0]) else 2.0
+
+    scipys = sciopt.minimize(one_row_objective, x0=x0, method="L-BFGS-B", bounds=kwargs["bounds"],
+                             options={"eps": 1e-3, "maxiter": 60, "ftol": 1e-12})
+    assert np.array_equal(batched.x, scipys.x) and batched.fun == scipys.fun
+    assert batched.nit == scipys.nit > 0
+    assert batched.nfev * (x0.size + 1) == scipys.nfev
+    assert res.diagnostics["refined"] and res.value == scipys.fun
+
+
+def _bowl(x):
+    return float(np.sum(np.cos(3.0 * x) + (x - 0.37) ** 2))
+
+
+@pytest.mark.parametrize("x0, bounds, first_steps", [
+    ([0.6, 0.1], [(0.2, 0.6), (0.1, 0.5)], [-1e-3, 1e-3]),  # on the upper edge: the step flips
+    ([0.3002], [(0.3, 0.3005)], [3e-4]),                    # box narrower than the step: shortened
+    ([0.3003, 0.45], [(0.3, 0.3005), (0.2, 0.6)], [-3e-4, 1e-3]),  # shortened to the wider side
+    ([1e14], [(1e14 - 1.0, 1e14 + 1.0)], [1.0]),            # 1e-3 lost to rounding: sqrt(eps) fallback
+])
+def test_forward_difference_evaluates_scipys_points_and_iterates(x0, bounds, first_steps):
+    from lundberg.optimize import _forward_difference
+
+    batches, singles = [], []
+
+    def values(points):
+        batches.append(points)
+        return np.array([_bowl(row) for row in points])
+
+    def one_row(x):
+        singles.append(np.array(x))
+        return _bowl(x)
+
+    options = {"maxiter": 60, "ftol": 1e-12}
+    batched = sciopt.minimize(_forward_difference(values, bounds, 1e-3), x0=np.array(x0), jac=True,
+                              method="L-BFGS-B", bounds=bounds, options=options)
+    scipys = sciopt.minimize(one_row, x0=np.array(x0), method="L-BFGS-B", bounds=bounds,
+                             options={"eps": 1e-3, **options})
+    assert np.array_equal(np.vstack(batches), np.array(singles))
+    assert np.array_equal(batched.x, scipys.x) and batched.fun == scipys.fun
+    assert batched.nit == scipys.nit > 0
+    first = batches[0]
+    assert np.allclose(np.diag(first[1:] - first[0]), first_steps, rtol=1e-6, atol=0)
+    lower, upper = np.array(bounds).T
+    assert np.all((lower <= first) & (first <= upper))
+
+
+@pytest.mark.parametrize("mode, n_free", [("common", 1), ("separate", 2)])
+def test_refinement_solves_each_point_and_its_neighbours_in_one_kernel_call(dep_market, demands,
+                                                                           mode, n_free,
+                                                                           monkeypatch):
+    res, [(_, _, opt)], rows = _joint_ruin_refinement(dep_market, demands, mode, monkeypatch)
+    assert res.diagnostics["refined"]
+    assert rows == [n_free + 1] * opt.nfev
+
+
+@pytest.mark.parametrize("mode", ["common", "separate"])
+def test_joint_ruin_in_a_box_of_zero_width_keeps_its_one_sweep_point(dep_market, demands, mode):
+    res = optimize_joint_ruin(
+        dep_market, demands, lb.ClaytonCopula(0.5), 2000.0, mode=mode, grid_step=25.0,
+        box=(0.4, 0.4), sweep_step=0.05, decomposition=lb.decompose(dep_market, 25.0),
+    )
+    assert res.loading == res.grid_loading and res.value == res.diagnostics["grid_value"]
+    assert res.diagnostics["sweep_points"] == 1 and res.diagnostics["refined"] is False
 
 
 # ---------------------------------------------------------------------------
