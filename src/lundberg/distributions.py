@@ -298,18 +298,7 @@ class Mixture(SeverityModel):
         return self.sampler()(rng, size)
 
     def sampler(self):
-        cum = np.cumsum(self._w)
-        parts = [sample for _, sample in _once(list(zip(self._w, self._components)), lambda c: c.sampler())]
-
-        def sample(rng, size):
-            size = (size,) if np.isscalar(size) else tuple(size)
-            idx = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), len(parts) - 1)
-            out = np.empty(size, dtype=float)
-            for j, part in enumerate(parts):
-                if n := int(np.count_nonzero(mask := idx == j)):
-                    out[mask] = part(rng, n)
-            return out
-        return sample
+        return _weighted_draw(*zip(*_once(self._parts, lambda c: c.sampler())))
 
     def describe(self):
         return {
@@ -337,6 +326,31 @@ def _once(parts, make):
     """The pairs (w, make(part)) of the (w, part) pairs, with ``make`` called once for each distinct part."""
     made = {key: make(part) for key, part in {id(part): part for _, part in parts}.items()}
     return [(w, made[id(part)]) for w, part in parts]
+
+
+def _weighted_draw(weights, parts):
+    """A function (rng, size) drawing from ``parts``, functions (rng, n), with probabilities ``weights``.
+
+    One uniform per claim picks part j on [edge_{j-1}, edge_j) of the cumulative weights, the last
+    part of positive weight taking all above, so no rounding reaches a zero-weight part; each picked
+    part then draws its count, in part order."""
+    weights = np.asarray(weights, dtype=float)
+    keep = np.flatnonzero(weights > 0)
+    cuts = np.cumsum(weights)[keep[:-1]]  # the upper edges of the positive parts but the last
+    parts = [parts[j] for j in keep]
+
+    def draw(rng, size):
+        u = rng.random(size)
+        shape, flat = np.shape(u), np.ravel(u)
+        past = [flat >= cut for cut in cuts]
+        picks = [~past[0], *map(np.logical_xor, past, past[1:]), past[-1]] if past else [np.ones(flat.size, bool)]
+        del u, flat, past  # freed before the part draws
+        out = np.empty(picks[0].size)
+        for part, picked in zip(parts, picks):
+            if (idx := np.flatnonzero(picked)).size:
+                out[idx] = part(rng, idx.size)
+        return out.reshape(shape)
+    return draw
 
 
 def _weighted(parts, value):

@@ -54,6 +54,9 @@ def solve_config(cfg: ModelConfig, settings, solver="grid", dump_decomposition=F
         curve = solve(lam, sev, c, settings)
         extra = {"loading": theta}
     else:
+        if dump_decomposition and cfg.levy is None:
+            raise ConfigError("--dump-decomposition needs a coupled market; an independent market has no "
+                              "decomposition grid", field="levy_copula")
         market = cfg.market()
         d = decompose(market, settings.grid_step)
         exposure = company_exposure(market, _company_shares(cfg), tuple(cfg.loadings), tuple(cfg.demands),

@@ -12,7 +12,9 @@ joined in path order, so the result does not depend on the number
 of workers.  Simulation blocks always clear the pool's work floor;
 without ``fork`` (or inside a daemonic process) the blocks run in the
 calling process.  The copula samplers look their tables up in sorted
-order, which leaves the stream unchanged.
+order, which leaves the stream unchanged.  Superposed streams are drawn
+by the composition method: the weighted-part draw of ``Mixture.sampler``
+picks each claim's stream against the cumulative rates.
 
 The default horizon is chosen in the claim-count clock: (80 + 8u/E[Y])
 divided by eta expected claims per path, where eta is the relative
@@ -32,7 +34,7 @@ from scipy.special import ndtri
 
 from . import _pool
 from .demand import AcquisitionShares
-from .distributions import SeverityModel
+from .distributions import SeverityModel, _weighted_draw
 from .errors import ValidationError, _count, _nonnegative, _positive
 from .market import Decomposition, MarketSpec, _company_streams
 
@@ -189,59 +191,32 @@ def simulate_ruin(
     return _run_paths(config, intensity, severity.mean, premium_rate, reserve, draw, {})
 
 
-class _StreamSampler:
-    """Claim draws for the superposed three-stream company process."""
-
-    def __init__(self, decomp: Decomposition, shares: AcquisitionShares):
-        d = decomp
-        self.decomp = d
-        parts = [r for _, r in _company_streams(d, shares.p1, shares.p2, shares.only1, shares.only2,
-                                                shares.both)] + [0.0] * 3  # independent: two streams
-        # risk 1's exclusive and one-sided simultaneous claims, risk 2's, the summed pairs
-        self.rates = np.array([parts[0] + parts[2], parts[1] + parts[3], parts[4]])
-        self.total_rate = float(self.rates.sum())
-        self.type_cum = self.mean_claim = None
-        if self.total_rate > 0:  # the last positive-rate stream takes all above its cut
-            self.type_cum = np.cumsum(self.rates / self.total_rate)
-            self.type_cum[np.flatnonzero(self.rates)[-1]:] = np.inf
-            # share-weighted marginal cost rates: exact for any dependence
-            cost_rate = shares.p1 * d.market.risk1.mean_claim_rate + shares.p2 * d.market.risk2.mean_claim_rate
-            self.mean_claim = cost_rate / self.total_rate
-        self.w_excl1 = parts[0] / self.rates[0] if self.rates[0] > 0 else 0.0
-        self.w_excl2 = parts[1] / self.rates[1] if self.rates[1] > 0 else 0.0
+def _company_draw(d: Decomposition, shares: AcquisitionShares):
+    """The company's three stream rates, mean claim and claim draw (rng, shape) -> (waits, sizes)."""
+    parts = [r for _, r in _company_streams(d, shares.p1, shares.p2, shares.only1, shares.only2,
+                                            shares.both)] + [0.0] * 3  # independent: two streams
+    # risk 1's exclusive and one-sided simultaneous claims, risk 2's, the summed pairs
+    rates = np.array([parts[0] + parts[2], parts[1] + parts[3], parts[4]])
+    total = float(rates.sum())
+    if not total > 0:  # no claims: nothing is drawn
+        return rates, None, None
+    if d.lambda_both:  # each risk's exclusive, then one-sided simultaneous claims (rate 0: never drawn)
+        leaves = ((d.sample_only1, d.sample_both1), (d.sample_only2, d.sample_both2))
+        one_sided = [_weighted_draw((parts[i] / r, parts[i + 2] / r) if r else (0.0, 0.0), leaves[i])
+                     for i, r in enumerate(rates[:2])]
+    else:
         first = d.market.risk1.severity.sampler()
-        self.risk_samplers = (first, first if d.exchangeable else d.market.risk2.severity.sampler())
+        one_sided = [first, first if d.exchangeable else d.market.risk2.severity.sampler()]
+    pick = _weighted_draw(rates / total, (*one_sided, lambda rng, n: np.add(*d.sample_pair_both(rng, n))))
 
-    def _one_sided(self, rng, m, which):
-        d = self.decomp
-        if d.lambda_both == 0.0:
-            return self.risk_samplers[which - 1](rng, m)
-        w_excl, only, both = ((self.w_excl1, d.sample_only1, d.sample_both1) if which == 1
-                              else (self.w_excl2, d.sample_only2, d.sample_both2))
-        excl = rng.random(m) < w_excl
-        vals = np.empty(m)
-        for picked, sample in ((excl, only), (~excl, both)):
-            idx = np.flatnonzero(picked)
-            if idx.size:
-                vals[idx] = sample(rng, idx.size)
-        return vals
+    def draw(rng, shape):
+        waits = rng.random(shape)  # -log1p(-u) / total, in place
+        np.divide(np.negative(np.log1p(np.negative(waits, out=waits), out=waits), out=waits), total, out=waits)
+        return waits, pick(rng, shape)
 
-    def draw(self, rng, shape):
-        uw = rng.random(shape)
-        ut = rng.random(shape).ravel()
-        waits = -np.log1p(-uw) / self.total_rate
-        past0, past1 = ut > self.type_cum[0], ut > self.type_cum[1]
-        del uw, ut  # freed before the severity draws
-        sizes = np.empty(past0.size)
-        for which, picked in ((1, ~past0), (2, past0 ^ past1)):
-            idx = np.flatnonzero(picked)
-            if idx.size:
-                sizes[idx] = self._one_sided(rng, idx.size, which)
-        idx = np.flatnonzero(past1)
-        if idx.size:
-            y1, y2 = self.decomp.sample_pair_both(rng, idx.size)
-            sizes[idx] = y1 + y2
-        return waits, sizes.reshape(shape)
+    # share-weighted marginal cost rates: exact for any dependence
+    cost_rate = shares.p1 * d.market.risk1.mean_claim_rate + shares.p2 * d.market.risk2.mean_claim_rate
+    return rates, cost_rate / total, draw
 
 
 def simulate_bivariate_market(
@@ -254,8 +229,9 @@ def simulate_bivariate_market(
 ) -> RuinEstimate:
     """Estimate company ruin by simulating the decomposed claim streams.
 
-    Three independent Poisson streams are superposed: exclusive claims of
-    each risk and simultaneous claims drawn as exact copula pairs (both
+    Three Poisson streams are superposed by one weighted-part draw: each
+    risk's one-sided claims (a draw over its exclusive and simultaneous
+    claims) and simultaneous claims drawn as exact copula pairs (both
     coordinates added).  Severities come from the continuous copula
     inversion, not from the gridded mixtures, so this estimator is a
     route independent of the grid solvers.  Without a ``decomposition``
@@ -266,6 +242,6 @@ def simulate_bivariate_market(
         decomposition = Decomposition(market, grid_step=None)
     if market.levy is not None:  # built once, before the workers fork, and kept by the caller
         decomposition._inverse_tables()
-    sampler = _StreamSampler(decomposition, shares)
-    return _run_paths(config, sampler.total_rate, sampler.mean_claim, premium_rate, reserve,
-                      sampler.draw, {"stream_rates": sampler.rates.tolist()})
+    rates, mean_claim, draw = _company_draw(decomposition, shares)
+    return _run_paths(config, float(rates.sum()), mean_claim, premium_rate, reserve, draw,
+                      {"stream_rates": rates.tolist()})

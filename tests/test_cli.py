@@ -86,6 +86,16 @@ def test_solve_series_solver_flag(fig1_config, tmp_path):
     assert sidecar["solver"] == "series"
 
 
+def test_solve_dump_decomposition_of_an_independent_market_exits_2(tmp_path, capsys):
+    path = tmp_path / "fig4.json"
+    path.write_text(json.dumps(figure_config("fig4")))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--grid-step", "25", "--dump-decomposition", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--dump-decomposition" in err and "levy_copula" in err
+    assert not out.exists()
+
+
 def test_solve_exit_codes(tmp_path, fig1_config):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"risks": []}))

@@ -336,6 +336,64 @@ def test_mixture_zero_weight_component_allowed():
     assert_allclose(mixed.cdf(150.0), lb.Exponential(100.0).cdf(150.0), rtol=1e-14)
 
 
+class _QueueRng:
+    """Stands in for a generator: each random() call fills its shape with the next value."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, size):
+        return np.full(size, self.values.pop(0))
+
+
+class _Tagged(lb.Exponential):
+    """Draws its tag, using no uniforms."""
+
+    def __init__(self, tag):
+        super().__init__(1.0)
+        self.tag = float(tag)
+
+    def sample(self, rng, size):
+        return np.full(size, self.tag)
+
+
+def test_top_uniform_never_reaches_a_zero_weight_mixture_part():
+    weights = [0.7, 0.2, 0.1, 0.0]
+    assert np.cumsum(weights)[-1] == 1.0 - 2.0**-53  # the largest uniform: not above the sum
+    sample = lb.Mixture(weights, [_Tagged(k) for k in range(4)]).sampler()
+    assert sample(_QueueRng(1.0 - 2.0**-53), 1).tolist() == [2.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.7, 1.0]) | st.floats(1e-9, 1.0),
+                     min_size=1, max_size=6).filter(any),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=0, max_value=40),
+)
+def test_weighted_draw_picks_the_half_open_interval_of_each_uniform(weights, seed, size):
+    w = np.array(weights) / sum(weights)
+    edges = np.cumsum(w)
+    positive = np.flatnonzero(w > 0).tolist()
+    # the edges themselves, 0 and the largest uniform among random ones
+    rng = np.random.default_rng(seed)
+    u = np.concatenate((edges[edges < 1.0], [0.0, 1.0 - 2.0**-53], rng.random(size)))
+    rng.shuffle(u)
+    calls = []
+
+    def part(k):
+        def draw(rng, n):
+            calls.append((k, n))
+            return np.full(n, float(k))
+        return draw
+
+    got = distributions._weighted_draw(w, [part(k) for k in range(w.size)])(_QueueRng(u), u.shape)
+    # part j takes [edge_{j-1}, edge_j); the last part of positive weight takes all above
+    want = [next((j for j in positive[:-1] if x < edges[j]), positive[-1]) for x in u]
+    assert got.tolist() == want
+    assert calls == [(j, want.count(j)) for j in positive if j in want]  # in order, none of weight 0
+
+
 # ---------------------------------------------------------------------------
 # gridded models
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from lundberg.demand import AcquisitionShares
 from lundberg.distributions import sum_distribution
 from lundberg.errors import ValidationError
 from lundberg.market import _company_claim_model
-from lundberg.simulate import _CHUNK, _StreamSampler, _block_rng
+from lundberg.simulate import _CHUNK, _block_rng, _company_draw
 from test_distributions import joint_from_matrix, marginal_masses, reference_sum_distribution
+from test_simulate import stream_rates
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +301,17 @@ def test_exchangeable_pair_decomposes_risk_one_once(decomposition):
     _assert_tables_are_risk2s_own(dec)
 
 
-def test_independent_exchangeable_pair_holds_one_risk_sampler(indep_market, shares_at_04):
-    sampler = _StreamSampler(lb.decompose(indep_market, 2.0), shares_at_04)
-    assert sampler.risk_samplers[0] is sampler.risk_samplers[1]
+def _built_risk_samplers(monkeypatch, market, shares):
+    """The ids of the risk laws whose ``sampler()`` the bivariate simulator's draw builds, in order."""
+    built = []
+    for cls in {type(risk.severity) for risk in (market.risk1, market.risk2)}:
+        monkeypatch.setattr(cls, "sampler", lambda self, make=cls.sampler: built.append(id(self)) or make(self))
+    _company_draw(lb.decompose(market, 2.0), shares)
+    return built
+
+
+def test_independent_exchangeable_pair_holds_one_risk_sampler(indep_market, shares_at_04, monkeypatch):
+    assert _built_risk_samplers(monkeypatch, indep_market, shares_at_04) == [id(indep_market.risk1.severity)]
 
 
 def test_equal_laws_in_distinct_objects_share(decomposition):
@@ -321,7 +330,7 @@ def test_equal_laws_in_distinct_objects_share(decomposition):
 
 
 @pytest.mark.parametrize("changes", [{"intensity": 600.0}, {"scale": 400.0}])
-def test_non_exchangeable_pair_shares_nothing(dep_market, changes, shares_at_04):
+def test_non_exchangeable_pair_shares_nothing(dep_market, changes, shares_at_04, monkeypatch):
     dec = lb.decompose(_asymmetric_market(dep_market, **changes), 2.0)
     assert not dec.exchangeable
     for first, second in zip((dec.sev1_both, dec.sev1_gridded, dec.sev1_only), _risk2_parts(dec)):
@@ -331,9 +340,9 @@ def test_non_exchangeable_pair_shares_nothing(dep_market, changes, shares_at_04)
     tables = dec._inverse_tables()
     assert all(tables[key + "2"] is not tables[key + "1"] for key in ("u", "only", "both"))
     _assert_tables_are_risk2s_own(dec)
-    sampler = _StreamSampler(lb.decompose(lb.MarketSpec(dec.market.risk1, dec.market.risk2), 2.0),
-                             shares_at_04)
-    assert sampler.risk_samplers[0] is not sampler.risk_samplers[1]
+    independent = lb.MarketSpec(dec.market.risk1, dec.market.risk2)
+    assert _built_risk_samplers(monkeypatch, independent, shares_at_04) == [
+        id(independent.risk1.severity), id(independent.risk2.severity)]
 
 
 def test_degenerate_complete_dependence(gamma_severity):
@@ -456,18 +465,21 @@ def test_company_model_evaluates_each_distinct_gridded_part_once(decomposition, 
 def stream_claim_counts(decomposition, shares, horizon, paths, seed):
     """Count the simulator's claims per stream over a fixed horizon, ignoring ruin.
 
-    Drives the bivariate simulator's stream sampler path by path, so the
-    counts exercise its superposition and thinning end to end.
+    Drives the weighted-part draw at the simulator's ``stream_rates`` path
+    by path, each stream drawing its own index, so the counts exercise the
+    superposition and thinning at the rates the simulator uses.
     """
-    sampler = _StreamSampler(decomposition, shares)
+    rates = stream_rates(decomposition, shares)
+    total = float(rates.sum())
+    pick = distributions._weighted_draw(rates / total, [lambda rng, n, k=k: np.full(n, k) for k in range(3)])
     rng = _block_rng(seed, 0)
     counts = np.zeros(3, dtype=np.int64)
     for _ in range(paths):
         t = 0.0
         while True:
-            tt = t + np.cumsum(rng.exponential(1.0 / sampler.total_rate, _CHUNK))
+            tt = t + np.cumsum(rng.exponential(1.0 / total, _CHUNK))
             within = int(np.searchsorted(tt, horizon, side="right"))
-            counts += np.bincount(np.searchsorted(sampler.type_cum, rng.random(within)), minlength=3)
+            counts += np.bincount(pick(rng, within).astype(np.int64), minlength=3)
             if within < _CHUNK:
                 break
             t = tt[-1]

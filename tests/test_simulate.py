@@ -13,7 +13,8 @@ from lundberg.demand import AcquisitionShares
 from lundberg.errors import ValidationError
 from lundberg.market import _ordered_interp
 from lundberg import _pool
-from lundberg.simulate import _BLOCK, _StreamSampler, wilson_interval
+from lundberg.simulate import _BLOCK, _company_draw, wilson_interval
+from test_distributions import _QueueRng
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +336,11 @@ def test_call_from_a_daemonic_process_runs_serially(monkeypatch, simulators):
     assert got == _fingerprint(run(cfg))
 
 
-class _QueueRng:
-    """Stands in for a generator: each random() call fills its shape with the next value."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def random(self, size):
-        return np.full(size, self.values.pop(0))
+def stream_rates(decomposition, shares):
+    """The bivariate simulator's ``diagnostics["stream_rates"]``, read off one short path."""
+    est = lb.simulate_bivariate_market(decomposition.market, shares, 0.0, 0.0,
+                                       lb.SimConfig(paths=1, horizon=1e-9), decomposition)
+    return np.array(est.diagnostics["stream_rates"])
 
 
 def test_top_uniform_without_joint_clients_stays_one_sided(decomposition):
@@ -350,13 +348,16 @@ def test_top_uniform_without_joint_clients_stays_one_sided(decomposition):
     # shares the two one-sided probabilities sum to 1 - 2**-52, below the
     # largest uniform 1 - 2**-53
     shares = AcquisitionShares(p1=0.271, p2=0.138, only1=0.271, only2=0.138, both=0.0)
-    sampler = _StreamSampler(decomposition, shares)
-    assert sampler.rates[2] == 0.0
-    rates = sampler.rates / sampler.total_rate
-    assert rates[0] + rates[1] == 1.0 - 2.0**-52
-    _, sizes = sampler.draw(_QueueRng(0.5, 1.0 - 2.0**-53, 0.3, 0.6), (1, 2))
-    expected = sampler._one_sided(_QueueRng(0.3, 0.6), 2, 2)
-    assert np.array_equal(sizes, expected.reshape(1, 2))
+    rates = stream_rates(decomposition, shares)
+    assert rates[2] == 0.0
+    probs = rates / rates.sum()
+    assert probs[0] + probs[1] == 1.0 - 2.0**-52
+    _, _, draw = _company_draw(decomposition, shares)
+    _, sizes = draw(_QueueRng(0.5, 1.0 - 2.0**-53, 0.3, 0.6), (1, 2))
+    # risk 2's one-sided draw: 0.3 picks its exclusive or its simultaneous claims, 0.6 draws them
+    exclusive = shares.p2 * decomposition.lambda2_only / rates[1]
+    leaf = decomposition.sample_only2 if 0.3 < exclusive else decomposition.sample_both2
+    assert np.array_equal(sizes, leaf(_QueueRng(0.6), 2).reshape(1, 2))
 
 
 @settings(max_examples=60, deadline=None)
