@@ -8,8 +8,9 @@ only through its survival function ``F̄`` and the two integrated tails
 
 so every model here provides those either in closed form (exponential,
 gamma, and mixtures of them) or exactly from atoms (gridded empirical
-models).  All distributions live on [0, inf) with F(0) = 0: claims are
-strictly positive.
+models).  All distributions live on [0, inf): F(x) = 0 for x < 0, and F(0)
+is the mass at 0, which only a gridded model may hold.  A claim of size 0
+leaves the surplus unchanged, so such a process is its thinning.
 
 A subclass of :class:`SeverityModel` implements ``cdf``, ``mean``, ``sample``
 and ``describe``, and may add ``sf``, ``isf``, ``sampler`` and closed-form
@@ -69,7 +70,7 @@ class SeverityModel(abc.ABC):
 
     @abc.abstractmethod
     def cdf(self, x):
-        """Distribution function F(x); 0 for x <= 0, vectorized."""
+        """Distribution function F(x); 0 for x < 0, vectorized."""
 
     def sf(self, x):
         """Survival function F̄(x) = 1 - F(x)."""
@@ -280,7 +281,7 @@ class Mixture(SeverityModel):
         self._parts = [(w, c) for w, c in zip(weights, self._components) if w > 0.0]
         self._top = max(c._top for _, c in self._parts)
 
-    def cdf(self, x):  # each part clamps its claims
+    def cdf(self, x):  # each part reads 0 below 0
         return _weighted(self._parts, lambda c: c.cdf(x))
 
     def sf(self, x):  # one part at a time: a gridded part's running sum ends with its term
@@ -354,20 +355,15 @@ def _weighted_draw(weights, parts):
 
 
 def _weighted(parts, value):
-    """The mixture sum of w * value(part) over the (w, part) pairs of positive weight w, in order;
-    a part that repeats is evaluated once and its value held until its last weight."""
-    last = {id(part): k for k, (_, part) in enumerate(parts)}
-    held, total = {}, 0
-    for k, (w, part) in enumerate(parts):
-        v = held.pop(id(part)) if id(part) in held else value(part)
-        if last[id(part)] > k:
-            held[id(part)] = v
+    """The mixture sum of w * value(part) over the (w, part) pairs of positive weight w, in order."""
+    total = 0
+    for w, v in _once(parts, value):
         total = total + w * v
     return _value(np.asarray(total, dtype=float))
 
 
 class Gridded(SeverityModel):
-    """Discrete severity supported on positive atoms.
+    """Discrete severity supported on nonnegative atoms.
 
     Built from cell masses on a grid: each left-closed cell carries its
     mass at the right endpoint, matching the forward-difference
@@ -377,6 +373,8 @@ class Gridded(SeverityModel):
     which must not change afterwards (they are copied only where negative masses are
     clamped or an array is strided; ``from_survival`` makes one array, the masses).
     The cdf is their running sum; a tail call builds its integrals in three arrays.
+    An atom at 0 is a claim that leaves the surplus unchanged: the process is its
+    thinning, which a coupled :class:`~lundberg.market.MarketSpec` rejects.
     """
 
     def __init__(self, atoms: Sequence[float], masses: Sequence[float]):
@@ -384,8 +382,8 @@ class Gridded(SeverityModel):
         masses = np.asarray(masses, dtype=float)
         if atoms.ndim != 1 or atoms.shape != masses.shape or atoms.size == 0:
             raise ValidationError("gridded model needs matching atom and mass arrays")
-        if not np.all((atoms > 0) & (atoms < np.inf)):
-            raise ValidationError("gridded atoms must be strictly positive and finite")
+        if not np.all((atoms >= 0) & (atoms < np.inf)):
+            raise ValidationError("gridded atoms must be nonnegative and finite")
         if np.any(np.diff(atoms) <= 0):
             raise ValidationError("gridded atoms must be strictly increasing")
         if not np.all(masses >= -_WEIGHT_TOL):  # NaN fails too
@@ -421,7 +419,7 @@ class Gridded(SeverityModel):
         return self._cdf(np.cumsum(self._masses), x)
 
     def _cdf(self, cum, x):
-        idx = np.searchsorted(self._atoms, _claims(x), side="right")
+        idx = np.searchsorted(self._atoms, np.asarray(x, dtype=float), side="right")  # 0 below the atoms
         return _value(np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0))
 
     def _survival(self):

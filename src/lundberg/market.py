@@ -80,6 +80,8 @@ class MarketSpec:
     def __post_init__(self):
         if self.levy is not None and (self.risk1.intensity <= 0 or self.risk2.intensity <= 0):
             raise ValidationError("coupled risks need strictly positive intensities")
+        if self.levy is not None and max(self.risk1.severity.cdf(0.0), self.risk2.severity.cdf(0.0)) > 0:
+            raise ValidationError("coupled risks need claim sizes without mass at 0")  # U(0) must be lambda
 
 
 def _ordered_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -362,23 +364,24 @@ class CompanyExposure:
         return self.premium_rate - self.intensity * self.severity.mean
 
 
-def _company_streams(decomp: Decomposition, p1, p2, only1, only2, both):
+def _company_severities(decomp: Decomposition) -> tuple:
+    """The severities of the company's claim streams, in the order of :func:`_company_streams`."""
+    parts = (decomp.sev1_only, decomp.sev2_only, decomp.sev1_both, decomp.sev2_both, decomp.sev_sum_both)
+    return parts if decomp.lambda_both else parts[:2]
+
+
+def _company_streams(decomp: Decomposition, p1, p2, both):
     """The company's claim streams as (severity, intensity) pairs.
 
-    Coupled markets give the five-part split into exclusive, one-sided
-    simultaneous and summed simultaneous claims; independent markets
-    give its first two, each risk's own claims.  Shares may be scalars
-    or arrays (one entry per loading of a sweep).
+    Coupled markets give the five-part split into exclusive, one-sided simultaneous
+    (shares ``p1 - both`` and ``p2 - both``) and summed simultaneous claims; independent
+    markets give its first two, each risk's own claims.  Shares may be scalars or
+    arrays (one entry per loading of a sweep).
     """
     lam_b = decomp.lambda_both
-    streams = [
-        (decomp.sev1_only, p1 * decomp.lambda1_only),
-        (decomp.sev2_only, p2 * decomp.lambda2_only),
-        (decomp.sev1_both, only1 * lam_b),
-        (decomp.sev2_both, only2 * lam_b),
-        (decomp.sev_sum_both, both * lam_b),
-    ]
-    return streams if lam_b else streams[:2]
+    rates = (p1 * decomp.lambda1_only, p2 * decomp.lambda2_only, (p1 - both) * lam_b, (p2 - both) * lam_b,
+             both * lam_b)
+    return list(zip(_company_severities(decomp), rates))
 
 
 def _company_claim_model(decomp: Decomposition, shares: AcquisitionShares):
@@ -390,7 +393,7 @@ def _company_claim_model(decomp: Decomposition, shares: AcquisitionShares):
     p1, p2, both = shares.p1, shares.p2, shares.both
     lam_tilde = _positive("company claim intensity", p1 * lam1 + p2 * lam2 - both * decomp.lambda_both)
     lam_hat = p1 * lam1 + p2 * lam2
-    severities, rates = zip(*_company_streams(decomp, p1, p2, shares.only1, shares.only2, both))
+    severities, rates = zip(*_company_streams(decomp, p1, p2, both))
     sev_tilde = mixture(np.array(rates) / lam_tilde, severities)
     sev_hat = mixture(
         [p1 * lam1 / lam_hat, p2 * lam2 / lam_hat],

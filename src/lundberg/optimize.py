@@ -38,8 +38,8 @@ from .demand import DemandSpec, acquisition_shares, joint_share, shares_from_tak
 from .distributions import integrated_tails
 from .errors import AccuracyError, ValidationError, _nonnegative, _positive
 from .market import (
-    Decomposition, MarketSpec, _company_claim_model, _company_streams, _premium_rate, company_exposure,
-    decompose,
+    Decomposition, MarketSpec, _company_claim_model, _company_severities, _company_streams, _premium_rate,
+    company_exposure, decompose,
 )
 from .ruin import (
     SolverConfig, _recursion_coefficients, independence_gap_bound, solve_survival, survival_batch,
@@ -233,7 +233,7 @@ def _sweep(tails, reserves, grid_step):
 
 def _company_sweep(market, demands, acquisition, reserves, grid_step, decomposition):
     """Loading pairs -> (ruin at ``reserves``, profit, feasible); no loading moves a severity."""
-    tails = [integrated_tails(s) for s, _ in _company_streams(decomposition, 0.0, 0.0, 0.0, 0.0, 0.0)]
+    tails = [integrated_tails(s) for s in _company_severities(decomposition)]
     sweep = _sweep(tails, reserves, grid_step)
 
     def ruin_at(theta_pairs):
@@ -241,7 +241,7 @@ def _company_sweep(market, demands, acquisition, reserves, grid_step, decomposit
         p1 = np.asarray(demands[0].take_rate(t1), dtype=float)
         p2 = np.asarray(demands[1].take_rate(t2), dtype=float)
         both = joint_share(acquisition, p1, p2)
-        streams = _company_streams(decomposition, p1, p2, p1 - both, p2 - both, both)
+        streams = _company_streams(decomposition, p1, p2, both)
         coef = np.column_stack([r for _, r in streams])
         return sweep(coef, np.asarray(_premium_rate(market, demands, t1, t2), dtype=float))
 

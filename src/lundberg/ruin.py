@@ -11,14 +11,14 @@ Poisson surplus process ``u + c*t - S_t``:
   segment integral is evaluated exactly through the integrated tails
   ``sbar``/``ssbar``, so the only approximation is the interpolation of
   ``Vbar`` itself.  The node equations form a lower-triangular Toeplitz
-  system, i.e. a quotient of power series, which one kernel solves in
-  O(n log n) per curve: Newton iteration for the series inverse (Brent &
-  Kung 1978) to half the nodes, then one Karp & Markstein (1997) step
+  system, i.e. a quotient of power series, which :func:`_quotient` solves
+  in O(n log n) per curve: Newton iteration for the series inverse (Brent
+  & Kung 1978) to half the nodes, then one Karp & Markstein (1997) step
   for the whole quotient.  :func:`_recursion_coefficients` builds its
-  per-component rows and :func:`survival_batch` solves any number of
-  curves together, each row the same bits in any batch.  A single curve
-  is a batch of one; the loading sweeps of :mod:`lundberg.optimize` are
-  batches of hundreds.
+  per-component rows and :func:`survival_batch` weighs them into any
+  number of curves, solved together, each row the same bits in any batch.
+  A single curve is a batch of one; the loading sweeps of
+  :mod:`lundberg.optimize` are batches of hundreds.
 
 * :func:`solve_series` sums the Picard series of the equivalent fixed
   point equation V = alpha*(g + L V), where ``L`` is the tail
@@ -171,16 +171,8 @@ def survival_batch(a: np.ndarray, coefficients, n: int):
 
     With ``u[m] = Vbar(x_{m+1})`` the recursion is the lower-triangular
     Toeplitz system ``D(z) U(z) = B(z) mod z^n`` with ``D = denom - z AD(z)``
-    and ``B`` the boundary-value term, so ``U = B / D`` as power series.
-    Newton doubling ``G <- G - G (D G - 1)`` (Brent & Kung 1978) finds
-    ``G = 1 / D`` only to ``h = ceil(n/2)`` terms; each step takes both
-    of its products from one cyclic FFT length, the first as a middle
-    product (Hanrot, Quercia & Zimmermann 2004), and reuses the transform
-    of ``G``.  One Karp & Markstein (1997) step then gives all n terms of
-    the quotient: ``U_h = B G mod z^h`` and ``U = U_h + z^h G r`` with
-    ``r`` the terms h..n-1 of ``B - D U_h``.  That costs O(n log n) per
-    row, with no FFT longer than about n, instead of the O(n^2) of
-    node-by-node elimination.
+    and ``B`` the boundary-value term, so ``U = B / D`` as power series
+    (:func:`_quotient`); a row with ``denom <= 0`` is NaN from node 1 on.
 
     Rows never mix, so a failed row leaves the others untouched, and
     every row is the same bits in any batch: the component weighting is
@@ -192,9 +184,24 @@ def survival_batch(a: np.ndarray, coefficients, n: int):
     base = v0[:, None] * (1.0 + _weigh(a, w))  # boundary-value term of every node
     dz = np.concatenate([1.0 - _weigh(a, v1[:, None]), -_weigh(a, d)], axis=1)
     dz[dz[:, 0] <= 0] = np.nan  # fails the row from node 1 on
-    h = (n + 1) // 2
+    vbar = np.concatenate([v0[:, None], _quotient(base, dz)], axis=1)
+    ok = (vbar.min(axis=1) > -_NEGATIVE_TOL) & (vbar.max(axis=1) < 1.0 + _NEGATIVE_TOL)
+    return vbar, ok
+
+
+def _quotient(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Terms 0..n-1 of the power series quotient ``B / D``, row by row, for rows ``b`` and ``d`` of width n.
+
+    Newton doubling ``G <- G - G (D G - 1)`` (Brent & Kung 1978) finds ``G = 1 / D`` only to
+    ``h = ceil(n/2)`` terms; each step takes both of its products from one cyclic FFT length, the
+    first as a middle product (Hanrot, Quercia & Zimmermann 2004), and reuses the transform of ``G``.
+    One Karp & Markstein (1997) step then gives all n terms: ``Q_h = B G mod z^h`` and
+    ``Q = Q_h + z^h G r`` with ``r`` the terms h..n-1 of ``B - D Q_h``.  That costs O(n log n) per
+    row, with no FFT longer than about n, instead of the O(n^2) of term-by-term elimination.
+    """
+    n, h = b.shape[1], (b.shape[1] + 1) // 2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = 1.0 / dz[:, :1]
+        g = 1.0 / d[:, :1]
         k = 1
         while k < h:
             m = min(2 * k, h)
@@ -202,19 +209,17 @@ def survival_batch(a: np.ndarray, coefficients, n: int):
             fg = rfft(g, size, axis=1)
             # D G = 1 mod z^k, so only its coefficients k..m-1 correct G; a cyclic
             # length of at least m wraps the product's higher terms below k
-            err = _cyclic_product(dz[:, :m], fg, size)[:, k:m]
+            err = _cyclic_product(d[:, :m], fg, size)[:, k:m]
             g = np.concatenate([g, -_cyclic_product(err, fg, size)[:, : m - k]], axis=1)
             k = m
         size = next_fast_len(n, real=True)
         fg = rfft(g, size, axis=1)
-        u = _cyclic_product(base[:, :h], fg, size)[:, :h]
+        q = _cyclic_product(b[:, :h], fg, size)[:, :h]
         if h < n:
-            # terms h..n-1 of D U_h: a length of at least n wraps its higher terms below h
-            r = base[:, h:] - _cyclic_product(dz, rfft(u, size, axis=1), size)[:, h:n]
-            u = np.concatenate([u, _cyclic_product(r, fg, size)[:, : n - h]], axis=1)
-        vbar = np.concatenate([v0[:, None], u], axis=1)
-    ok = (vbar.min(axis=1) > -_NEGATIVE_TOL) & (vbar.max(axis=1) < 1.0 + _NEGATIVE_TOL)
-    return vbar, ok
+            # terms h..n-1 of D Q_h: a length of at least n wraps its higher terms below h
+            r = b[:, h:] - _cyclic_product(d, rfft(q, size, axis=1), size)[:, h:n]
+            q = np.concatenate([q, _cyclic_product(r, fg, size)[:, : n - h]], axis=1)
+    return q
 
 
 def _weigh(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -193,8 +193,7 @@ def simulate_ruin(
 
 def _company_draw(d: Decomposition, shares: AcquisitionShares):
     """The company's three stream rates, mean claim and claim draw (rng, shape) -> (waits, sizes)."""
-    parts = [r for _, r in _company_streams(d, shares.p1, shares.p2, shares.only1, shares.only2,
-                                            shares.both)] + [0.0] * 3  # independent: two streams
+    parts = [r for _, r in _company_streams(d, shares.p1, shares.p2, shares.both)] + [0.0] * 3  # two if independent
     # risk 1's exclusive and one-sided simultaneous claims, risk 2's, the summed pairs
     rates = np.array([parts[0] + parts[2], parts[1] + parts[3], parts[4]])
     total = float(rates.sum())

@@ -109,6 +109,21 @@ def test_solve_exit_codes(tmp_path, fig1_config):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
 
 
+_ZERO_ATOM = {"kind": "gridded", "atoms": [0.0, 1000.0, 2000.0], "masses": [0.3, 0.4, 0.3]}
+
+
+def test_solve_takes_a_zero_atom_unless_the_risks_are_coupled(tmp_path, capsys):
+    single = figure_config("fig1")
+    single["risks"][0]["severity"] = _ZERO_ATOM
+    coupled = figure_config("fig5")
+    coupled["risks"][0]["severity"] = _ZERO_ATOM
+    for name, cfg, code in (("fig1", single, 0), ("fig5", coupled, 2)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", str(path), "--grid-step", "25", "--out-dir", str(tmp_path / name)]) == code
+    assert "mass at 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # optimize
 # ---------------------------------------------------------------------------

@@ -412,6 +412,17 @@ def test_gridded_from_survival_needs_cells_from_zero():
         lb.Gridded.from_survival([1.0, 2.0, 3.0], [1.0, 0.5, 0.0])
 
 
+def test_gridded_takes_an_atom_at_zero_and_reads_zero_below_it():
+    model = lb.Gridded([0.0, 1.0, 2.0], [0.3, 0.4, 0.3])
+    assert model.cdf(-1.0) == 0.0 and model.cdf(0.0) == 0.3
+    assert model.sf(-0.5) == 1.0 and model.isf(1.0) == 0.0
+    assert list(model.cdf([-1.0, -0.0, 0.5, 1.0, 2.0])) == [0.0, 0.3, 0.3, 0.7, 1.0]
+    mixed = lb.Mixture([0.5, 0.5], [model, lb.Exponential(2.0)])
+    assert mixed.cdf(-1.0) == 0.0 and mixed.cdf(0.0) == 0.15
+    with pytest.raises(ValidationError, match="gridded atoms must be nonnegative and finite"):
+        lb.Gridded([-1.0, 1.0], [0.5, 0.5])
+
+
 def test_gridded_sampling_matches_masses(rng):
     model = lb.Gridded([1.0, 2.0, 5.0], [0.2, 0.5, 0.3])
     draws = model.sample(rng, 200_000)

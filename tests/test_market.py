@@ -56,6 +56,17 @@ def test_aggregate_rejects_zero_total(gamma_severity, demands):
         _aggregate(spec, spec, demands)
 
 
+def test_coupled_market_rejects_a_claim_size_with_mass_at_zero(gamma_severity):
+    # the Levy copula couples the tail integrals U(x) for x > 0, and U(0) = lambda (1 - m0) is not lambda
+    zero = lb.CompoundPoissonSpec(800.0, lb.Gridded([0.0, 1000.0, 2000.0], [0.3, 0.4, 0.3]))
+    plain = lb.CompoundPoissonSpec(800.0, gamma_severity)
+    for pair in ((zero, plain), (plain, zero)):
+        with pytest.raises(ValidationError, match="mass at 0"):
+            lb.MarketSpec(*pair, lb.ClaytonLevyCopula(1.0))
+    independent = lb.decompose(lb.MarketSpec(zero, plain), 25.0)
+    assert independent.sev1_only is zero.severity and independent.lambda_both == 0.0
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------

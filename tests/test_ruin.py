@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular, toeplitz
 
 import lundberg as lb
 from lundberg.distributions import integrated_tails
 from lundberg.errors import AccuracyError, InstabilityError, NetProfitError, ValidationError
 from lundberg.ruin import (
-    SolverConfig, _recursion_coefficients, _tail_convolution, independence_gap_bound, solve_series,
+    SolverConfig, _quotient, _recursion_coefficients, _tail_convolution, independence_gap_bound, solve_series,
     solve_survival, survival_batch,
 )
 
@@ -238,6 +239,89 @@ def test_kernel_fails_a_row_without_touching_the_others(gamma_severity):
     for i in (0, 2):
         single, _ = survival_batch(a[i : i + 1], coefficients, n)
         assert np.array_equal(single[0], batch[i])
+
+
+# lengths 1-5 and 2^k +- 1: the Newton half ceil(n/2) and the Karp-Markstein tail take every edge length
+_QUOTIENT_LENGTHS = sorted({1, 2, 3, 4, 5, *(2**k + s for k in range(2, 11) for s in (-1, 1))})
+
+
+def _series_rows(seed, rows, n):
+    """Rows of B and of a diagonally dominant D (D(0) beyond the sum of its other |terms| by 1 to 2)."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-1.0, 1.0, (rows, n))
+    d = rng.uniform(-1.0, 1.0, (rows, n)) * rng.uniform(0.0, 2.0, (rows, 1)) / n
+    d[:, 0] = np.abs(d[:, 1:]).sum(axis=1) + rng.uniform(1.0, 2.0, rows)
+    return b, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(_QUOTIENT_LENGTHS), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_quotient_is_the_lower_triangular_toeplitz_solve(n, rows, seed):
+    b, d = _series_rows(seed, rows, n)
+    q = _quotient(b, d)
+    assert q.shape == (rows, n)
+    for bi, di, qi in zip(b, d, q):
+        reference = solve_triangular(toeplitz(di, np.zeros(n)), bi, lower=True)
+        assert np.max(np.abs(qi - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(_QUOTIENT_LENGTHS), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_quotient_rows_are_the_same_bits_in_any_batch(n, data, seed):
+    rows = data.draw(st.integers(1, 12))
+    b, d = _series_rows(seed, rows, n)
+    whole = _quotient(b, d)
+    cuts = sorted(data.draw(st.sets(st.integers(1, rows), max_size=rows)))
+    parts = [_quotient(b[i:j], d[i:j]) for i, j in zip([0, *cuts], [*cuts, rows]) if i < j]
+    assert np.array_equal(np.concatenate(parts), whole)
+    for i in range(rows):
+        assert np.array_equal(_quotient(b[i : i + 1], d[i : i + 1])[0], whole[i])
+
+
+def _with_zero_atom(model, m0):
+    """``model`` (a gridded severity) with mass ``m0`` moved to an atom at 0."""
+    return lb.Gridded(np.concatenate(([0.0], model._atoms)), np.concatenate(([m0], (1.0 - m0) * model._masses)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    masses=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(lambda m: sum(m) > 0.1),
+    m0=st.floats(0.0, 0.9),
+    h=st.floats(0.5, 50.0),
+)
+def test_zero_atom_is_the_thinned_process(masses, m0, h):
+    # a claim of size 0 leaves the surplus unchanged: intensity lambda with mass m0 at 0 is the
+    # process of intensity lambda * (1 - m0) with the other masses renormalized.  The two solves
+    # differ in the last bits of their coefficients, which the recursion amplifies by about
+    # 1 / loading, so the loading is fixed at 0.7 (c = 1200 for lambda = 1, m0 = 0.3 and mean 1000)
+    masses = np.array(masses) / sum(masses)
+    thinned = lb.Gridded(h * np.arange(1, masses.size + 1), masses)
+    model = _with_zero_atom(thinned, m0)
+    premium = 1.7 * thinned.mean * (1.0 - m0)
+    cfg = SolverConfig(grid_step=h / 2, x_max=200.0 * h)
+    curve = solve_survival(1.0, model, premium, cfg).survival
+    reference = solve_survival(1.0 - m0, thinned, premium, cfg).survival
+    # Up to the last atom the identity holds to rounding.  Past it each model's survival is the
+    # float dust 1 - (running sum of its masses), not 0, so the two tails part by the gap of the
+    # dusts times the distance, and the recursion carries that gap over a premium rate.
+    x, top = cfg.nodes(), thinned._atoms[-1]
+    dust = abs(model.sf(top) - (1.0 - m0) * thinned.sf(top))
+    past = np.maximum(x - top, 0.0)
+    assert np.all(np.abs(curve - reference) <= 1e-13 + 3.0 * dust * past / premium)
+    tails, thinned_tails = integrated_tails(model), integrated_tails(thinned)
+    sb, ssb = (1.0 - m0) * thinned_tails.sbar(x), (1.0 - m0) * thinned_tails.ssbar(x)
+    assert np.all(np.abs(tails.sbar(x) - sb) <= 1e-13 * sb + 2.0 * dust * past)
+    assert np.all(np.abs(tails.ssbar(x) - ssb) <= 1e-13 * ssb + dust * past**2)
+
+
+def test_zero_atom_grid_value_lies_in_the_monte_carlo_interval():
+    nodes = 25.0 * np.arange(401)
+    thinned = lb.Gridded.from_survival(nodes, lb.Gamma(2.0, 500.0).sf(nodes))
+    premium, reserve = 1000.0, 2000.0
+    est = lb.simulate_ruin(1.0, _with_zero_atom(thinned, 0.3), premium, reserve, lb.SimConfig(paths=20_000, seed=31))
+    grid = solve_survival(0.7, thinned, premium, SolverConfig(grid_step=1.0, x_max=reserve)).ruin[-1]
+    assert est.ci_low <= grid <= est.ci_high
+    assert est.ci_high - est.ci_low < 0.03
 
 
 def test_curve_is_monotone_and_bounded(gamma_severity):
