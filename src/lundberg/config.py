@@ -150,7 +150,7 @@ class ModelConfig:
     def market(self) -> MarketSpec:
         if self.is_single:
             raise ConfigError("two risks are required for a market model", field="risks")
-        return MarketSpec(self.risks[0], self.risks[1], self.levy)
+        return _build("risks", MarketSpec, self.risks[0], self.risks[1], self.levy)
 
 
 def parse_config(data: dict) -> ModelConfig:

@@ -69,37 +69,28 @@ class DemandSpec:
 class AcquisitionShares:
     """Market shares of the two products and their joint holdings.
 
-    ``only1``/``only2``/``both`` partition the company's clients;
-    ``p1 = only1 + both`` and ``p2 = only2 + both`` are the marginal
-    shares.  The joint share obeys the Frechet bounds.
+    ``p1``/``p2`` are the marginal shares and ``both`` the share of
+    clients holding both products, so ``p1 - both`` and ``p2 - both``
+    hold one product only.  Each of the five lies in [0, 1] and the
+    joint share obeys the Frechet bounds.
     """
 
     p1: float
     p2: float
-    only1: float
-    only2: float
     both: float
 
     def __post_init__(self):
-        vals = (self.p1, self.p2, self.only1, self.only2, self.both)
+        vals = (self.p1, self.p2, self.both, self.p1 - self.both, self.p2 - self.both)
         if any(v < -_MARGIN_TOL or v > 1 + _MARGIN_TOL for v in vals):
             raise ValidationError(f"acquisition shares must lie in [0, 1], got {vals}")
-        if abs(self.only1 + self.both - self.p1) > _MARGIN_TOL:
-            raise ValidationError("only1 + both must equal p1")
-        if abs(self.only2 + self.both - self.p2) > _MARGIN_TOL:
-            raise ValidationError("only2 + both must equal p2")
-        if self.only1 + self.only2 + self.both > 1 + 1e-9:
-            raise ValidationError("share partition exceeds the whole market")
+        # the upper Frechet bound min(p1, p2) is the range check of p_i - both
         lower = max(self.p1 + self.p2 - 1.0, 0.0)
-        upper = min(self.p1, self.p2)
-        if not (lower - 1e-9 <= self.both <= upper + 1e-9):
-            raise ValidationError(
-                f"joint share {self.both} violates Frechet bounds [{lower}, {upper}]"
-            )
+        if not self.both >= lower - 1e-9:
+            raise ValidationError(f"joint share {self.both} is below its Frechet lower bound {lower}")
 
     @classmethod
     def monopoly(cls) -> "AcquisitionShares":
-        return cls(p1=1.0, p2=1.0, only1=0.0, only2=0.0, both=1.0)
+        return cls(p1=1.0, p2=1.0, both=1.0)
 
 
 def joint_share(copula: OrdinaryCopula, p1, p2):
@@ -118,13 +109,12 @@ def joint_share(copula: OrdinaryCopula, p1, p2):
 def shares_from_take_rates(copula: OrdinaryCopula, p1: float, p2: float) -> AcquisitionShares:
     """Joint acquisition shares from marginal take rates and a bid copula.
 
-    The joint share is :func:`joint_share`; the single-product shares
-    follow from the margins.
+    The joint share is :func:`joint_share`.
     """
     if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
         raise ValidationError(f"take rates must lie in [0, 1], got {p1}, {p2}")
     both = float(joint_share(copula, p1, p2))
-    return AcquisitionShares(p1=p1, p2=p2, only1=p1 - both, only2=p2 - both, both=both)
+    return AcquisitionShares(p1=p1, p2=p2, both=both)
 
 
 def acquisition_shares(

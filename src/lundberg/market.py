@@ -277,18 +277,17 @@ class Decomposition:
         return tables
 
     def _interp_inverse(self, key: str, w: np.ndarray) -> np.ndarray:
+        """Inverse transform of the table ``key`` at ``w``; a degenerate stream has no ``only{i}`` table."""
         t = self._inverse_tables()
+        if key not in t:
+            raise ValidationError(f"risk {key[-1]} has no exclusive claims (complete dependence)")
         return _ordered_interp(w, t[key], t["xs"])
 
     def sample_only1(self, rng, size):
         """Severities of claims hitting only risk 1."""
-        if self.degenerate1:
-            raise ValidationError("risk 1 has no exclusive claims (complete dependence)")
         return self._interp_inverse("only1", rng.random(size))
 
     def sample_only2(self, rng, size):
-        if self.degenerate2:
-            raise ValidationError("risk 2 has no exclusive claims (complete dependence)")
         return self._interp_inverse("only2", rng.random(size))
 
     def sample_both1(self, rng, size):

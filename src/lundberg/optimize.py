@@ -11,9 +11,10 @@ differences, each point and its neighbours solved as one kernel batch.
 Two entries sweep loadings on a reserve grid of step ``grid_step``:
 :func:`sweep_single_loading` for one risk and :func:`company_ruin_at`
 for a batch of two-risk loading pairs (a common loading t is the pair
-(t, t)), through which :func:`optimize_joint_ruin` runs its sweep.
-Both give ruin as one table of shape (loadings, reserves): a row per
-loading and a column per reserve.
+(t, t)).  Both give ruin as one table of shape (loadings, reserves): a
+row per loading and a column per reserve.  :func:`optimize_joint_ruin`
+builds the company sweep behind :func:`company_ruin_at` once, and runs
+both its loading sweep and its refinement on it.
 
 The sweeps exploit the structure of the company claim model: the grid
 recursion coefficients are linear in the per-component exposure weights,
@@ -207,17 +208,16 @@ def _sweep(tails, reserves, grid_step):
     n = config.n_cells
     coefficients = _recursion_coefficients(tails, config.nodes(), grid_step)
     node_idx = [int(round(r / grid_step)) for r in reserves]
-    means = np.array([t.mean for t in tails])
 
     def sweep(coef, premium):
-        profit = premium - coef @ means
+        profit = premium - coef @ coefficients[3]
         feasible = profit > 0
         chunk = max(_SWEEP_CELLS // (n + 1), 1)
         live = np.flatnonzero(feasible)
         jobs = [live[start : start + chunk] for start in range(0, live.size, chunk)]
 
         def chunk_ruin(live):
-            vbar, ok = survival_batch(coef[live] / premium[live, None], coefficients, n)
+            vbar, ok = survival_batch(coef[live] / premium[live, None], coefficients)
             vals = 1.0 - np.clip(vbar[:, node_idx], 0.0, 1.0)
             vals[~ok] = np.nan
             return vals
@@ -337,8 +337,10 @@ def optimize_joint_ruin(
     diagnostic flag ``refined`` says which.
     Both modes search a vector of free loadings, one in common mode and
     two in separate mode (the row-major grid of the box), mapped to the
-    loading pair (first, last).  Sweep and refinement solve on the reserve
-    grid of step ``grid_step``, which also discretizes the market when no
+    loading pair (first, last).  One company sweep (:func:`_company_sweep`,
+    the component tails and coefficient rows built once) serves both the
+    loading sweep and the refinement, on the reserve grid of step
+    ``grid_step``, which also discretizes the market when no
     ``decomposition`` is given.
 
     Raises:
@@ -355,9 +357,8 @@ def optimize_joint_ruin(
     else:
         free = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
         names = ["theta1", "theta2"]
-    ruin, profit, feasible = company_ruin_at(
-        market, demands, acquisition, [reserve], free[:, [0, -1]], grid_step, decomposition
-    )
+    ruin_at = _company_sweep(market, demands, acquisition, [reserve], grid_step, decomposition)
+    ruin, profit, feasible = ruin_at(free[:, [0, -1]])
     sweep = dict(zip(names, free.T), ruin=ruin[:, 0], profit=profit, feasible=feasible)
 
     def loading_of(x):
@@ -370,8 +371,6 @@ def optimize_joint_ruin(
     value = grid_value = float(ruin[best, 0])
     refined = False
     if refine and box[0] < box[1]:
-        ruin_at = _company_sweep(market, demands, acquisition, [float(reserve)], grid_step, decomposition)
-
         def values(points):
             r, _, feas = ruin_at(points[:, [0, -1]])
             return np.where(feas & np.isfinite(r[:, 0]), r[:, 0], 2.0)

@@ -15,8 +15,9 @@ Poisson surplus process ``u + c*t - S_t``:
   in O(n log n) per curve: Newton iteration for the series inverse (Brent
   & Kung 1978) to half the nodes, then one Karp & Markstein (1997) step
   for the whole quotient.  :func:`_recursion_coefficients` builds its
-  per-component rows and :func:`survival_batch` weighs them into any
-  number of curves, solved together, each row the same bits in any batch.
+  per-component rows, whose width fixes the curve length, and
+  :func:`survival_batch` weighs them into any number of curves, solved
+  together, each row the same bits in any batch.
   A single curve is a batch of one; the loading sweeps of
   :mod:`lundberg.optimize` are batches of hundreds.
 
@@ -159,13 +160,14 @@ def _recursion_coefficients(tails, nodes: np.ndarray, h: float):
     return w, w[:, :-1] + v[:, 1:], v[:, 0], np.array([t.mean for t in tails])
 
 
-def survival_batch(a: np.ndarray, coefficients, n: int):
+def survival_batch(a: np.ndarray, coefficients):
     """Solve the grid recursion for a batch of component weightings.
 
     ``a`` holds one row per curve: each component's claim intensity over
     the premium rate.  Returns the unclipped survival curves on nodes
-    0..n, shape (rows, n + 1), and a per-row flag that is True when the
-    whole curve lies within (-1e-9, 1 + 1e-9).  A row whose recursion
+    0..n, shape (rows, n + 1) with n the width of the coefficient rows,
+    and a per-row flag that is True when the whole curve lies within
+    (-1e-9, 1 + 1e-9).  A row whose recursion
     denominator is not positive, or whose values leave that range,
     indicates a grid step too coarse for the claim frequency.
 
@@ -262,7 +264,7 @@ def solve_survival(
     """
     def curve(tails, nodes):
         coefficients = _recursion_coefficients([tails], nodes, config.grid_step)
-        curves, ok = survival_batch(np.array([[intensity / premium_rate]]), coefficients, config.n_cells)
+        curves, ok = survival_batch(np.array([[intensity / premium_rate]]), coefficients)
         vbar = curves[0]
         if not ok[0]:
             i = int(np.argmin((vbar > -_NEGATIVE_TOL) & (vbar < 1.0 + _NEGATIVE_TOL)))

@@ -117,11 +117,16 @@ def test_solve_takes_a_zero_atom_unless_the_risks_are_coupled(tmp_path, capsys):
     single["risks"][0]["severity"] = _ZERO_ATOM
     coupled = figure_config("fig5")
     coupled["risks"][0]["severity"] = _ZERO_ATOM
-    for name, cfg, code in (("fig1", single, 0), ("fig5", coupled, 2)):
+    idle = figure_config("fig5")
+    idle["risks"][1]["lambda"] = 0.0
+    for name, cfg, code in (("fig1", single, 0), ("fig5", coupled, 2), ("fig5-idle", idle, 2)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", str(path), "--grid-step", "25", "--out-dir", str(tmp_path / name)]) == code
-    assert "mass at 0" in capsys.readouterr().err
+    # a coupled market's checks name the config field they fail at
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: risks: coupled risks need claim sizes without mass at 0",
+                   "configuration error: risks: coupled risks need strictly positive intensities"]
 
 
 # ---------------------------------------------------------------------------

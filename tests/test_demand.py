@@ -66,8 +66,8 @@ def test_independent_acquisition_factorizes(demands):
     shares = acquisition_shares(lb.IndependenceCopula(), d1, d2, 0.3, 0.5)
     p1, p2 = float(d1.take_rate(0.3)), float(d2.take_rate(0.5))
     assert shares.both == pytest.approx(p1 * p2, rel=1e-12)
-    assert shares.only1 == pytest.approx(p1 * (1 - p2), rel=1e-12)
-    assert shares.only2 == pytest.approx(p2 * (1 - p1), rel=1e-12)
+    assert shares.p1 - shares.both == pytest.approx(p1 * (1 - p2), rel=1e-12)
+    assert shares.p2 - shares.both == pytest.approx(p2 * (1 - p1), rel=1e-12)
 
 
 def test_clayton_near_zero_tau_matches_independence(demands):
@@ -94,8 +94,6 @@ def test_share_margins_hold_for_random_draws(demands):
         cop = make_ordinary(fam, tau=tau if fam != "independence" else None)
         t1, t2 = rng.uniform(0.05, 1.2, size=2)
         s = acquisition_shares(cop, d1, d2, t1, t2)
-        assert s.only1 + s.both == pytest.approx(s.p1, abs=1e-12)
-        assert s.only2 + s.both == pytest.approx(s.p2, abs=1e-12)
         assert max(s.p1 + s.p2 - 1.0, 0.0) - 1e-9 <= s.both <= min(s.p1, s.p2) + 1e-9
 
 
@@ -128,11 +126,34 @@ def test_small_company_ratio_decreases_to_zero_clayton():
 
 def test_share_validation():
     with pytest.raises(ValidationError):
-        AcquisitionShares(p1=0.5, p2=0.5, only1=0.1, only2=0.2, both=0.3)  # margin broken
+        AcquisitionShares(p1=0.5, p2=0.2, both=0.3)  # more joint than risk 2's clients
     with pytest.raises(ValidationError):
-        AcquisitionShares(p1=0.2, p2=0.2, only1=-0.1, only2=0.0, both=0.3)
+        AcquisitionShares(p1=0.8, p2=0.8, both=0.5)  # below the Frechet lower bound 0.6
     mono = AcquisitionShares.monopoly()
     assert mono.both == 1.0 and mono.p1 == 1.0
+
+
+def _share_points():
+    """Shares in [0, 1], near its ends, and just outside them."""
+    edges = st.sampled_from([0.0, 1.0, -1e-12, 1e-12, 1.0 - 1e-12, 1.0 + 1e-12, -1e-9, 1.0 + 1e-9])
+    return st.one_of(edges, st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p1=_share_points(), p2=_share_points(), edge=st.sampled_from(["lower", "upper", "free"]),
+       offset=st.sampled_from([0.0, -1e-9, -1e-12, 1e-12, 1e-9, -2e-9, 2e-9]), free=_share_points())
+def test_shares_are_accepted_exactly_on_the_three_number_rule(p1, p2, edge, offset, free):
+    # the joint share sits on a Frechet bound, 1e-12 or 1e-9 from it, or anywhere in [0, 1]
+    lower, upper = max(p1 + p2 - 1.0, 0.0), min(p1, p2)
+    both = {"lower": lower + offset, "upper": upper + offset, "free": free}[edge]
+    valid = (all(-1e-12 <= v <= 1.0 + 1e-12 for v in (p1, p2, both, p1 - both, p2 - both))
+             and lower - 1e-9 <= both <= upper + 1e-9)
+    if valid:
+        shares = AcquisitionShares(p1=p1, p2=p2, both=both)
+        assert (shares.p1, shares.p2, shares.both) == (p1, p2, both)
+    else:
+        with pytest.raises(ValidationError):
+            AcquisitionShares(p1=p1, p2=p2, both=both)
 
 
 # omega is drawn from [0.01, 50]; Gumbel shifts it above 1, Frank folds (0, 10) onto negatives

@@ -398,7 +398,7 @@ def test_monopoly_intensity(dep_market, decomposition, demands):
 
 
 def test_no_joint_clients_reduces_to_marginal_model(dep_market, decomposition, demands):
-    shares = AcquisitionShares(p1=0.3, p2=0.3, only1=0.3, only2=0.3, both=0.0)
+    shares = AcquisitionShares(p1=0.3, p2=0.3, both=0.0)
     exposure = lb.company_exposure(
         dep_market, shares, (0.4, 0.4), demands, (5000.0,), decomposition=decomposition,
     )
@@ -434,7 +434,7 @@ def test_mean_preservation_for_random_configurations(dep_market, decomposition, 
 
 
 def test_zero_shares_rejected(dep_market, decomposition, demands):
-    shares = AcquisitionShares(p1=0.0, p2=0.0, only1=0.0, only2=0.0, both=0.0)
+    shares = AcquisitionShares(p1=0.0, p2=0.0, both=0.0)
     with pytest.raises(ValidationError):
         lb.company_exposure(dep_market, shares, (0.4, 0.4), demands, (100.0,),
                             decomposition=decomposition)
@@ -446,7 +446,7 @@ def test_company_claim_model_weights(decomposition, shares_at_04):
     assert lam_t == pytest.approx(s.p1 * 800 + s.p2 * 800 - s.both * 400, rel=1e-12)
     assert lam_h == pytest.approx(s.p1 * 800 + s.p2 * 800, rel=1e-12)
     expected_w = np.array([
-        s.p1 * 400, s.p2 * 400, s.only1 * 400, s.only2 * 400, s.both * 400,
+        s.p1 * 400, s.p2 * 400, (s.p1 - s.both) * 400, (s.p2 - s.both) * 400, s.both * 400,
     ]) / lam_t
     assert_allclose(sev_t._w, expected_w, rtol=1e-12)
 

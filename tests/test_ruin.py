@@ -165,10 +165,10 @@ def test_kernel_batch_rows_match_batches_of_one(gamma_severity):
     n, h = 1500, 2.0
     coefficients = _recursion_coefficients(tails, h * np.arange(n + 1), h)
     a = np.array([[4e-4, 8e-4], [8e-4, 0.0], [0.0, 2e-3], [1e-4, 1e-4]])
-    batch, ok = survival_batch(a, coefficients, n)
+    batch, ok = survival_batch(a, coefficients)
     assert batch.shape == (4, n + 1) and ok.all()
     for row, curve in zip(a, batch):
-        single, single_ok = survival_batch(row[None, :], coefficients, n)
+        single, single_ok = survival_batch(row[None, :], coefficients)
         assert single_ok[0]
         assert np.array_equal(single[0], curve)
 
@@ -190,7 +190,7 @@ def test_kernel_matches_direct_recursion_for_any_model(gamma, shape, mean, loadi
     assert cfg.n_cells == n
     tails = integrated_tails(severity)
     coefficients = _recursion_coefficients([tails], cfg.nodes(), cfg.grid_step)
-    curves, ok = survival_batch(np.array([[intensity / premium]]), coefficients, n)
+    curves, ok = survival_batch(np.array([[intensity / premium]]), coefficients)
     reference = direct_recursion(intensity, severity, premium, cfg)
     assert curves.shape == (1, n + 1) and ok[0]
     assert curves[0, 0] == reference[0]
@@ -218,12 +218,13 @@ def test_kernel_rows_are_the_same_bits_in_any_batch(data, n, rows):
     load = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=rows, max_size=rows)))
     a = weights * (load / (weights @ coefficients[3]))[:, None]
     cuts = sorted(data.draw(st.sets(st.integers(1, rows), max_size=rows)))
-    whole, whole_ok = survival_batch(a, coefficients, n)
-    parts = [survival_batch(a[i:j], coefficients, n) for i, j in zip([0, *cuts], [*cuts, rows])
+    whole, whole_ok = survival_batch(a, coefficients)
+    assert whole.shape == (rows, coefficients[0].shape[1] + 1) == (rows, n + 1)  # the rows fix the length
+    parts = [survival_batch(a[i:j], coefficients) for i, j in zip([0, *cuts], [*cuts, rows])
              if i < j]
     assert np.array_equal(np.concatenate([p for p, _ in parts]), whole, equal_nan=True)
     assert np.array_equal(np.concatenate([ok for _, ok in parts]), whole_ok)
-    single, _ = survival_batch(a[-1:], coefficients, n)
+    single, _ = survival_batch(a[-1:], coefficients)
     assert np.array_equal(single[0], whole[-1], equal_nan=True)
 
 
@@ -233,11 +234,11 @@ def test_kernel_fails_a_row_without_touching_the_others(gamma_severity):
     coefficients = _recursion_coefficients(tails, h * np.arange(n + 1), h)
     v1 = coefficients[2][0]
     a = np.array([[2e-4], [2.0 / v1], [8e-4]])  # middle row: denominator 1 - a*v1 < 0
-    batch, ok = survival_batch(a, coefficients, n)
+    batch, ok = survival_batch(a, coefficients)
     assert list(ok) == [True, False, True]
     assert np.all(np.isnan(batch[1, 1:]))
     for i in (0, 2):
-        single, _ = survival_batch(a[i : i + 1], coefficients, n)
+        single, _ = survival_batch(a[i : i + 1], coefficients)
         assert np.array_equal(single[0], batch[i])
 
 

@@ -94,7 +94,7 @@ def test_negative_premium_or_reserve_is_rejected_by_the_single_risk_simulator(
 @_REJECTED
 def test_negative_premium_or_reserve_is_rejected_by_the_bivariate_simulator(
         dep_market, decomposition, p, premium, reserve, what):
-    shares = AcquisitionShares(p1=p, p2=p, only1=p, only2=p, both=0.0)
+    shares = AcquisitionShares(p1=p, p2=p, both=0.0)
     with pytest.raises(ValidationError, match=what):
         lb.simulate_bivariate_market(dep_market, shares, premium, reserve, lb.SimConfig(paths=10),
                                      decomposition=decomposition)
@@ -182,7 +182,7 @@ def test_bivariate_reduces_to_aggregate_when_independent(indep_market, demands, 
 
 
 def test_bivariate_no_joint_clients_matches_marginal_model(dep_market, decomposition, demands):
-    shares = AcquisitionShares(p1=0.3, p2=0.3, only1=0.3, only2=0.3, both=0.0)
+    shares = AcquisitionShares(p1=0.3, p2=0.3, both=0.0)
     exposure = lb.company_exposure(
         dep_market, shares, (0.4, 0.4), demands, (2000.0,), decomposition=decomposition,
     )
@@ -203,7 +203,7 @@ def test_bivariate_no_joint_clients_matches_marginal_model(dep_market, decomposi
 
 
 def test_bivariate_zero_rates_yield_zero(dep_market, decomposition):
-    shares = AcquisitionShares(p1=0.0, p2=0.0, only1=0.0, only2=0.0, both=0.0)
+    shares = AcquisitionShares(p1=0.0, p2=0.0, both=0.0)
     est = lb.simulate_bivariate_market(
         dep_market, shares, 1000.0, 100.0, lb.SimConfig(paths=50, seed=0),
         decomposition=decomposition,
@@ -347,7 +347,7 @@ def test_top_uniform_without_joint_clients_stays_one_sided(decomposition):
     # no joint clients: the simultaneous stream has rate 0, and at these
     # shares the two one-sided probabilities sum to 1 - 2**-52, below the
     # largest uniform 1 - 2**-53
-    shares = AcquisitionShares(p1=0.271, p2=0.138, only1=0.271, only2=0.138, both=0.0)
+    shares = AcquisitionShares(p1=0.271, p2=0.138, both=0.0)
     rates = stream_rates(decomposition, shares)
     assert rates[2] == 0.0
     probs = rates / rates.sum()
