@@ -14,7 +14,10 @@ import os
 # lattice row stream 3-6 ms faster at 2^22.5 cells, 4-14 ms faster at 2^23 and
 # 10-15 ms faster at 2^23.25 (two sets of 15 runs), so its break-even sits at or
 # below 2^22.5; sweep 12 ms slower at 2^23.16 operations, 14 ms faster (n = 2500)
-# or 5 ms slower (n = 10000) at 2^23.38 (9 runs).
+# or 5 ms slower (n = 10000) at 2^23.38 (9 runs).  Whether the two CPUs share their
+# vector units flipped between sets of runs: two processes that each run a 21,536-element
+# multiply/divide/subtract/max loop took 1.82-2.04x as long as one alone, or 0.95-1.01x,
+# so a break-even measured at one setting may not hold at the other.
 _MIN_WORK = 10_000_000
 
 _task = None  # the job function of a worker process, set at fork

@@ -498,7 +498,8 @@ class JointGridded:
     A builder whose lattice is symmetric (cell (j, i) holds the mass of
     cell (i, j), as for an exchangeable pair) says so with ``symmetric``;
     its callable then takes a third argument, ``half``, and with it true
-    yields row i from the diagonal on, its cells j >= i only.
+    yields row i's ncells - i contributions to the coordinate sum: cell
+    (i, i) once, then each cell j > i twice (as itself and its mirror).
     """
 
     def __init__(self, step: float, ncells: int, rows: Callable[..., Iterable[np.ndarray]],
@@ -513,7 +514,7 @@ class JointGridded:
 
     def rows(self, a: int, b: int, half: bool = False) -> Iterator[np.ndarray]:
         """Rows ``a:b``, each checked nonnegative; a row may be overwritten by the next.  With
-        ``half`` (a symmetric lattice only) row i holds its cells j >= i, ncells - i of them."""
+        ``half`` (a symmetric lattice only) row i holds its contributions from the diagonal on."""
         for row in self._rows(a, b, True) if half else self._rows(a, b):
             row = np.asarray(row, dtype=float)
             low = row.min(initial=0.0)  # NaN if any cell is NaN
@@ -572,26 +573,19 @@ def sum_distribution(joint: JointGridded) -> Gridded:
     and each buffer is added into the result once, in chunk order: every
     lattice point is summed row by row within a chunk, then chunk by
     chunk.  A symmetric lattice is formed only from the diagonal on, half
-    the cells: row i starts at anti-diagonal 2i, its diagonal cell added
-    once and each other cell twice (as the cell and its mirror).  The
-    chunks are jobs of :func:`lundberg._pool.map`, in forked workers from
-    10^7 cells formed on; each buffer is added as it arrives.
+    the cells: half row i (see :class:`JointGridded`) starts at
+    anti-diagonal 2i.  A NaN cell fails the total.  The chunks are jobs
+    of :func:`lundberg._pool.map`, in forked workers from 10^7 cells
+    formed on; each buffer is added as it arrives.
     """
     n = joint.ncells
-    h = joint.step
     half = joint.symmetric
     first = 2 if half else 1  # row i's first cell lies on anti-diagonal first * i
 
     def chunk_sum(a):
         b = min(a + _LATTICE_CHUNK, n)
         acc = np.zeros(b + n - 1 - first * a)
-        twice = np.empty(n - a) if half else None
         for i, row in enumerate(joint.rows(a, b, half)):
-            if half:  # the diagonal cell once, each other cell twice
-                m = row.size
-                np.multiply(row, 2.0, out=twice[:m])
-                twice[0] = row[0]
-                row = twice[:m]
             acc[first * i : first * i + row.size] += row
         return acc
 
@@ -600,7 +594,6 @@ def sum_distribution(joint: JointGridded) -> Gridded:
     for a, acc in zip(starts, _pool.map(chunk_sum, starts, n * (n + 1) // 2 if half else n * n)):
         out[first * a : first * a + acc.size] += acc
     total = float(out.sum())
-    if abs(total - 1.0) > _MASS_TOL:
+    if not abs(total - 1.0) <= _MASS_TOL:  # NaN fails too
         raise ValidationError(f"joint cell masses must sum to 1 within {_MASS_TOL}, got {total!r}")
-    atoms = h * np.arange(2, 2 * n + 1)
-    return Gridded(atoms, out)
+    return Gridded(joint.step * np.arange(2, 2 * n + 1), out)

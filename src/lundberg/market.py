@@ -99,6 +99,13 @@ def _ordered_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray
     return vals
 
 
+class _ClampedLattice(JointGridded):
+    """A joint lattice whose builder clamps its rows at 0: they reach the caller unchecked."""
+
+    def rows(self, a: int, b: int, half: bool = False):
+        return self._rows(a, b, half)
+
+
 class Decomposition:
     """Split of a coupled claim pair into independent component streams.
 
@@ -179,14 +186,17 @@ class Decomposition:
         # since the summed severity carries a small mixture weight; with
         # the defaults it shares the component grid and the consistency
         # identities are exact.  Lattice row i is the column difference of
-        # the corner rows C(e1[i+1], e2) - C(e1[i], e2).  A chunk's rows
-        # are streamed one at a time through a few buffers that stay in
-        # cache, carrying the previous corner row, so each corner row is
+        # the corner rows C(e1[i+1], e2) - C(e1[i], e2) over lambda_both,
+        # clamped at 0 (a NaN stays, to fail the sum's total).  A chunk's
+        # rows are streamed one at a time through a few buffers that stay
+        # in cache, carrying the previous corner row, so each corner row is
         # evaluated once (and once more where a chunk starts).  An
         # exchangeable pair's lattice is symmetric (e2 is e1, and C is
         # symmetric bit for bit), so sum_distribution asks for half rows:
         # row i from its first column i on, on the corner columns e2[i:],
-        # the carried corner row dropping one column per row.
+        # the carried corner row dropping one column per row, divided by
+        # lambda_both / 2 (each cell doubled exactly above the subnormal
+        # range) and its diagonal cell halved back.
         joint_step = grid_step if joint_step is None else joint_step
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
         nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
@@ -200,6 +210,7 @@ class Decomposition:
             corners = np.empty(nj + 1), np.empty(nj + 1)
             d0 = np.empty(nj + 1)
             rect = np.empty(nj)
+            scale = lam_both / 2.0 if half else lam_both
             for k, x in enumerate(e1[a : b + 1].tolist()):
                 first = a + max(k - 1, 0) if half else 0  # row a + k - 1's first column (row a's at k = 0)
                 cols = e2[first:]
@@ -216,11 +227,13 @@ class Decomposition:
                 if k:
                     np.subtract(high, low[first - low_first:], out=d0[:m])
                     row = np.subtract(d0[1:m], d0[: m - 1], out=rect[: m - 1])
-                    row /= lam_both
+                    row /= scale
+                    if half:
+                        row[0] *= 0.5  # the diagonal cell, once
                     yield np.maximum(row, 0.0, out=row)
                 low, low_first = high, first
 
-        self.joint_both = JointGridded(joint_step, nj, rows, symmetric=self.exchangeable)
+        self.joint_both = _ClampedLattice(joint_step, nj, rows, symmetric=self.exchangeable)
         self.sev_sum_both = sum_distribution(self.joint_both)
 
     def _extent(self, tail_mass: float) -> float:

@@ -617,13 +617,18 @@ def joint_from_matrix(step, matrix):
 
 
 def symmetric_from_matrix(step, matrix, formed=None):
-    """A symmetric joint lattice over a whole matrix: its rows, or with ``half`` each row from the
-    diagonal on; the size of each row it yields is appended to ``formed``."""
+    """A symmetric joint lattice over a whole matrix: its rows, or with ``half`` each row's
+    contributions from the diagonal on (the cells past it doubled); the size of each row it
+    yields is appended to ``formed``."""
     matrix = np.asarray(matrix, dtype=float)
 
     def rows(a, b, half=False):
         for i in range(a, b):
-            row = matrix[i, i:] if half else matrix[i]
+            if half:
+                row = 2.0 * matrix[i, i:]
+                row[0] = matrix[i, i]
+            else:
+                row = matrix[i]
             if formed is not None:
                 formed.append(row.size)
             yield row
@@ -763,6 +768,17 @@ def test_sum_distribution_clamps_float_dust_without_touching_the_input():
     assert matrix[i, j] == -1e-13
     clamped = np.maximum(matrix, 0.0)
     expected = reference_sum_distribution(joint_from_matrix(joint.step, clamped))
+    assert np.array_equal(total._masses, expected._masses)
+
+
+def test_symmetric_lattice_clamps_float_dust_in_its_half_rows():
+    matrix = row_masses(_random_lattice(20, 6), 0, 20)
+    matrix = (matrix + matrix.T) / 2.0
+    i, j = np.argwhere(np.triu(matrix == 0.0, 1))[0]  # a cell past the diagonal, doubled in half row i
+    matrix[i, j] = matrix[j, i] = -1e-13
+    total = sum_distribution(symmetric_from_matrix(0.5, matrix))
+    assert matrix[i, j] == matrix[j, i] == -1e-13
+    expected = sum_distribution(symmetric_from_matrix(0.5, np.maximum(matrix, 0.0)))
     assert np.array_equal(total._masses, expected._masses)
 
 

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -186,6 +187,63 @@ def test_summed_simultaneous_claim_is_the_same_bytes_in_every_pool_mode(exchange
     for run in runs:
         assert np.array_equal(run.sev_sum_both._masses, expected._masses)
         assert np.array_equal(run.sev_sum_both._atoms, expected._atoms)
+
+
+# SHA-256 of the summed simultaneous claim's masses and atoms, at lattice chunks of
+# 256 rows (two at step 40, the last short) and 37 (eleven, the last short).  The
+# exchangeable tests above hold the full reference to rounding only; these hold
+# every bit of the half-row sum.
+_SUM_PINS = {
+    ("exchangeable-1.0", 256): ("4c2bf720b467f364711af97567326eb5ba0825b1dc8250cf5402f4859a8d2457",
+                                "3c8e6f7f82d3c1b146bd3f3d2ccf513be8d81dfa4f509c5488662e9afb010892"),
+    ("exchangeable-1.0", 37): ("6b9e63a27bd81dcd32479d0e3575e7d7a2af0a3e9cc3d77ae150de50b104249f",
+                               "3c8e6f7f82d3c1b146bd3f3d2ccf513be8d81dfa4f509c5488662e9afb010892"),
+    ("exchangeable-0.5", 256): ("4300401bfabf0c4b15ec920d74402ff044e6e678392031f3c3074512feabc1f7",
+                                "3c8e6f7f82d3c1b146bd3f3d2ccf513be8d81dfa4f509c5488662e9afb010892"),
+    ("exchangeable-0.5", 37): ("e87633f075d151bc53b2128ee3f3073d22b5dee6c993e92c9d933d9705c1efc5",
+                               "3c8e6f7f82d3c1b146bd3f3d2ccf513be8d81dfa4f509c5488662e9afb010892"),
+    ("2.5", 256): ("61b3af8216cfc96d3ccbac0bdafecb762509edb021c55c4239afd842a56c756d",
+                   "4d7611ac0557afec1bf0e0f5f010ff81821e8300144e5b66f856bc2cc86f447e"),
+    ("fig5", 256): ("550124544faddcbf26253a72458ae183f730251ef1cc0862c5017f1ba37aee7b",
+                    "d02c9fcd32027035a5b5f5eab1181e07e5a7c49f33d6d53975cc6254bdea20fc"),
+    ("fine", 256): ("01d2c775932a0cb32d60b225a848891bccbdb451725cb862445072ec7e720e58",
+                    "28a71ab4192f41026ffb94411f74cf22c1a01ae1dc80f09c1d96f0ebcccace7e"),
+}
+
+
+@pytest.mark.parametrize("name, chunk", _SUM_PINS, ids=[f"{name}-{chunk}" for name, chunk in _SUM_PINS])
+def test_summed_simultaneous_claim_keeps_its_pinned_bytes(name, chunk, request, monkeypatch):
+    monkeypatch.setattr(distributions, "_LATTICE_CHUNK", chunk)
+    if name == "fig5":  # fig5's market at h = 2
+        dec = request.getfixturevalue("decomposition")
+    elif name == "fine":  # criterion 9's: joint step 0.5, 21,536 cells
+        dec = request.getfixturevalue("fine_decomposition")
+    else:
+        omega, exchangeable = float(name.rpartition("-")[2]), name.startswith("exchangeable")
+        dec = lb.decompose(_lattice_market(omega, exchangeable), grid_step=40.0)
+    summed = dec.sev_sum_both
+    assert (hashlib.sha256(summed._masses.tobytes()).hexdigest(),
+            hashlib.sha256(summed._atoms.tobytes()).hexdigest()) == _SUM_PINS[name, chunk]
+
+
+class _NanAtOneClaimSize(lb.Gamma):
+    """Gamma(2, 500) claims whose survival function reads NaN at one claim size."""
+
+    def __init__(self, x):
+        super().__init__(2.0, 500.0)
+        self._nan_at = x
+
+    def sf(self, x):
+        return np.where(np.asarray(x) == self._nan_at, np.nan, super().sf(x))
+
+
+@pytest.mark.parametrize("exchangeable", [True, False])
+def test_lattice_with_a_nan_tail_integral_raises(exchangeable):
+    # the NaN edge 180 is a lattice edge (step 60) but no component node (step 40)
+    risk1 = lb.CompoundPoissonSpec(800.0, _NanAtOneClaimSize(180.0))
+    risk2 = risk1 if exchangeable else lb.CompoundPoissonSpec(500.0, lb.Exponential(700.0))
+    with pytest.raises(ValidationError, match="joint cell masses"):
+        lb.decompose(lb.MarketSpec(risk1, risk2, lb.ClaytonLevyCopula(1.0)), grid_step=40.0, joint_step=60.0)
 
 
 def _corner_cells(market, monkeypatch):
