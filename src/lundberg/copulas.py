@@ -39,10 +39,21 @@ def _as_unit(name, x):
     return x
 
 
-class OrdinaryCopula(abc.ABC):
-    """A bivariate copula on the unit square."""
+class _Family:
+    """A copula as a config names it: its ``family`` and, where it takes one, its parameter ``omega``."""
 
     family: str = ""
+    omega: float | None = None
+
+    def describe(self) -> dict:
+        return {"family": self.family} if self.omega is None else {"family": self.family, "omega": self.omega}
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.describe()})"
+
+
+class OrdinaryCopula(_Family, abc.ABC):
+    """A bivariate copula on the unit square."""
 
     def cdf(self, u, v):
         """C(u, v), validated and vectorized."""
@@ -54,12 +65,6 @@ class OrdinaryCopula(abc.ABC):
     @abc.abstractmethod
     def _cdf(self, u, v):
         ...
-
-    def describe(self) -> dict:
-        return {"family": self.family}
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.describe()})"
 
 
 class IndependenceCopula(OrdinaryCopula):
@@ -87,9 +92,6 @@ class ClaytonCopula(OrdinaryCopula):
             out = np.where(np.isinf(s), stable, np.power(s, -1.0 / w))
         return np.where((u <= 0) | (v <= 0), 0.0, out)
 
-    def describe(self):
-        return {"family": self.family, "omega": self.omega}
-
 
 class GumbelCopula(OrdinaryCopula):
     """Gumbel family, upper-tail dependent; omega >= 1 (1 is independence)."""
@@ -111,9 +113,6 @@ class GumbelCopula(OrdinaryCopula):
             stable = np.exp(-big * np.power(1.0 + np.power(np.minimum(a, b) / big, w), 1.0 / w))
             out = np.where((s >= _TINY) & (s < np.inf), np.exp(-np.power(s, 1.0 / w)), stable)
         return np.where((u <= 0) | (v <= 0), 0.0, np.where((u >= 1), v, np.where(v >= 1, u, out)))
-
-    def describe(self):
-        return {"family": self.family, "omega": self.omega}
 
 
 class FrankCopula(OrdinaryCopula):
@@ -137,11 +136,8 @@ class FrankCopula(OrdinaryCopula):
         with np.errstate(divide="ignore", invalid="ignore"):
             return -np.where(ratio > -0.5, np.log1p(ratio), np.log(arg)) / w
 
-    def describe(self):
-        return {"family": self.family, "omega": self.omega}
 
-
-class ClaytonLevyCopula:
+class ClaytonLevyCopula(_Family):
     """Clayton positive Lévy copula on [0, inf]^2.
 
     C(x, y) = (x^-omega + y^-omega)^(-1/omega): grounded, 2-increasing,
@@ -179,12 +175,6 @@ class ClaytonLevyCopula:
                     np.copyto(out, lo * 1.0, where=np.isnan(hi))
                 np.copyto(out, lo, where=np.isinf(hi))
         return out if out.shape else float(out)
-
-    def describe(self):
-        return {"family": self.family, "omega": self.omega}
-
-    def __repr__(self):
-        return f"ClaytonLevyCopula(omega={self.omega})"
 
 
 def _debye_one(x: float) -> float:

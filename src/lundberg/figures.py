@@ -62,8 +62,8 @@ def solve_config(cfg: ModelConfig, settings, solver="grid", dump_decomposition=F
         exposure = company_exposure(market, _company_shares(cfg), tuple(cfg.loadings), tuple(cfg.demands),
                                     tuple(cfg.reserves), decomposition=d)
         curve = solve(exposure.intensity, exposure.severity, exposure.premium_rate, settings)
-        extra = {"loadings": list(exposure.loadings), "intensity": exposure.intensity,
-                 "intensity_independent": exposure.intensity_indep, "lambda_both": exposure.lambda_both}
+        extra = {"loadings": list(cfg.loadings), "intensity_independent": exposure.intensity_indep,
+                 "lambda_both": d.lambda_both}
         if dump_decomposition:
             columns = {"sf_only1": d.sev1_only, "sf_only2": d.sev2_only, "sf_both1": d.sev1_both,
                        "sf_both2": d.sev2_both, "sf_sum_both": d.sev_sum_both}

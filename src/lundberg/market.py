@@ -137,6 +137,8 @@ class Decomposition:
         for step in (grid_step, joint_step):
             if step is not None:
                 _positive("grid step", step)
+        if joint_tail_mass is not None and not 0 < joint_tail_mass < 1:
+            raise ValidationError(f"joint tail mass must be in (0, 1), got {joint_tail_mass}")
         self.market = market
         lam1, lam2 = market.risk1.intensity, market.risk2.intensity
         self.lambda1, self.lambda2 = lam1, lam2
@@ -353,12 +355,12 @@ def decompose(market: MarketSpec, grid_step: float, *, joint_step: float | None 
 
 @dataclass(frozen=True)
 class CompanyExposure:
-    """Company-level claim process implied by market shares.
+    """Company-level claim process implied by market shares, in six fields.
 
-    ``intensity``/``severity`` describe the company claim stream with the
-    simultaneous-claim dependence kept; ``intensity_indep``/
-    ``severity_indep`` are the marginal-only approximation that prices
-    the same mean claim rate but ignores joint jumps.
+    ``intensity``/``severity`` describe the company claim stream with the simultaneous-claim
+    dependence kept, ``premium_rate`` its premium income and ``reserve`` the sum of the reserves
+    given to :func:`company_exposure`; ``intensity_indep``/``severity_indep`` are the
+    marginal-only approximation that prices the same mean claim rate but ignores joint jumps.
     """
 
     intensity: float
@@ -367,8 +369,6 @@ class CompanyExposure:
     reserve: float
     intensity_indep: float
     severity_indep: SeverityModel
-    lambda_both: float
-    loadings: tuple
 
     @property
     def expected_profit(self) -> float:
@@ -431,14 +431,14 @@ def company_exposure(
 ) -> CompanyExposure:
     """Build the company claim model, premium rate, and reserve.
 
-    The claim stream thins the market decomposition by the acquisition
-    shares: intensity p1*lambda1 + p2*lambda2 - both*lambda_both, and a
-    five-part severity mixture over exclusive, one-sided simultaneous,
-    and summed simultaneous claims.  The premium rate adds the two
-    per-risk demand premiums at the given loadings; the reserve adds the
-    two per-risk reserves.  The marginal-only approximation (hat model)
-    is carried alongside; both have the same mean claim rate.
-    ``decomposition`` is the market's :func:`decompose` on the solver grid.
+    The claim stream thins the market decomposition by the acquisition shares: intensity
+    p1*lambda1 + p2*lambda2 - both*lambda_both, and a five-part severity mixture over exclusive,
+    one-sided simultaneous, and summed simultaneous claims.  The premium rate adds the two
+    per-risk demand premiums at the given loadings.  The reserve is the sum of ``reserves``, which
+    a config gives as evaluation points (fig3 stores 21,000); nothing in the package reads it, and
+    ROADMAP item 8 drops it.  The marginal-only approximation (hat model) is carried alongside;
+    both have the same mean claim rate.  ``decomposition`` is the market's :func:`decompose` on
+    the solver grid.
     """
     theta1, theta2 = loadings
     lam_tilde, sev_tilde, lam_hat, sev_hat = _company_claim_model(decomposition, shares)
@@ -451,6 +451,4 @@ def company_exposure(
         reserve=reserve,
         intensity_indep=lam_hat,
         severity_indep=sev_hat,
-        lambda_both=decomposition.lambda_both,
-        loadings=(float(theta1), float(theta2)),
     )

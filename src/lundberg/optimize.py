@@ -37,7 +37,7 @@ from . import _pool
 from .copulas import OrdinaryCopula
 from .demand import DemandSpec, acquisition_shares, joint_share, shares_from_take_rates
 from .distributions import integrated_tails
-from .errors import AccuracyError, ValidationError, _nonnegative, _positive
+from .errors import AccuracyError, ValidationError, _count, _nonnegative, _positive
 from .market import (
     Decomposition, MarketSpec, _company_claim_model, _company_severities, _company_streams, _premium_rate,
     company_exposure, decompose,
@@ -461,6 +461,7 @@ def size_scaling_experiment(
     """
     _positive("x0", x0)
     _positive("theta", theta)
+    _count("nodes_per_solve", nodes_per_solve, 1)
     rows = []
     for p in np.asarray(shares, dtype=float):
         share = shares_from_take_rates(acquisition, float(p), float(p))

@@ -463,6 +463,17 @@ def test_config_round_trip_all_presets():
     }))
     assert echoed["solver"]["series_terms"] == 400
     assert echoed["sim"] == {"paths": 100_000, "horizon": None, "seed": 0}
+    # each ordinary family echoes its parameter as omega; a Gumbel omega of 1 is independence
+    for copula, described in [
+        ({"family": "clayton", "tau": 0.5}, {"family": "clayton", "omega": 2.0}),
+        ({"family": "gumbel", "tau": 0.3}, {"family": "gumbel", "omega": 1.4285714285714286}),
+        ({"family": "frank", "tau": 0.5}, {"family": "frank", "omega": 5.736282706991311}),
+        ({"family": "frank", "omega": -3.0}, {"family": "frank", "omega": -3.0}),
+        ({"family": "gumbel", "omega": 1.0}, {"family": "independence"}),
+    ]:
+        echoed = config_to_dict(parse_config(_edited("fig5", ("acquisition_copula",), copula)))
+        assert echoed["acquisition_copula"] == described
+        assert config_to_dict(parse_config(echoed)) == echoed
 
 
 def _edited(name, path, value):

@@ -29,6 +29,7 @@ def ordinary_families():
 
 def test_independence_is_the_product():
     assert lb.IndependenceCopula().cdf(0.3, 0.5) == pytest.approx(0.15, abs=1e-15)
+    assert repr(lb.IndependenceCopula()) == "IndependenceCopula({'family': 'independence'})"
 
 
 def test_uniform_margins():
@@ -42,6 +43,7 @@ def test_uniform_margins():
 def test_clayton_closed_form_value():
     # (0.5^-2 + 0.5^-2 - 1)^(-1/2) = 7^(-1/2)
     assert lb.ClaytonCopula(2.0).cdf(0.5, 0.5) == pytest.approx(7.0 ** -0.5, rel=1e-14)
+    assert repr(lb.ClaytonCopula(2.0)) == "ClaytonCopula({'family': 'clayton', 'omega': 2.0})"
 
 
 def test_gumbel_at_one_is_independence():
@@ -219,6 +221,19 @@ def test_tau_validation():
         tau_to_parameter("gumbel", -0.2)
     with pytest.raises(ValidationError):
         make_ordinary("clayton", omega=1.0, tau=0.5)
+    with pytest.raises(ValidationError, match="unknown copula family 'x'"):
+        make_ordinary("x", omega=1.0)
+    with pytest.raises(ValidationError, match="unknown copula family 'x'"):
+        make_ordinary("x", tau=0.3)
+    with pytest.raises(ValidationError, match="takes no parameter"):
+        make_ordinary("independence", tau=0.3)
+    with pytest.raises(ValidationError, match="admits only tau = 0"):
+        tau_to_parameter("independence", 0.3)
+    with pytest.raises(ValidationError, match="needs omega or tau"):
+        make_ordinary("clayton")
+    assert frank_tau(50.0) == pytest.approx(0.92263, abs=1e-5)
+    with pytest.raises(ValidationError, match="outside invertible bracket"):
+        tau_to_parameter("frank", 0.95)
 
 
 def test_frank_tau_round_trip():

@@ -39,6 +39,7 @@ _SEV = lb.Gamma(2.0, 500.0)
 _DEMANDS = (lb.DemandSpec(-0.6, 4.0, 64_000.0), lb.DemandSpec(-0.6, 4.5, 64_000.0))
 _RISK = lb.CompoundPoissonSpec(800.0, _SEV)
 _MARKET = lb.MarketSpec(_RISK, _RISK)
+_COUPLED = lb.MarketSpec(_RISK, _RISK, lb.ClaytonLevyCopula(1.0))
 
 
 def _simulate(intensity=1200.0, premium=1200.0 * 1.2 * 1000.0, reserve=100.0):
@@ -103,6 +104,18 @@ _PROBES = {
     "size scaling nan x0": (
         lambda: lb.size_scaling_experiment(lb.IndependenceCopula(), _NAN, 0.2, [0.1],
                                            decomposition=lb.decompose(_MARKET, 25.0)), "x0"),
+    "size scaling no nodes per solve": (
+        lambda: lb.size_scaling_experiment(lb.IndependenceCopula(), 1.0, 0.2, [0.1], 0,
+                                           decomposition=lb.decompose(_MARKET, 25.0)), "nodes_per_solve"),
+    "size scaling fractional nodes per solve": (
+        lambda: lb.size_scaling_experiment(lb.IndependenceCopula(), 1.0, 0.2, [0.1], 2.5,
+                                           decomposition=lb.decompose(_MARKET, 25.0)), "nodes_per_solve"),
+    "decompose nan joint tail mass": (lambda: lb.decompose(_COUPLED, 25.0, joint_tail_mass=_NAN),
+                                      "joint tail mass"),
+    "decompose zero joint tail mass": (lambda: lb.decompose(_COUPLED, 25.0, joint_tail_mass=0.0),
+                                       "joint tail mass"),
+    "decompose joint tail mass above one": (lambda: lb.decompose(_COUPLED, 25.0, joint_tail_mass=1.5),
+                                            "joint tail mass"),
     "fractional paths": (lambda: lb.SimConfig(paths=2.5), "paths"),
     "boolean paths": (lambda: lb.SimConfig(paths=True), "paths"),
     "fractional seed": (lambda: lb.SimConfig(seed=1.5), "seed"),
