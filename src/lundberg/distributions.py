@@ -61,6 +61,14 @@ def _value(out):
     return out if out.shape else float(out)
 
 
+def _checked_masses(masses: np.ndarray, what: str) -> np.ndarray:
+    """``masses``, or a copy with its negatives set to 0; a mass below -1e-12, or NaN, raises."""
+    low = masses.min(initial=0.0)  # NaN if any mass is NaN
+    if not low >= -_WEIGHT_TOL:
+        raise ValidationError(f"{what} must be nonnegative, min {low!r}")
+    return np.where(masses < 0, 0.0, masses) if low < 0.0 else masses
+
+
 class SeverityModel(abc.ABC):
     """A nonnegative claim-size distribution.
 
@@ -310,10 +318,10 @@ class Mixture(SeverityModel):
 
     def _fingerprint_payload(self) -> tuple:
         # Mixtures of closed-form kinds keep their JSON strings; gridded (or nested)
-        # parts are identified by their own fingerprints, so no atom is JSON-encoded.
+        # parts are identified by their own fingerprints (once each), so no atom is JSON-encoded.
         if not any(isinstance(c, (Gridded, Mixture)) for c in self._components):
             return super()._fingerprint_payload()
-        parts = "|".join(c.fingerprint() for c in self._components)
+        parts = "|".join(f for _, f in _once([(None, c) for c in self._components], lambda c: c.fingerprint()))
         return b"mixture|", self._w.tobytes(), parts.encode()
 
     def _integrated_tails(self) -> IntegratedTails:
@@ -386,10 +394,7 @@ class Gridded(SeverityModel):
             raise ValidationError("gridded atoms must be nonnegative and finite")
         if np.any(np.diff(atoms) <= 0):
             raise ValidationError("gridded atoms must be strictly increasing")
-        if not np.all(masses >= -_WEIGHT_TOL):  # NaN fails too
-            raise ValidationError(f"gridded masses must be nonnegative, min {masses.min()!r}")
-        if np.any(masses < 0):  # clamped in a copy; else the model keeps the caller's array
-            masses = np.where(masses < 0, 0.0, masses)
+        masses = _checked_masses(masses, "gridded masses")
         total = float(masses.sum())
         if abs(total - 1.0) > _MASS_TOL:
             raise ValidationError(f"gridded masses must sum to 1 within {_MASS_TOL}, got {total!r}")
@@ -492,8 +497,8 @@ class JointGridded:
     ``a:b`` of the (ncells x ncells) cell-mass matrix, where row i and
     column j hold the mass of the rectangle (i*step, (i+1)*step] x
     (j*step, (j+1)*step], assigned to the upper-right corner.  The
-    ``rows`` callable given at construction yields them as 1-D arrays
-    and may reuse one buffer for every row.
+    ``rows`` callable given at construction yields them as 1-D arrays,
+    which may share one buffer and are checked as :class:`Gridded`'s masses.
 
     A builder whose lattice is symmetric (cell (j, i) holds the mass of
     cell (i, j), as for an exchangeable pair) says so with ``symmetric``;
@@ -516,12 +521,7 @@ class JointGridded:
         """Rows ``a:b``, each checked nonnegative; a row may be overwritten by the next.  With
         ``half`` (a symmetric lattice only) row i holds its contributions from the diagonal on."""
         for row in self._rows(a, b, True) if half else self._rows(a, b):
-            row = np.asarray(row, dtype=float)
-            low = row.min(initial=0.0)  # NaN if any cell is NaN
-            if not low >= -1e-12:
-                raise ValidationError(f"joint cell masses must be nonnegative, min {low!r}")
-            # A fresh clamped copy: the source may be a caller's matrix.
-            yield np.maximum(row, 0.0) if low < 0.0 else row
+            yield _checked_masses(np.asarray(row, dtype=float), "joint cell masses")
 
 
 def integrated_tails(model: SeverityModel) -> IntegratedTails:
@@ -574,7 +574,7 @@ def sum_distribution(joint: JointGridded) -> Gridded:
     lattice point is summed row by row within a chunk, then chunk by
     chunk.  A symmetric lattice is formed only from the diagonal on, half
     the cells: half row i (see :class:`JointGridded`) starts at
-    anti-diagonal 2i.  A NaN cell fails the total.  The chunks are jobs
+    anti-diagonal 2i.  A NaN or negative cell fails its row's check.  The chunks are jobs
     of :func:`lundberg._pool.map`, in forked workers from 10^7 cells
     formed on; each buffer is added as it arrives.
     """

@@ -99,13 +99,6 @@ def _ordered_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray
     return vals
 
 
-class _ClampedLattice(JointGridded):
-    """A joint lattice whose builder clamps its rows at 0: they reach the caller unchecked."""
-
-    def rows(self, a: int, b: int, half: bool = False):
-        return self._rows(a, b, half)
-
-
 class Decomposition:
     """Split of a coupled claim pair into independent component streams.
 
@@ -180,25 +173,21 @@ class Decomposition:
             (self.sev1_both, self.sev1_gridded, self.sev1_only) if self.exchangeable
             else self._components(1, nodes))
 
-        # Joint cell masses from rectangle increments of the composed tail
-        # integral; the final column/row edge is closed at zero so residual
-        # mass beyond the grid folds into the last cell, keeping marginal
-        # row/column sums exactly equal to the one-dimensional masses.
-        # The lattice may use its own (coarser) step and a shorter tail,
-        # since the summed severity carries a small mixture weight; with
-        # the defaults it shares the component grid and the consistency
-        # identities are exact.  Lattice row i is the column difference of
-        # the corner rows C(e1[i+1], e2) - C(e1[i], e2) over lambda_both,
-        # clamped at 0 (a NaN stays, to fail the sum's total).  A chunk's
-        # rows are streamed one at a time through a few buffers that stay
-        # in cache, carrying the previous corner row, so each corner row is
-        # evaluated once (and once more where a chunk starts).  An
-        # exchangeable pair's lattice is symmetric (e2 is e1, and C is
-        # symmetric bit for bit), so sum_distribution asks for half rows:
-        # row i from its first column i on, on the corner columns e2[i:],
-        # the carried corner row dropping one column per row, divided by
-        # lambda_both / 2 (each cell doubled exactly above the subnormal
-        # range) and its diagonal cell halved back.
+        # Joint cell masses from rectangle increments of the composed tail integral; the final
+        # column/row edge is closed at zero so residual mass beyond the grid folds into the last
+        # cell, keeping marginal row/column sums exactly equal to the one-dimensional masses. The
+        # lattice may use its own (coarser) step and a shorter tail, since the summed severity
+        # carries a small mixture weight; with the defaults it shares the component grid and the
+        # consistency identities are exact.  Lattice row i is the column difference of the corner
+        # rows C(e1[i+1], e2) - C(e1[i], e2) over lambda_both, checked by JointGridded.rows:
+        # rounding dust reads 0, and the cell of a NaN or non-monotone tail integral raises.  A
+        # chunk's rows are streamed one at a time through a few buffers that stay in cache, carrying
+        # the previous corner row, so each corner row is evaluated once (and once more where a chunk
+        # starts).  An exchangeable pair's lattice is symmetric (e2 is e1, and C is symmetric bit
+        # for bit), so sum_distribution asks for half rows: row i from its first column i on, on the
+        # corner columns e2[i:], the carried corner row dropping one column per row, divided by
+        # lambda_both / 2 (each cell doubled exactly above the subnormal range) and its diagonal
+        # cell halved back.
         joint_step = grid_step if joint_step is None else joint_step
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
         nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
@@ -232,10 +221,10 @@ class Decomposition:
                     row /= scale
                     if half:
                         row[0] *= 0.5  # the diagonal cell, once
-                    yield np.maximum(row, 0.0, out=row)
+                    yield row
                 low, low_first = high, first
 
-        self.joint_both = _ClampedLattice(joint_step, nj, rows, symmetric=self.exchangeable)
+        self.joint_both = JointGridded(joint_step, nj, rows, symmetric=self.exchangeable)
         self.sev_sum_both = sum_distribution(self.joint_both)
 
     def _extent(self, tail_mass: float) -> float:
@@ -396,13 +385,19 @@ def _company_streams(decomp: Decomposition, p1, p2, both):
     return list(zip(_company_severities(decomp), rates))
 
 
+def _shares_in_range(shares: AcquisitionShares) -> tuple:
+    """(p1, p2, both), each moved onto the bound it may miss by 1e-12: p_i >= 0, 0 <= both <= min(p1, p2)."""
+    p1, p2 = max(shares.p1, 0.0), max(shares.p2, 0.0)
+    return p1, p2, min(max(shares.both, 0.0), p1, p2)
+
+
 def _company_claim_model(decomp: Decomposition, shares: AcquisitionShares):
     """Thinned intensity and severity mixtures for a share profile.
 
     Returns (intensity, severity, intensity_indep, severity_indep).
     """
     lam1, lam2 = decomp.lambda1, decomp.lambda2
-    p1, p2, both = shares.p1, shares.p2, shares.both
+    p1, p2, both = _shares_in_range(shares)
     lam_tilde = _positive("company claim intensity", p1 * lam1 + p2 * lam2 - both * decomp.lambda_both)
     lam_hat = p1 * lam1 + p2 * lam2
     severities, rates = zip(*_company_streams(decomp, p1, p2, both))
@@ -440,9 +435,8 @@ def company_exposure(
     both have the same mean claim rate.  ``decomposition`` is the market's :func:`decompose` on
     the solver grid.
     """
-    theta1, theta2 = loadings
     lam_tilde, sev_tilde, lam_hat, sev_hat = _company_claim_model(decomposition, shares)
-    premium = float(_premium_rate(market, demands, theta1, theta2))
+    premium = float(_premium_rate(market, demands, *loadings))
     reserve = _nonnegative("reserve", float(np.sum(reserves)))
     return CompanyExposure(
         intensity=lam_tilde,

@@ -276,12 +276,15 @@ def solve_survival(
     return _solve("grid", intensity, severity, premium_rate, config, curve)
 
 
-def _tail_convolution(values: np.ndarray, sf_nodes: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid quadrature of integral of values(z) * F̄(x - z) dz on the grid."""
-    n = values.size
-    size = next_fast_len(2 * n - 1, real=True)
-    conv = _cyclic_product(values[None], rfft(sf_nodes[None], size, axis=1), size)[0, :n]
-    return h * (conv - 0.5 * values[0] * sf_nodes - 0.5 * sf_nodes[0] * values)
+def _tail_convolution(sf_nodes: np.ndarray, h: float):
+    """The map values -> trapezoid quadrature of integral of values(z) * F̄(x - z) dz on the grid."""
+    n, size = sf_nodes.size, next_fast_len(2 * sf_nodes.size - 1, real=True)
+    sf_hat = rfft(sf_nodes[None], size, axis=1)  # once for every term of a series
+
+    def convolve(values):
+        conv = _cyclic_product(values[None], sf_hat, size)[0, :n]
+        return h * (conv - 0.5 * values[0] * sf_nodes - 0.5 * sf_nodes[0] * values)
+    return convolve
 
 
 def _series_length(alpha: float, x_max: float, cap: int) -> int:
@@ -314,14 +317,14 @@ def solve_series(
     def curve(tails, nodes):
         alpha = intensity / premium_rate
         n_terms = _series_length(alpha, float(nodes[-1]), config.series_terms)
-        sf_nodes = np.asarray(severity.sf(nodes), dtype=float)
+        convolve = _tail_convolution(np.asarray(severity.sf(nodes), dtype=float), config.grid_step)
         # Each term carries its power of alpha: the terms are nonnegative and
         # sum to the ruin probability, so none can overflow (or underflow to
         # 0 * inf, as separate alpha^k and L^k g factors do on long grids).
         term = alpha * (tails.mean - tails.sbar(nodes))
         ruin = term.copy()
         for _ in range(n_terms):
-            term = alpha * _tail_convolution(term, sf_nodes, config.grid_step)
+            term = alpha * convolve(term)
             ruin += term
             if float(np.max(np.abs(term))) < 1e-15:
                 break

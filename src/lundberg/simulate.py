@@ -36,7 +36,7 @@ from . import _pool
 from .demand import AcquisitionShares
 from .distributions import SeverityModel, _weighted_draw
 from .errors import ValidationError, _count, _nonnegative, _positive
-from .market import Decomposition, MarketSpec, _company_streams
+from .market import Decomposition, MarketSpec, _company_streams, _shares_in_range
 
 __all__ = [
     "SimConfig",
@@ -193,7 +193,8 @@ def simulate_ruin(
 
 def _company_draw(d: Decomposition, shares: AcquisitionShares):
     """The company's three stream rates, mean claim and claim draw (rng, shape) -> (waits, sizes)."""
-    parts = [r for _, r in _company_streams(d, shares.p1, shares.p2, shares.both)] + [0.0] * 3  # two if independent
+    p1, p2, both = _shares_in_range(shares)
+    parts = [r for _, r in _company_streams(d, p1, p2, both)] + [0.0] * 3  # two if independent
     # risk 1's exclusive and one-sided simultaneous claims, risk 2's, the summed pairs
     rates = np.array([parts[0] + parts[2], parts[1] + parts[3], parts[4]])
     total = float(rates.sum())
@@ -214,7 +215,7 @@ def _company_draw(d: Decomposition, shares: AcquisitionShares):
         return waits, pick(rng, shape)
 
     # share-weighted marginal cost rates: exact for any dependence
-    cost_rate = shares.p1 * d.market.risk1.mean_claim_rate + shares.p2 * d.market.risk2.mean_claim_rate
+    cost_rate = p1 * d.market.risk1.mean_claim_rate + p2 * d.market.risk2.mean_claim_rate
     return rates, cost_rate / total, draw
 
 

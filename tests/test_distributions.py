@@ -816,3 +816,15 @@ def test_gridded_fingerprint_tracks_every_mass():
     assert mixture([0.5, 0.5], [lb.Gridded(atoms, masses), exp]).fingerprint() == mixed.fingerprint()
     assert mixture([0.5, 0.5], [lb.Gridded(atoms, moved), exp]).fingerprint() != mixed.fingerprint()
     assert mixture([0.4, 0.6], [base, exp]).fingerprint() != mixed.fingerprint()
+
+
+def test_mixture_fingerprints_a_repeated_part_once(monkeypatch):
+    gridded, exp = lb.Gridded([1.0, 2.0], [0.25, 0.75]), lb.Exponential(400.0)
+    mixed = lb.Mixture([0.5, 0.25, 0.25], [gridded, exp, gridded])
+    parts = "|".join(c.fingerprint() for c in (gridded, exp, gridded))  # the payload names every part
+    expected = hashlib.sha1(b"mixture|" + mixed._w.tobytes() + parts.encode()).hexdigest()[:12]
+    calls = []
+    fingerprint = lb.SeverityModel.fingerprint
+    monkeypatch.setattr(lb.SeverityModel, "fingerprint", lambda self: calls.append(self) or fingerprint(self))
+    assert mixed.fingerprint() == expected
+    assert sorted(map(id, calls)) == sorted(map(id, (mixed, gridded, exp)))

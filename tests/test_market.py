@@ -226,24 +226,38 @@ def test_summed_simultaneous_claim_keeps_its_pinned_bytes(name, chunk, request, 
             hashlib.sha256(summed._atoms.tobytes()).hexdigest()) == _SUM_PINS[name, chunk]
 
 
-class _NanAtOneClaimSize(lb.Gamma):
-    """Gamma(2, 500) claims whose survival function reads NaN at one claim size."""
+class _OddAtOneClaimSize(lb.Gamma):
+    """Gamma(2, 500) claims whose survival function reads ``value`` at claim size 180.
 
-    def __init__(self, x):
+    180 is an edge of a lattice of step 60 but no node of a component grid of step 40."""
+
+    def __init__(self, value):
         super().__init__(2.0, 500.0)
-        self._nan_at = x
+        self._value = value
 
     def sf(self, x):
-        return np.where(np.asarray(x) == self._nan_at, np.nan, super().sf(x))
+        return np.where(np.asarray(x) == 180.0, self._value, super().sf(x))
+
+
+def _decompose_odd(value, exchangeable):
+    risk1 = lb.CompoundPoissonSpec(800.0, _OddAtOneClaimSize(value))
+    risk2 = risk1 if exchangeable else lb.CompoundPoissonSpec(500.0, lb.Exponential(700.0))
+    return lb.decompose(lb.MarketSpec(risk1, risk2, lb.ClaytonLevyCopula(1.0)), grid_step=40.0, joint_step=60.0)
 
 
 @pytest.mark.parametrize("exchangeable", [True, False])
 def test_lattice_with_a_nan_tail_integral_raises(exchangeable):
-    # the NaN edge 180 is a lattice edge (step 60) but no component node (step 40)
-    risk1 = lb.CompoundPoissonSpec(800.0, _NanAtOneClaimSize(180.0))
-    risk2 = risk1 if exchangeable else lb.CompoundPoissonSpec(500.0, lb.Exponential(700.0))
     with pytest.raises(ValidationError, match="joint cell masses"):
-        lb.decompose(lb.MarketSpec(risk1, risk2, lb.ClaytonLevyCopula(1.0)), grid_step=40.0, joint_step=60.0)
+        _decompose_odd(np.nan, exchangeable)
+
+
+@pytest.mark.parametrize("exchangeable", [True, False])
+def test_lattice_with_a_rising_tail_integral_raises(exchangeable):
+    # sf(180) 1e-10 above sf(120): a clamp of the lattice's negative cells would sum the masses
+    # to 1 + 1e-10, inside the total's tolerance
+    rising = float(lb.Gamma(2.0, 500.0).sf(120.0)) + 1e-10
+    with pytest.raises(ValidationError, match="joint cell masses must be nonnegative"):
+        _decompose_odd(rising, exchangeable)
 
 
 def _corner_cells(market, monkeypatch):
@@ -529,6 +543,21 @@ def test_company_model_evaluates_each_distinct_gridded_part_once(decomposition, 
     sev.sampler()
     parts = [id(decomposition.sev1_only), id(decomposition.sev1_both), id(decomposition.sev_sum_both)]
     assert calls == {**{("_segments", k): 2 for k in parts}, **{("sampler", k): 1 for k in parts}}
+
+
+@pytest.mark.parametrize("edge, in_range", [((0.5, 0.5, 0.5 + 1e-12), (0.5, 0.5, 0.5)),
+                                            ((0.3, 0.4, -1e-12), (0.3, 0.4, 0.0))])
+def test_company_model_reads_shares_in_range(edge, in_range, dep_market, demands, decomposition):
+    # AcquisitionShares accepts a joint share 1e-12 past a bound: the solver's model and the
+    # simulator's rates are those of the shares at the bound
+    edge, in_range = AcquisitionShares(*edge), AcquisitionShares(*in_range)
+    got, want = (lb.company_exposure(dep_market, s, (0.4, 0.4), demands, (0.0,), decomposition=decomposition)
+                 for s in (edge, in_range))
+    assert (got.intensity, got.severity.fingerprint()) == (want.intensity, want.severity.fingerprint())
+    rates = stream_rates(decomposition, edge)
+    assert np.array_equal(rates, stream_rates(decomposition, in_range))
+    w = got.severity._w * got.intensity
+    assert_allclose(rates, [w[0] + w[2], w[1] + w[3], w[4]], rtol=1e-12)
 
 
 def stream_claim_counts(decomposition, shares, horizon, paths, seed):

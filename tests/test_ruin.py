@@ -384,14 +384,14 @@ def test_grid_refinement_converges_second_order():
 
 def test_tail_convolution_of_zero_is_zero(gamma_severity):
     nodes = 2.0 * np.arange(101)
-    out = _tail_convolution(np.zeros(101), gamma_severity.sf(nodes), 2.0)
+    out = _tail_convolution(gamma_severity.sf(nodes), 2.0)(np.zeros(101))
     assert_allclose(out, 0.0, atol=0.0)
 
 
 def test_tail_convolution_of_one_is_integrated_tail(gamma_severity):
     h = 1.0
     nodes = h * np.arange(4001)
-    out = _tail_convolution(np.ones(nodes.size), gamma_severity.sf(nodes), h)
+    out = _tail_convolution(gamma_severity.sf(nodes), h)(np.ones(nodes.size))
     sb = integrated_tails(gamma_severity).sbar(nodes)
     # trapezoid error bound: h^2/12 * total variation of the density
     assert np.max(np.abs(out - sb)) < 5e-4
@@ -400,7 +400,7 @@ def test_tail_convolution_of_one_is_integrated_tail(gamma_severity):
 def test_tail_convolution_preserves_positivity(gamma_severity, rng):
     nodes = 2.0 * np.arange(501)
     values = rng.uniform(0.1, 1.0, nodes.size)
-    out = _tail_convolution(values, gamma_severity.sf(nodes), 2.0)
+    out = _tail_convolution(gamma_severity.sf(nodes), 2.0)(values)
     assert np.all(out[1:] > 0.0)
     assert abs(out[0]) < 1e-12
 
