@@ -14,7 +14,7 @@ from .copulas import make_ordinary
 from .demand import acquisition_shares
 from .errors import ConfigError, _positive
 from .market import _premium_rate, company_exposure, decompose
-from .optimize import (_loading_grid, _sweep_argmin, company_ruin_at, optimize_joint_profit,
+from .optimize import (_grid_points, _loading_grid, _sweep_argmin, company_ruin_at, optimize_joint_profit,
                        optimize_joint_ruin, profit_optimal_loading, ruin_optimal_loading,
                        sweep_single_loading, weighted_average_loading)
 from .presets import figure_config
@@ -189,11 +189,12 @@ def _separate(cfg, sweep_step, grid_step):
     market, demands, reserve = cfg.market(), tuple(cfg.demands), max(cfg.reserves)
     decomposition = decompose(market, grid_step)
     res = optimize_joint_ruin(market, demands, cfg.acquisition, reserve, mode="separate",
-                              grid_step=grid_step, sweep_step=sweep_step, decomposition=decomposition)
+                              grid_step=grid_step, sweep_step=sweep_step, decomposition=decomposition,
+                              window=True)
     profit_res = optimize_joint_profit(demands, tuple(r.intensity for r in cfg.risks),
                                        tuple(r.severity.mean for r in cfg.risks), mode="separate")
     thetas = _loading_grid(0.2, 0.6, sweep_step)
-    pairs = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
+    pairs = _grid_points(thetas, thetas)
     ruin, profit, _ = company_ruin_at(market, demands, cfg.acquisition, [reserve], pairs, grid_step,
                                       decomposition)
     grid = (["theta1", "theta2", "ruin", "profit"],

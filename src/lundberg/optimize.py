@@ -7,6 +7,8 @@ of 1 + e^(b0+b1*t) - b1*t*e^(b0+b1*t).  Joint two-risk loadings have no
 closed form; they are found by sweeping the company ruin probability on
 a loading grid and polishing the grid argmin with L-BFGS-B on forward
 differences, each point and its neighbours solved as one kernel batch.
+The sweep solves the whole box, or for ``reproduce fig4``/``fig5`` a coarse
+grid and a window around its argmin (:func:`_box_search`, a heuristic).
 
 Two entries sweep loadings on a reserve grid of step ``grid_step``:
 :func:`sweep_single_loading` for one risk and :func:`company_ruin_at`
@@ -59,7 +61,8 @@ __all__ = [
     "size_scaling_experiment",
 ]
 
-_SWEEP_CELLS = 1 << 18  # rows x nodes per kernel call; bounds the FFT temporaries
+_SWEEP_CELLS = 1 << 16  # rows x nodes per kernel call; bounds the FFT temporaries of in-process sweeps
+_STRIDE, _REACH = 5, 5  # the window search's coarse stride and window half-width, in loadings
 
 
 @dataclass
@@ -72,7 +75,8 @@ class LoadingResult:
     profit per unit time).  ``grid_loading`` keeps the pre-refinement
     sweep argmin for grid-step comparisons, and ``sweep`` the columns of
     that sweep: ``theta`` (common) or ``theta1``/``theta2`` (separate),
-    then ``ruin``, ``profit`` and ``feasible`` (empty where no sweep ran).
+    then ``ruin``, ``profit`` and ``feasible``, a row per loading solved in
+    solve order (empty where no sweep ran).
     The joint ruin search reports the gridded model's ``expected_profit``
     (see :func:`company_ruin_at`).
     """
@@ -192,6 +196,44 @@ def _sweep_argmin(ruin: np.ndarray, feasible: np.ndarray):
     """
     usable = feasible[:, None] & np.isfinite(ruin)
     return np.where(usable, ruin, np.inf).argmin(axis=0), usable
+
+
+def _grid_points(*axes):
+    """The row-major grid of ``axes``: a row per point, a column per axis."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _box_search(solve, thetas, k, window=False):
+    """The points solved for the argmin of ``solve`` over the row-major box ``thetas`` ** ``k``.
+
+    ``solve`` maps points (a row each) to (ruin of one column, profit, feasible).  Returns the
+    points in solve order, ``solve``'s three results on them and the argmin's row (see
+    :func:`_sweep_argmin`).  The full sweep solves every point.  With ``window``, every 5th
+    loading a side is solved, then the +-5-loading window around that coarse argmin, clipped to
+    the box, and the window's argmin is returned: the full sweep's bit for bit whenever that
+    lies in the window, since every row is the same bits in any batch and both keep row-major
+    order.  A heuristic, not a certificate: the full sweep runs instead when the two would not
+    solve fewer points, when no coarse point is usable, or when the window's argmin lies on a
+    window edge that is not a box edge.
+    """
+    n, axis = thetas.size, np.arange(0, thetas.size, _STRIDE)
+    if window and axis.size ** k + min(n, 2 * _REACH + 1) ** k < n ** k:
+        coarse = _grid_points(*[axis] * k)
+        found = solve(thetas[coarse])
+        (best,), usable = _sweep_argmin(found[0], found[2])
+        if usable.any():
+            low, high = np.maximum(coarse[best] - _REACH, 0), np.minimum(coarse[best] + _REACH, n - 1)
+            near = _grid_points(*map(np.arange, low, high + 1))
+            close = solve(thetas[near])
+            (best,), _ = _sweep_argmin(close[0], close[2])
+            edge = (near[best] == low) & (low > 0) | (near[best] == high) & (high < n - 1)
+            if not edge.any():
+                return (thetas[np.vstack([coarse, near])], tuple(map(np.concatenate, zip(found, close))),
+                        len(coarse) + best)
+    points = _grid_points(*[thetas] * k)
+    found = solve(points)
+    (best,), _ = _sweep_argmin(found[0], found[2])
+    return points, found, best
 
 
 def _sweep(tails, reserves, grid_step):
@@ -322,11 +364,13 @@ def optimize_joint_ruin(
     sweep_step: float = 0.01,
     refine: bool = True,
     decomposition: Decomposition | None = None,
+    *,
+    window: bool = False,
 ) -> LoadingResult:
     """Minimize company ruin at a reserve over one or two loadings.
 
-    A coarse sweep over the search box locates the basin (plateau ties
-    break toward the smallest loading); L-BFGS-B on forward differences at
+    A sweep over the search box locates the basin (plateau ties break
+    toward the smallest loading); L-BFGS-B on forward differences at
     step 1e-3 then polishes the argmin, each point and its x.size neighbours
     one kernel batch (:func:`_forward_difference`, scipy's own iterates; a
     box of zero width has nothing to refine).  The refined point is kept
@@ -343,6 +387,11 @@ def optimize_joint_ruin(
     ``grid_step``, which also discretizes the market when no
     ``decomposition`` is given.
 
+    With ``window`` (``reproduce fig4``/``fig5``) the sweep solves a coarse
+    grid and a window around its argmin, falling back to the whole box
+    where that cannot be trusted (:func:`_box_search`); ``sweep`` and the
+    diagnostics ``sweep_points``/``feasible_points`` cover the points solved.
+
     Raises:
         ValidationError: if every point of the box violates net profit,
             or the box or the sweep step fails :func:`_loading_grid`.
@@ -352,19 +401,19 @@ def optimize_joint_ruin(
     thetas = _loading_grid(*box, sweep_step)
     if decomposition is None:
         decomposition = decompose(market, grid_step)
-    if mode == "common":
-        free, names = thetas[:, None], ["theta"]
-    else:
-        free = np.stack(np.meshgrid(thetas, thetas, indexing="ij"), axis=-1).reshape(-1, 2)
-        names = ["theta1", "theta2"]
+    names = ["theta"] if mode == "common" else ["theta1", "theta2"]
     ruin_at = _company_sweep(market, demands, acquisition, [reserve], grid_step, decomposition)
-    ruin, profit, feasible = ruin_at(free[:, [0, -1]])
+
+    def solve(free):
+        return ruin_at(free[:, [0, -1]])
+
+    free, (ruin, profit, feasible), best = _box_search(solve, thetas, len(names), window)
     sweep = dict(zip(names, free.T), ruin=ruin[:, 0], profit=profit, feasible=feasible)
 
     def loading_of(x):
         return float(x[0]) if mode == "common" else (float(x[0]), float(x[1]))
 
-    (best,), usable = _sweep_argmin(ruin, feasible)
+    usable = feasible & np.isfinite(ruin[:, 0])
     if not usable.any():
         raise ValidationError("net profit condition fails everywhere in the search box")
     x = free[best]
@@ -372,7 +421,7 @@ def optimize_joint_ruin(
     refined = False
     if refine and box[0] < box[1]:
         def values(points):
-            r, _, feas = ruin_at(points[:, [0, -1]])
+            r, _, feas = solve(points)
             return np.where(feas & np.isfinite(r[:, 0]), r[:, 0], 2.0)
 
         bounds = [(max(box[0], v - 2.0 * sweep_step), min(box[1], v + 2.0 * sweep_step)) for v in x]

@@ -331,6 +331,21 @@ def test_mixture_rejects_bad_weights():
         mixture([0.5, 0.6], comps)
 
 
+def test_mixture_reads_rounding_dust_in_a_weight_as_zero():
+    comps = [lb.Exponential(100.0), lb.Gamma(2.0, 500.0)]
+    weights = np.array([1.0 + 7e-13, -7e-13])  # a weight formed by subtraction
+    mixed = lb.Mixture(weights, comps)
+    assert mixed._w[1] == 0.0 and weights[1] == -7e-13
+    with pytest.raises(ValidationError, match="mixture weights must be nonnegative, min -1e-11"):
+        lb.Mixture([1.0 + 1e-11, -1e-11], comps)
+
+
+def test_mass_check_messages_print_plain_floats():
+    with pytest.raises(ValidationError, match="gridded masses must be nonnegative, min -0.5") as info:
+        lb.Gridded([1.0, 2.0], [1.5, -0.5])
+    assert "np.float64" not in str(info.value)
+
+
 def test_mixture_zero_weight_component_allowed():
     mixed = lb.Mixture([1.0, 0.0], [lb.Exponential(100.0), lb.Gamma(2.0, 500.0)])
     assert_allclose(mixed.cdf(150.0), lb.Exponential(100.0).cdf(150.0), rtol=1e-14)
@@ -732,6 +747,12 @@ def test_sum_distribution_rejects_negative_cell():
     matrix[7, 11] = -1e-9
     with pytest.raises(ValidationError, match="nonnegative"):
         sum_distribution(joint_from_matrix(joint.step, matrix))
+
+
+def test_sum_distribution_rejects_a_lattice_whose_mass_is_off():
+    joint = _random_lattice(20, 5)
+    with pytest.raises(ValidationError, match="gridded masses must sum to 1"):
+        sum_distribution(joint_from_matrix(joint.step, 1.1 * row_masses(joint, 0, 20)))
 
 
 def test_sum_distribution_is_the_same_bytes_in_every_pool_mode(pool_modes, monkeypatch):

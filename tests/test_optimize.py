@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from scipy import optimize as sciopt
 
 import lundberg as lb
+from lundberg.config import parse_config
 from lundberg.copulas import make_ordinary
 from lundberg.errors import ValidationError
 from lundberg.optimize import (
+    _box_search,
+    _grid_points,
     _loading_grid,
     company_ruin_at,
     joint_expected_profit,
@@ -21,6 +24,7 @@ from lundberg.optimize import (
     sweep_single_loading,
     weighted_average_loading,
 )
+from lundberg.presets import figure_config
 from lundberg.ruin import survival_batch
 
 
@@ -558,3 +562,60 @@ def test_joint_ruin_optimum_is_pinned(dep_market, demands, mode):
     got = (res.loading, res.grid_loading, res.value, res.expected_profit, res.diagnostics,
            digest.hexdigest())
     assert got == _JOINT_RUIN_PINS[mode]
+
+
+# ---------------------------------------------------------------------------
+# window search
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["fig4", "fig5"])
+def preset_model(request):
+    """The optimizer's inputs for a separate-loading preset, its decomposition built once."""
+    cfg = parse_config(figure_config(request.param))
+    market = cfg.market()
+    return dict(market=market, demands=tuple(cfg.demands), acquisition=cfg.acquisition,
+                grid_step=cfg.solver.grid_step, decomposition=lb.decompose(market, cfg.solver.grid_step))
+
+
+@pytest.mark.parametrize("reserve", [1000.0, 5000.0, 20000.0])
+def test_window_search_finds_the_full_sweeps_optimum(preset_model, reserve):
+    full, searched = (optimize_joint_ruin(reserve=reserve, window=window, **preset_model)
+                      for window in (False, True))
+    assert full.diagnostics["sweep_points"] == 96 * 96
+    assert searched.diagnostics["sweep_points"] == 20 * 20 + 11 * 11
+    assert searched.diagnostics["refined"]
+    assert (searched.grid_loading, searched.value, searched.loading, searched.diagnostics["grid_value"]) == (
+        full.grid_loading, full.value, full.loading, full.diagnostics["grid_value"])
+
+
+def test_window_search_falls_back_when_the_coarse_grid_misses_the_deeper_basin():
+    # a shallow basin at index (20, 20), a coarse point, and a deeper one three indices wide at
+    # (26, 22), which no coarse point touches: the window around (20, 20), indices 15 to 25,
+    # meets the deeper basin only on its edge row 25, so the search falls back to the full sweep
+    thetas = _loading_grid(0.05, 1.0, 0.01)
+    calls = []
+
+    def solve(points):
+        i, j = np.rint((points - 0.05) / 0.01).astype(int).T
+        dist = np.maximum(np.abs(i - 26), np.abs(j - 22))  # to the deeper basin
+        ruin = np.where(dist <= 1, -1.0 + 0.1 * dist, 1e-3 * ((i - 20) ** 2 + (j - 20) ** 2))
+        calls.append(points.shape[0])
+        return ruin[:, None], np.ones(points.shape[0]), np.ones(points.shape[0], dtype=bool)
+
+    points, (ruin, _, _), best = _box_search(solve, thetas, 2, window=True)
+    assert calls == [400, 121, 96 * 96]
+    assert np.array_equal(points, _grid_points(thetas, thetas))
+    assert tuple(points[best]) == (thetas[26], thetas[22]) and ruin[best, 0] == -1.0
+
+
+@pytest.mark.parametrize("mode", sorted(_JOINT_RUIN_PINS))
+def test_window_search_sweeps_a_box_too_small_to_save_points(dep_market, demands, mode):
+    full, searched = (optimize_joint_ruin(
+        dep_market, demands, lb.ClaytonCopula(0.5), 2000.0, mode=mode, grid_step=25.0,
+        box=(0.2, 0.6), sweep_step=0.05, decomposition=lb.decompose(dep_market, 25.0), window=window,
+    ) for window in (False, True))
+    assert (searched.loading, searched.grid_loading, searched.value, searched.expected_profit,
+            searched.diagnostics) == (full.loading, full.grid_loading, full.value, full.expected_profit,
+                                      full.diagnostics)
+    assert list(searched.sweep) == list(full.sweep)
+    assert all(np.array_equal(searched.sweep[k], full.sweep[k]) for k in full.sweep)
