@@ -2,6 +2,8 @@
 
 Monte Carlo blocks, loading-sweep chunks and joint-lattice row chunks are
 independent jobs reassembled in job order: the same bytes in any process.
+:func:`start` runs one task, such as fig4/fig5's joint search, in a worker
+beside the caller's own work.
 """
 
 from __future__ import annotations
@@ -69,3 +71,43 @@ def map(task, jobs, work=float("inf")):
         yield from pool.map(_run_job, jobs)
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _send(conn, task):
+    try:
+        conn.send((True, task()))
+    except Exception as exc:  # an unpicklable value's error too
+        conn.send((False, exc))
+
+
+def start(task, work):
+    """Run ``task()`` beside the caller; returns the function that waits for its value.
+
+    One forked daemonic worker runs it where :func:`map` would fork jobs of ``work``
+    operations, the caller at once elsewhere.  A plain ``Process`` and a one-way ``Pipe``
+    leave no thread alive for the caller's next fork.  The returned function re-raises the
+    task's exception, raises ``RuntimeError`` if the worker exits without a result, and joins
+    the worker: call it on every path.
+    """
+    context = _fork_context() if work >= _MIN_WORK and _worker_count(2) > 1 else None
+    if context is None:
+        value = task()
+        return lambda: value
+    receive, send = context.Pipe(duplex=False)
+    worker = context.Process(target=_send, args=(send, task), daemon=True)
+    worker.start()
+    send.close()
+
+    def collect():
+        try:
+            ok, value = receive.recv()
+        except EOFError:
+            ok, value = False, None
+        finally:
+            receive.close()
+            worker.join()
+        if ok:
+            return value
+        raise value or RuntimeError(f"worker exited with code {worker.exitcode} before sending a result")
+
+    return collect

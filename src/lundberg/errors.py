@@ -5,6 +5,7 @@ with 2, model precondition failures with 3, and numerical failures
 (instability, unreached accuracy) with 4.
 """
 
+import contextlib
 import math
 import numbers
 
@@ -81,6 +82,16 @@ def _nonnegative(name: str, value):
     if not 0 <= value < math.inf:
         raise ValidationError(f"{name} must be nonnegative and finite, got {value}")
     return value
+
+
+@contextlib.contextmanager
+def _step_grid(name: str, step):
+    """Build a grid of step ``step`` in the ``with`` block; a count that overflows, or an array
+    that numpy cannot size or allocate, raises a :class:`ValidationError` naming ``name``."""
+    try:
+        yield
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ValidationError(f"{name} is too small to build its grid, got {step}") from exc
 
 
 def _count(name: str, value, least: int):

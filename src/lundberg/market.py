@@ -30,7 +30,7 @@ import numpy as np
 from .copulas import ClaytonLevyCopula
 from .demand import AcquisitionShares, DemandSpec
 from .distributions import Gridded, JointGridded, SeverityModel, mixture, sum_distribution
-from .errors import ValidationError, _nonnegative, _positive
+from .errors import ValidationError, _nonnegative, _positive, _step_grid
 
 __all__ = [
     "CompoundPoissonSpec",
@@ -165,8 +165,10 @@ class Decomposition:
             self.sev1_only = self.sev2_only = self.sev1_gridded = self.sev2_gridded = None
             return
 
-        n = max(int(np.ceil(self._extent(_TAIL_MASS) / grid_step - 1e-9)), 2)
-        self.nodes = nodes = grid_step * np.arange(n + 1)
+        extent = self._extent(_TAIL_MASS)
+        with _step_grid("grid step", grid_step):
+            n = max(int(np.ceil(extent / grid_step - 1e-9)), 2)
+            self.nodes = nodes = grid_step * np.arange(n + 1)
 
         self.sev1_both, self.sev1_gridded, self.sev1_only = self._components(0, nodes)
         self.sev2_both, self.sev2_gridded, self.sev2_only = (
@@ -190,8 +192,10 @@ class Decomposition:
         # cell halved back.
         joint_step = grid_step if joint_step is None else joint_step
         jtm = _TAIL_MASS if joint_tail_mass is None else joint_tail_mass
-        nj = max(int(np.ceil(self._extent(jtm) / joint_step - 1e-9)), 2)
-        edges = joint_step * np.arange(nj + 1)
+        extent = self._extent(jtm)
+        with _step_grid("joint step", joint_step):
+            nj = max(int(np.ceil(extent / joint_step - 1e-9)), 2)
+            edges = joint_step * np.arange(nj + 1)
         e1 = np.asarray(market.risk1.tail_integral(edges), dtype=float)
         e2 = e1 if self.exchangeable else np.asarray(market.risk2.tail_integral(edges), dtype=float)
         e1[-1] = e2[-1] = 0.0

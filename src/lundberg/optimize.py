@@ -8,7 +8,8 @@ closed form; they are found by sweeping the company ruin probability on
 a loading grid and polishing the grid argmin with L-BFGS-B on forward
 differences, each point and its neighbours solved as one kernel batch.
 The sweep solves the whole box, or for ``reproduce fig4``/``fig5`` a coarse
-grid and a window around its argmin (:func:`_box_search`, a heuristic).
+grid and a window around its argmin (:func:`_box_search`, a heuristic), a
+search that those figures run in a forked worker beside their loading table.
 
 Two entries sweep loadings on a reserve grid of step ``grid_step``:
 :func:`sweep_single_loading` for one risk and :func:`company_ruin_at`
@@ -24,8 +25,8 @@ so one set of component tail integrals serves every loading pair, and
 whole batches of loadings advance together through the same survival
 kernel (:func:`lundberg.ruin.survival_batch`) that solves single curves.
 Sweeps of at least 10^7 curve values times log2 of the node count
-(about three chunks) run their chunks in forked workers, one per CPU
-(:mod:`lundberg._pool`); every value is the same bytes either way.
+(:func:`_sweep_work`, about three chunks) run their chunks in forked workers,
+one per CPU (:mod:`lundberg._pool`); every value is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import _pool
 from .copulas import OrdinaryCopula
 from .demand import DemandSpec, acquisition_shares, joint_share, shares_from_take_rates
 from .distributions import integrated_tails
-from .errors import AccuracyError, ValidationError, _count, _nonnegative, _positive
+from .errors import AccuracyError, ValidationError, _count, _nonnegative, _positive, _step_grid
 from .market import (
     Decomposition, MarketSpec, _company_claim_model, _company_severities, _company_streams, _premium_rate,
     company_exposure, decompose,
@@ -186,7 +187,8 @@ def _loading_grid(low: float, high: float, step: float) -> np.ndarray:
     """
     _positive("sweep step", step)
     _nonnegative("loading box width", high - low)
-    return np.arange(low, high + step / 2, step)[: int((high - low) / step + 1e-9) + 1]
+    with _step_grid("sweep step", step):
+        return np.arange(low, high + step / 2, step)[: int((high - low) / step + 1e-9) + 1]
 
 
 def _sweep_argmin(ruin: np.ndarray, feasible: np.ndarray):
@@ -236,6 +238,11 @@ def _box_search(solve, thetas, k, window=False):
     return points, found, best
 
 
+def _sweep_work(rows, n):
+    """The pool work of a sweep of ``rows`` loadings over ``n`` cells: O(n log n) a row."""
+    return rows * (n + 1) * (n + 1).bit_length()
+
+
 def _sweep(tails, reserves, grid_step):
     """``sweep(coef, premium)``: loadings -> (ruin at ``reserves``, profit, feasible).
 
@@ -265,8 +272,7 @@ def _sweep(tails, reserves, grid_step):
             return vals
 
         out = np.ones((coef.shape[0], len(node_idx)))
-        work = np.count_nonzero(feasible) * (n + 1) * (n + 1).bit_length()  # O(n log n) a row
-        for live, vals in zip(jobs, _pool.map(chunk_ruin, jobs, work)):
+        for live, vals in zip(jobs, _pool.map(chunk_ruin, jobs, _sweep_work(live.size, n))):
             out[live] = vals
         return out, profit, feasible
 

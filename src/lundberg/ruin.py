@@ -42,7 +42,8 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .distributions import SeverityModel, integrated_tails
-from .errors import AccuracyError, InstabilityError, NetProfitError, ValidationError, _count, _nonnegative, _positive
+from .errors import (AccuracyError, InstabilityError, NetProfitError, ValidationError, _count, _nonnegative,
+                     _positive, _step_grid)
 
 __all__ = [
     "SolverConfig",
@@ -78,10 +79,12 @@ class SolverConfig:
 
     @property
     def n_cells(self) -> int:
-        return max(int(math.ceil(self.x_max / self.grid_step - 1e-9)), 1)
+        with _step_grid("grid step", self.grid_step):
+            return max(int(math.ceil(self.x_max / self.grid_step - 1e-9)), 1)
 
     def nodes(self) -> np.ndarray:
-        return self.grid_step * np.arange(self.n_cells + 1)
+        with _step_grid("grid step", self.grid_step):
+            return self.grid_step * np.arange(self.n_cells + 1)
 
 
 @dataclass

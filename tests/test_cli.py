@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lundberg import market, optimize
+from lundberg import _pool, figures, market, optimize
 from lundberg.cli import main
 from lundberg.config import config_to_dict, load_config, parse_config
 from lundberg.distributions import Gridded
@@ -309,6 +309,26 @@ def test_reproduce_bytes_are_pinned(name, tmp_path):
     assert written == _REPRODUCE_SHA256[name]
 
 
+@pytest.mark.parametrize("name", ["fig4", "fig5"])
+def test_reproduce_bytes_hold_with_the_search_in_a_worker(name, tmp_path, monkeypatch):
+    # with no work floor and two workers, the window search runs in a forked worker beside the table
+    search = figures.optimize_joint_ruin
+
+    def spy(*args, **kwargs):
+        (tmp_path / "search_pid").write_text(str(os.getpid()))
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(_pool, "_MIN_WORK", 0)
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
+    monkeypatch.setattr(figures, "optimize_joint_ruin", spy)
+    assert main(["reproduce", name, "--out-dir", str(tmp_path), "--grid-step", "25",
+                 "--sweep-step", "0.05"]) == 0
+    assert int((tmp_path / "search_pid").read_text()) != os.getpid()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / name).iterdir()}
+    assert written == _REPRODUCE_SHA256[name]
+
+
 def _sha256(path):
     """SHA-256 of a written file; a sidecar is hashed without its generated_at line."""
     lines = path.read_bytes().splitlines(keepends=True)
@@ -382,17 +402,26 @@ def test_command_bytes_are_pinned(run, request, tmp_path, capsys):
 
 def test_reproduce_optimizes_at_the_requested_grid_step(tmp_path, monkeypatch):
     # the optimizer's sweep and refinement solve at the step of the decomposition and the grid CSV
-    steps = []
+    steps, rows = [], []
     sweep = optimize._sweep
 
     def spy(tails, reserves, grid_step):
         steps.append(grid_step)
-        return sweep(tails, reserves, grid_step)
+        inner = sweep(tails, reserves, grid_step)
+
+        def counted(coef, premium):
+            rows.append(coef.shape[0])
+            return inner(coef, premium)
+
+        return counted
 
     monkeypatch.setattr(optimize, "_sweep", spy)
     assert main(["reproduce", "fig5", "--out-dir", str(tmp_path), "--grid-step", "25",
                  "--sweep-step", "0.05"]) == 0
     assert steps and set(steps) == {25.0}
+    # below the work floor the search runs here too: its coarse grid, window and refinement
+    # batches, then the table's 81 pairs
+    assert rows[:2] == [16, 121] and set(rows[2:-1]) == {3} and rows[-1] == 81
     summary = json.loads((tmp_path / "fig5" / "summary.json").read_text())
     assert summary["results"]["min_ruin"] == 0.6525285386792077
 
@@ -438,6 +467,21 @@ def test_series_accuracy_failure_exits_4(fig1_config, tmp_path):
 def test_reproduce_rejects_a_step_that_is_not_positive(tmp_path, capsys, flag, step):
     assert main(["reproduce", "fig1", "--out-dir", str(tmp_path), flag, step]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "fig1", "--sweep-step", "1e-300"], ["reproduce", "fig1", "--grid-step", "1e-300"],
+    ["reproduce", "fig5", "--grid-step", "1e-320"],
+    ["optimize", "fig5.json", "--mode", "separate", "--sweep-step", "1e-300"],
+    ["solve", "fig1.json", "--grid-step", "1e-300"], ["solve", "fig1.json", "--grid-step", "1e-320"],
+])
+def test_a_step_too_small_to_build_its_grid_exits_2(tmp_path, capsys, argv):
+    # each step's node count overflows or exceeds numpy's size limit, so no grid is allocated
+    for name in ("fig1", "fig5"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(figure_config(name)))
+    argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert f"step is too small to build its grid, got {argv[-1]}" in capsys.readouterr().err
 
 
 def test_reproduce_unknown_figure(tmp_path, capsys):
