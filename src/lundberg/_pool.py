@@ -3,7 +3,9 @@
 Monte Carlo blocks, loading-sweep chunks and joint-lattice row chunks are
 independent jobs reassembled in job order: the same bytes in any process.
 :func:`start` runs one task, such as fig4/fig5's joint search, in a worker
-beside the caller's own work.
+beside the caller's own work.  Both leave the caller through one gate,
+:func:`_fork_context`: only with two or more workers, where ``fork`` exists,
+and never from inside a daemonic worker.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ def _worker_count(jobs: int) -> int:
     return min(cpus or 1, jobs)
 
 
-def _fork_context():
-    """The ``fork`` context to start workers from, or None where jobs must run in-process."""
+def _fork_context(workers: int):
+    """The ``fork`` context to start ``workers`` workers from, or None where the work runs in-process."""
     import multiprocessing
 
-    if (multiprocessing.current_process().daemon
+    if (workers < 2 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
         return None
     return multiprocessing.get_context("fork")
@@ -59,7 +61,7 @@ def map(task, jobs, work=float("inf")):
     at fork and is never pickled; the jobs, results and exceptions are.
     """
     workers = _worker_count(len(jobs)) if work >= _MIN_WORK else 1
-    context = _fork_context() if workers > 1 else None
+    context = _fork_context(workers)
     if context is None:
         yield from (task(job) for job in jobs)
         return
@@ -80,16 +82,17 @@ def _send(conn, task):
         conn.send((False, exc))
 
 
-def start(task, work):
+def start(task):
     """Run ``task()`` beside the caller; returns the function that waits for its value.
 
-    One forked daemonic worker runs it where :func:`map` would fork jobs of ``work``
-    operations, the caller at once elsewhere.  A plain ``Process`` and a one-way ``Pipe``
+    One forked daemonic worker runs it wherever a second usable CPU can take it, the
+    caller at once elsewhere; :func:`map`'s work floor prices a job list split over
+    a pool, not one task beside the caller.  A plain ``Process`` and a one-way ``Pipe``
     leave no thread alive for the caller's next fork.  The returned function re-raises the
     task's exception, raises ``RuntimeError`` if the worker exits without a result, and joins
     the worker: call it on every path.
     """
-    context = _fork_context() if work >= _MIN_WORK and _worker_count(2) > 1 else None
+    context = _fork_context(_worker_count(2))
     if context is None:
         value = task()
         return lambda: value

@@ -15,11 +15,11 @@ from .copulas import make_ordinary
 from .demand import acquisition_shares
 from .errors import ConfigError, _positive
 from .market import _premium_rate, company_exposure, decompose
-from .optimize import (_grid_points, _loading_grid, _sweep_argmin, _sweep_work, company_ruin_at,
+from .optimize import (_grid_points, _loading_grid, _sweep_argmin, company_ruin_at,
                        optimize_joint_profit, optimize_joint_ruin, profit_optimal_loading,
                        ruin_optimal_loading, sweep_single_loading, weighted_average_loading)
 from .presets import figure_config
-from .ruin import SolverConfig, solve_series, solve_survival
+from .ruin import solve_series, solve_survival
 from .simulate import simulate_bivariate_market, simulate_ruin
 
 __all__ = ["solve_config", "optimize_config", "simulate_config", "reproduce_figure"]
@@ -188,17 +188,15 @@ def _claim_dependence(cfg, sweep_step, grid_step):
 
 def _separate(cfg, sweep_step, grid_step):
     """fig4/fig5: the window search's ruin optimum and the ``_grid`` table of 0.2-0.6 a side.  The
-    search, which never reads the table, runs in a forked worker beside it whenever the work of the
-    table's pairs clears the pool's floor (:func:`lundberg._pool.start`); every row is the same bits
-    in any batch or process."""
+    search, which never reads the table, runs beside it in a forked worker wherever a second CPU can
+    take it (:func:`lundberg._pool.start`); every row is the same bits in any batch or process."""
     market, demands, reserve = cfg.market(), tuple(cfg.demands), max(cfg.reserves)
     decomposition = decompose(market, grid_step)
     thetas = _loading_grid(0.2, 0.6, sweep_step)
     pairs = _grid_points(thetas, thetas)
     search = _pool.start(lambda: optimize_joint_ruin(
         market, demands, cfg.acquisition, reserve, mode="separate", grid_step=grid_step,
-        sweep_step=sweep_step, decomposition=decomposition, window=True),
-        _sweep_work(len(pairs), SolverConfig(grid_step, max(reserve, grid_step)).n_cells))
+        sweep_step=sweep_step, decomposition=decomposition, window=True))
     try:
         profit_res = optimize_joint_profit(demands, tuple(r.intensity for r in cfg.risks),
                                            tuple(r.severity.mean for r in cfg.risks), mode="separate")

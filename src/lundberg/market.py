@@ -127,9 +127,9 @@ class Decomposition:
 
     def __init__(self, market: MarketSpec, grid_step: float | None, *,
                  joint_step: float | None = None, joint_tail_mass: float | None = None):
-        for step in (grid_step, joint_step):
+        for name, step in (("grid step", grid_step), ("joint step", joint_step)):
             if step is not None:
-                _positive("grid step", step)
+                _positive(name, step)
         if joint_tail_mass is not None and not 0 < joint_tail_mass < 1:
             raise ValidationError(f"joint tail mass must be in (0, 1), got {joint_tail_mass}")
         self.market = market

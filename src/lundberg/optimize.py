@@ -9,7 +9,8 @@ a loading grid and polishing the grid argmin with L-BFGS-B on forward
 differences, each point and its neighbours solved as one kernel batch.
 The sweep solves the whole box, or for ``reproduce fig4``/``fig5`` a coarse
 grid and a window around its argmin (:func:`_box_search`, a heuristic), a
-search that those figures run in a forked worker beside their loading table.
+search that those figures run beside their loading table, in a forked worker
+wherever a second CPU can take it.
 
 Two entries sweep loadings on a reserve grid of step ``grid_step``:
 :func:`sweep_single_loading` for one risk and :func:`company_ruin_at`
@@ -24,9 +25,9 @@ recursion coefficients are linear in the per-component exposure weights,
 so one set of component tail integrals serves every loading pair, and
 whole batches of loadings advance together through the same survival
 kernel (:func:`lundberg.ruin.survival_batch`) that solves single curves.
-Sweeps of at least 10^7 curve values times log2 of the node count
-(:func:`_sweep_work`, about three chunks) run their chunks in forked workers,
-one per CPU (:mod:`lundberg._pool`); every value is the same bytes either way.
+Sweeps of at least 10^7 curve values times log2 of the node count (about
+three chunks) run their chunks in forked workers, one per CPU
+(:mod:`lundberg._pool`); every value is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -82,11 +83,8 @@ class LoadingResult:
     (see :func:`company_ruin_at`).
     """
 
-    criterion: str
-    mode: str
     loading: float | tuple
     value: float
-    reserve: float | None = None
     expected_profit: float | None = None
     grid_loading: float | tuple | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -117,11 +115,8 @@ def ruin_optimal_loading(demand: DemandSpec, intensity: float, mean_severity: fl
     delta = 1e-4
     if not (a_star <= alpha(theta - delta) and a_star <= alpha(theta + delta)):
         raise AccuracyError(f"loading {theta:g} failed the local minimum check")
-    return LoadingResult(
-        criterion="ruin", mode="single", loading=float(theta), value=a_star,
-        expected_profit=float(theta * intensity * demand.take_rate(theta) * mean_severity
-                              - demand.fixed_cost),
-    )
+    return LoadingResult(float(theta), a_star, expected_profit=float(
+        theta * intensity * demand.take_rate(theta) * mean_severity - demand.fixed_cost))
 
 
 def profit_optimal_loading(demand: DemandSpec, intensity: float, mean_severity: float) -> LoadingResult:
@@ -145,10 +140,7 @@ def profit_optimal_loading(demand: DemandSpec, intensity: float, mean_severity: 
         raise AccuracyError(f"no sign change for the profit root in [{lo:g}, {hi:g}]")
     theta = float(sciopt.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
     profit = float(theta * intensity * demand.take_rate(theta) * mean_severity - demand.fixed_cost)
-    return LoadingResult(
-        criterion="profit", mode="single", loading=theta, value=profit,
-        expected_profit=profit, diagnostics={"residual": float(f(theta))},
-    )
+    return LoadingResult(theta, profit, expected_profit=profit, diagnostics={"residual": float(f(theta))})
 
 
 def joint_expected_profit(theta1, theta2, demands, intensities, mean_severities) -> float:
@@ -238,11 +230,6 @@ def _box_search(solve, thetas, k, window=False):
     return points, found, best
 
 
-def _sweep_work(rows, n):
-    """The pool work of a sweep of ``rows`` loadings over ``n`` cells: O(n log n) a row."""
-    return rows * (n + 1) * (n + 1).bit_length()
-
-
 def _sweep(tails, reserves, grid_step):
     """``sweep(coef, premium)``: loadings -> (ruin at ``reserves``, profit, feasible).
 
@@ -272,7 +259,8 @@ def _sweep(tails, reserves, grid_step):
             return vals
 
         out = np.ones((coef.shape[0], len(node_idx)))
-        for live, vals in zip(jobs, _pool.map(chunk_ruin, jobs, _sweep_work(live.size, n))):
+        work = live.size * (n + 1) * (n + 1).bit_length()  # O(n log n) a row
+        for live, vals in zip(jobs, _pool.map(chunk_ruin, jobs, work)):
             out[live] = vals
         return out, profit, feasible
 
@@ -444,8 +432,8 @@ def optimize_joint_ruin(
         decomposition=decomposition,
     )
     return LoadingResult(
-        criterion="ruin", mode=mode, loading=loading_of(x), value=value, reserve=reserve,
-        expected_profit=exposure.expected_profit, grid_loading=loading_of(free[best]),
+        loading_of(x), value, expected_profit=exposure.expected_profit,
+        grid_loading=loading_of(free[best]),
         diagnostics={
             "refined": refined,
             "sweep_points": int(free.shape[0]),
@@ -479,10 +467,7 @@ def optimize_joint_profit(
         r2 = profit_optimal_loading(d2, l2, m2)
         loading = (r1.loading, r2.loading)
         gross = joint_expected_profit(r1.loading, r2.loading, demands, intensities, mean_severities)
-        return LoadingResult(
-            criterion="profit", mode=mode, loading=loading, value=gross - fixed,
-            expected_profit=gross - fixed, grid_loading=loading,
-        )
+        return LoadingResult(loading, gross - fixed, expected_profit=gross - fixed, grid_loading=loading)
     if mode != "common":
         raise ValidationError(f"mode must be 'common' or 'separate', got {mode}")
 
@@ -491,10 +476,8 @@ def optimize_joint_profit(
 
     res = sciopt.minimize_scalar(negative, bounds=box, method="bounded", options={"xatol": 1e-8})
     theta = float(res.x)
-    return LoadingResult(
-        criterion="profit", mode=mode, loading=theta, value=-float(res.fun) - fixed,
-        expected_profit=-float(res.fun) - fixed, grid_loading=theta,
-    )
+    profit = -float(res.fun) - fixed
+    return LoadingResult(theta, profit, expected_profit=profit, grid_loading=theta)
 
 
 def size_scaling_experiment(

@@ -309,23 +309,37 @@ def test_reproduce_bytes_are_pinned(name, tmp_path):
     assert written == _REPRODUCE_SHA256[name]
 
 
-@pytest.mark.parametrize("name", ["fig4", "fig5"])
-def test_reproduce_bytes_hold_with_the_search_in_a_worker(name, tmp_path, monkeypatch):
-    # with no work floor and two workers, the window search runs in a forked worker beside the table
+def _reproduce_in(name, workers, tmp_path, monkeypatch):
+    """``reproduce name`` at the pinned steps with ``workers`` usable CPUs and the real work floor:
+    the pid that ran the window search, and the SHA-256 of every file written."""
     search = figures.optimize_joint_ruin
 
     def spy(*args, **kwargs):
         (tmp_path / "search_pid").write_text(str(os.getpid()))
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(_pool, "_MIN_WORK", 0)
-    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(workers, jobs))
     monkeypatch.setattr(figures, "optimize_joint_ruin", spy)
     assert main(["reproduce", name, "--out-dir", str(tmp_path), "--grid-step", "25",
                  "--sweep-step", "0.05"]) == 0
-    assert int((tmp_path / "search_pid").read_text()) != os.getpid()
-    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in (tmp_path / name).iterdir()}
+    return int((tmp_path / "search_pid").read_text()), {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / name).iterdir()}
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5"])
+def test_reproduce_bytes_hold_with_the_search_in_a_worker(name, tmp_path, monkeypatch):
+    # with two usable CPUs the window search runs in a forked worker beside the table, below the
+    # work floor too: the floor gates only a pool's job list
+    pid, written = _reproduce_in(name, 2, tmp_path, monkeypatch)
+    assert pid != os.getpid()
+    assert written == _REPRODUCE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5"])
+def test_reproduce_bytes_hold_with_the_search_in_the_caller(name, tmp_path, monkeypatch):
+    # with one usable CPU the search runs in this process, to the same bytes
+    pid, written = _reproduce_in(name, 1, tmp_path, monkeypatch)
+    assert pid == os.getpid()
     assert written == _REPRODUCE_SHA256[name]
 
 
@@ -416,10 +430,11 @@ def test_reproduce_optimizes_at_the_requested_grid_step(tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(optimize, "_sweep", spy)
+    monkeypatch.setattr(_pool, "_worker_count", lambda jobs: 1)
     assert main(["reproduce", "fig5", "--out-dir", str(tmp_path), "--grid-step", "25",
                  "--sweep-step", "0.05"]) == 0
     assert steps and set(steps) == {25.0}
-    # below the work floor the search runs here too: its coarse grid, window and refinement
+    # with one usable CPU the search runs here too: its coarse grid, window and refinement
     # batches, then the table's 81 pairs
     assert rows[:2] == [16, 121] and set(rows[2:-1]) == {3} and rows[-1] == 81
     summary = json.loads((tmp_path / "fig5" / "summary.json").read_text())

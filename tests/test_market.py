@@ -85,7 +85,8 @@ def test_independent_market_decomposes_trivially(indep_market):
                                    (2.0, 0.0), (2.0, -4.0)])
 def test_decompose_rejects_invalid_steps(market, steps, request):
     grid_step, joint_step = steps
-    with pytest.raises(ValidationError, match="grid step must be positive"):
+    step = "grid" if joint_step is None else "joint"
+    with pytest.raises(ValidationError, match=f"{step} step must be positive"):
         lb.decompose(request.getfixturevalue(market), grid_step, joint_step=joint_step)
 
 

@@ -9,8 +9,7 @@ from lundberg.errors import NetProfitError, ValidationError
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """No work floor and two usable CPUs: ``_pool.start`` forks wherever ``fork`` exists."""
-    monkeypatch.setattr(_pool, "_MIN_WORK", 0)
+    """Two usable CPUs: ``_pool.start`` forks wherever ``fork`` exists."""
     monkeypatch.setattr(_pool, "_worker_count", lambda jobs: min(2, jobs))
 
 
@@ -19,21 +18,17 @@ def _pid():
 
 
 def test_start_forks_a_worker_and_returns_its_value(two_workers):
-    assert _pool.start(_pid, 1)() != os.getpid()
+    assert _pool.start(_pid)() != os.getpid()
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("mode", ["below the floor", "one CPU", "no fork"])
+@pytest.mark.parametrize("mode", ["one CPU", "no fork"])
 def test_start_runs_the_task_here_where_map_would_not_fork(monkeypatch, mode):
-    if mode == "below the floor":
-        work = _pool._MIN_WORK - 1
+    if mode == "one CPU":
+        monkeypatch.setattr(_pool, "_worker_count", lambda jobs: 1)
     else:
-        work = _pool._MIN_WORK
-        if mode == "one CPU":
-            monkeypatch.setattr(_pool, "_worker_count", lambda jobs: 1)
-        else:
-            monkeypatch.setattr(_pool, "_fork_context", lambda: None)
-    assert _pool.start(_pid, work)() == os.getpid()
+        monkeypatch.setattr(_pool, "_fork_context", lambda workers: None)
+    assert _pool.start(_pid)() == os.getpid()
 
 
 @pytest.mark.parametrize("error", [ValidationError("sweep step must be positive and finite, got 0"),
@@ -42,7 +37,7 @@ def test_start_reraises_the_task_error_with_its_type_and_message(two_workers, er
     def task():
         raise error
 
-    collect = _pool.start(task, 1)
+    collect = _pool.start(task)
     with pytest.raises(type(error)) as raised:
         collect()
     assert str(raised.value) == str(error)
@@ -50,7 +45,7 @@ def test_start_reraises_the_task_error_with_its_type_and_message(two_workers, er
 
 
 def test_start_raises_when_the_worker_exits_without_a_result(two_workers):
-    collect = _pool.start(lambda: os._exit(3), 1)
+    collect = _pool.start(lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with code 3"):
         collect()
     assert multiprocessing.active_children() == []
